@@ -1,49 +1,36 @@
-"""Compare the compiled series kernels against the pure-Python fallback.
+"""Compare the Kronecker product over F_p against the schoolbook loop.
 
-Feeds identical inputs to ``pdisk._kernels`` and ``pdisk._kernels_py``,
-checks the outputs agree bit for bit, and reports per-call timings.  Run
-from the repository root:
+Feeds identical inputs to ``_kernels_py._kronecker_mul`` and
+``_kernels_py._schoolbook_mul``, checks the outputs agree, and reports
+per-call timings, the speedup, and which one ``series_mul`` picks at each
+length (``KRONECKER_MIN``).  Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
-
-The compiled extension is optional; without it this script reports the
-fallback timings alone.
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
 import time
 
-import pdisk._kernels_py as pure
-from pdisk.field import FieldSpec
+import pdisk._kernels_py as kernels
 from pdisk.rng import SplitMix64
 
-try:
-    import pdisk._kernels as compiled
-except ImportError:
-    compiled = None
-
-FIELDS = [FieldSpec(5), FieldSpec(3, 2, (1, 0, 1))]
-LENGTHS = [16, 64, 256]
-REPEAT = 200
-
-
-def draw(rng: SplitMix64, field: FieldSpec, n: int) -> list[int]:
-    q = field.p**field.k
-    out = [rng.below(q) for _ in range(n)]
-    if out[0] == 0:
-        out[0] = 1
-    return out
+PRIMES = [2, 3, 5, 7, 2**31 - 1]
+LENGTHS = [4, 6, 8, 10, 12, 14, 16, 19, 24, 32, 64, 256, 1024]
+BUDGET_S = 0.02  # time per clock() sample
 
 
 def clock(fn, *args) -> tuple[float, object]:
+    """Best of five samples of the mean call time, and the last result."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    reps = max(1, int(BUDGET_S / max(time.perf_counter() - t0, 1e-7)))
     best = float("inf")
-    result = None
-    for _ in range(3):
+    for _ in range(5):
         t0 = time.perf_counter()
-        for _ in range(REPEAT):
+        for _ in range(reps):
             result = fn(*args)
-        best = min(best, (time.perf_counter() - t0) / REPEAT)
+        best = min(best, (time.perf_counter() - t0) / reps)
     return best, result
 
 
@@ -55,41 +42,21 @@ def fmt(seconds: float) -> str:
 
 def main() -> None:
     rng = SplitMix64(2024)
-    impls = [("python", pure)] + ([("compiled", compiled)] if compiled else [])
-    print(f"backends: {', '.join(name for name, _ in impls)}")
-    header = f"{'field':>8} {'n':>5} {'op':>4}" + "".join(
-        f" {name:>12}" for name, _ in impls
-    )
-    if compiled:
-        header += f" {'speedup':>9}"
-    print(header)
-    for field in FIELDS:
-        p, k = field.p, field.k
-        mod = None if k == 1 else field.modulus
-        label = f"F_{p**k}"
+    print(f"series_mul uses Kronecker from nout = {kernels.KRONECKER_MIN}")
+    print(f"{'p':>10} {'n':>5} {'schoolbook':>12} {'kronecker':>12} {'speedup':>8}  used")
+    for p in PRIMES:
         for n in LENGTHS:
-            a = draw(rng, field, n)
-            b = draw(rng, field, n)
-            c0inv = field.inv(a[0])
-            for op, args in [
-                ("mul", (a, b, n, p, k, mod)),
-                ("inv", (a, n, c0inv, p, k, mod)),
-            ]:
-                times = []
-                outs = []
-                for _, impl in impls:
-                    fn = impl.series_mul if op == "mul" else impl.series_inv
-                    t, out = clock(fn, *args)
-                    times.append(t)
-                    outs.append(out)
-                if len(outs) == 2 and outs[0] != outs[1]:
-                    raise SystemExit(f"backend mismatch: {label} n={n} {op}")
-                row = f"{label:>8} {n:>5} {op:>4}" + "".join(
-                    f" {fmt(t):>12}" for t in times
-                )
-                if len(times) == 2:
-                    row += f" {times[0] / times[1]:>8.1f}x"
-                print(row)
+            a = [rng.below(p) for _ in range(n)]
+            b = [rng.below(p) for _ in range(n)]
+            t_school, out_school = clock(kernels._schoolbook_mul, a, b, n, p)
+            t_kron, out_kron = clock(kernels._kronecker_mul, a, b, n, p)
+            if out_school != out_kron:
+                raise SystemExit(f"kernel mismatch: p={p} n={n}")
+            used = "kronecker" if n >= kernels.KRONECKER_MIN else "schoolbook"
+            print(
+                f"{p:>10} {n:>5} {fmt(t_school):>12} {fmt(t_kron):>12} "
+                f"{t_school / t_kron:>7.1f}x  {used}"
+            )
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ from .series import TruncSeries, VAR_DISK, VAR_TWIST
 from .spectral import EigenData, SpectralElement, SpectralRing, hensel_eigen
 from .verify import run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",

@@ -1,20 +1,11 @@
-"""Kernel backend selection.
+"""The series kernels the package computes with.
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-pure-Python fallback with the identical interface takes over.  Both produce
-bit-identical results, so the choice never affects any output, only speed.
+``impl`` is the kernel module ``pdisk._kernels_py``; ``series`` calls the
+kernels through it, and BACKEND names the implementation.
 """
 
 from __future__ import annotations
 
-try:
-    from pdisk import _kernels as impl  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on the build
-    from pdisk import _kernels_py as impl  # type: ignore[no-redef]
-
+from pdisk import _kernels_py as impl
 
 BACKEND: str = impl.BACKEND
-
-
-def backend_name() -> str:
-    return BACKEND

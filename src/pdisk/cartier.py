@@ -20,6 +20,7 @@ first nonvanishing residual is reported as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .connection import Connection, FHiggs
 from .errors import (
@@ -173,19 +174,21 @@ def kernel_unit(w: OneForm) -> TruncSeries:
     field = f.field
     p = field.p
     n = f.precision
-    g = [0] * (n + 1)
-    g[0] = 1
+    g = [1]
     for m in range(n):
-        # coefficient of z^m in w * g
-        acc = 0
-        for i in range(m + 1):
-            acc = field.add(acc, field.mul(f.coeffs[i], g[m - i]))
+        # coefficient of z^m in w * g; over F_p one dot product of f with g reversed
+        if field.k == 1:
+            acc = sum(map(mul, f.coeffs, reversed(g))) % p
+        else:
+            acc = 0
+            for i in range(m + 1):
+                acc = field.add(acc, field.mul(f.coeffs[i], g[m - i]))
         if (m + 1) % p == 0:
             if acc != 0:
                 raise NonzeroPCurvature(m, acc)
-            g[m + 1] = 0
+            g.append(0)
         else:
-            g[m + 1] = field.mul(field.scalar(pow(m + 1, p - 2, p)), acc)
+            g.append(field.mul(field.scalar(pow(m + 1, p - 2, p)), acc))
     return TruncSeries(field, VAR_DISK, tuple(g))
 
 
@@ -227,37 +230,49 @@ def flat_matrix_section(
     nprec = min(source.precision, target.precision)
     a_t = [[target.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
     a_s = [[source.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
-    # h[m][i][j]: order-m coefficient of the solution
-    h = [[[field.validate(initial[i][j]) for j in range(n)] for i in range(n)]]
+    # h[i][j]: the coefficients of solution entry (i, j) found so far
+    h = [[[field.validate(initial[i][j])] for j in range(n)] for i in range(n)]
     for m in range(nprec):
-        resid = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for t in range(n):
-                    for s in range(m + 1):
-                        acc = field.add(acc, field.mul(a_t[i][t][s], h[m - s][t][j]))
-                        acc = field.sub(acc, field.mul(h[m - s][i][t], a_s[t][j][s]))
-                resid[i][j] = acc
+        # resid[i][j]: coefficient of z^m in (A_target h - h A_source)[i][j]
+        if field.k == 1:
+            # over F_p each order-m term is one dot product of a with h reversed
+            resid = [
+                [
+                    sum(
+                        sum(map(mul, a_t[i][t], reversed(h[t][j])))
+                        - sum(map(mul, a_s[t][j], reversed(h[i][t])))
+                        for t in range(n)
+                    )
+                    % p
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        else:
+            resid = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    acc = 0
+                    for t in range(n):
+                        for s in range(m + 1):
+                            acc = field.add(acc, field.mul(a_t[i][t][s], h[t][j][m - s]))
+                            acc = field.sub(acc, field.mul(h[i][t][m - s], a_s[t][j][s]))
+                    resid[i][j] = acc
         if (m + 1) % p == 0:
             bad = [c for row in resid for c in row if c != 0]
             if bad:
                 raise NonzeroPCurvature(m, resid[0][0] if n == 1 else resid)
-            h.append([[0] * n for _ in range(n)])
+            for row in h:
+                for entry in row:
+                    entry.append(0)
         else:
             inv = field.scalar(pow(m + 1, p - 2, p))
-            h.append(
-                [[field.mul(inv, field.neg(resid[i][j])) for j in range(n)] for i in range(n)]
-            )
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(
-                TruncSeries(field, VAR_DISK, tuple(h[m][i][j] for m in range(nprec + 1)))
-            )
-        rows.append(tuple(row))
-    return SeriesMatrix(tuple(rows))
+            for i in range(n):
+                for j in range(n):
+                    h[i][j].append(field.mul(inv, field.neg(resid[i][j])))
+    return SeriesMatrix(
+        tuple(tuple(TruncSeries(field, VAR_DISK, tuple(entry)) for entry in row) for row in h)
+    )
 
 
 def verify_flat_iff_curvature_zero(conn: Connection, psi: FHiggs) -> bool:

@@ -5,8 +5,8 @@ the code are the coordinates in the power basis 1, a, ..., a^(k-1) of the
 generator a, a root of the supplied monic irreducible modulus.  For k = 1
 the code is the residue itself and no modulus is needed.
 
-The encoding keeps series coefficients hashable and cheap to move across
-the compiled/pure kernel boundary.
+The encoding keeps series coefficients hashable and cheap to hand to the
+series kernels in ``pdisk._kernels_py``.
 """
 
 from __future__ import annotations

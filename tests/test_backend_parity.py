@@ -1,79 +1,137 @@
-"""Bit-for-bit agreement between the compiled kernels and the fallback."""
+"""The series kernels against slow oracles.
+
+Over F_p the Kronecker product is checked against the schoolbook loop and
+the dot-product inversion against the scalar triangular recursion below, on
+both sides of the Kronecker crossover and for moduli beyond machine words.
+Over F_{p^k} the kernels are checked against convolutions built from the
+field's own arithmetic.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-import pdisk._kernels_py as pure
-from pdisk.backend import BACKEND
+import pdisk._kernels_py as kernels
+from pdisk.backend import BACKEND, impl
 from pdisk.field import FieldSpec
 from pdisk.rng import SplitMix64
 
-compiled = pytest.importorskip(
-    "pdisk._kernels", reason="compiled extension not built in this environment"
-)
-
-FIELDS = [
-    FieldSpec(2),
-    FieldSpec(5),
-    FieldSpec(3, 2, (1, 0, 1)),
-    FieldSpec(2, 3, (1, 1, 0, 1)),
-]
+PRIMES = [2, 3, 5, 7, 2**31 - 1, 4294967311]
+CROSS = kernels.KRONECKER_MIN
+EXTENSIONS = [FieldSpec(3, 2, (1, 0, 1)), FieldSpec(2, 3, (1, 1, 0, 1))]
 
 
-def params(field: FieldSpec):
-    mod = None if field.k == 1 else field.modulus
-    return field.p, field.k, mod
+def scalar_inv(a, nout: int, c0inv: int, p: int) -> list[int]:
+    """1/a over F_p by the triangular recursion, one product at a time."""
+    out = [0] * nout
+    out[0] = c0inv
+    for m in range(1, nout):
+        acc = 0
+        for i in range(1, min(m, len(a) - 1) + 1):
+            acc = (acc + a[i] * out[m - i]) % p
+        out[m] = (-c0inv * acc) % p
+    return out
 
 
-def random_coeffs(rng: SplitMix64, field: FieldSpec, n: int) -> list[int]:
-    q = field.p**field.k
+def field_mul(field: FieldSpec, a, b, nout: int) -> list[int]:
+    out = [0] * nout
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < nout:
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def draw(rng: SplitMix64, q: int, n: int) -> list[int]:
     return [rng.below(q) for _ in range(n)]
 
 
-def test_backend_is_compiled_when_importable() -> None:
-    assert compiled.BACKEND == "compiled"
-    assert BACKEND == "compiled"
+def test_backend_is_the_python_kernels() -> None:
+    assert impl is kernels
+    assert BACKEND == "python"
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_add_neg_mul_agree(field: FieldSpec) -> None:
-    p, k, mod = params(field)
-    rng = SplitMix64(90 + p * k)
-    for trial in range(30):
-        na = 1 + rng.below(12)
-        nb = 1 + rng.below(12)
-        a = random_coeffs(rng, field, na)
-        b = random_coeffs(rng, field, nb)
-        n = min(na, nb)
-        assert compiled.series_add(a[:n], b[:n], p, k, mod) == pure.series_add(
-            a[:n], b[:n], p, k, mod
-        )
-        assert compiled.series_neg(a, p, k, mod) == pure.series_neg(a, p, k, mod)
-        assert compiled.series_mul(a, b, n, p, k, mod) == pure.series_mul(
-            a, b, n, p, k, mod
-        )
+@pytest.mark.parametrize("p", PRIMES)
+def test_kronecker_matches_schoolbook(p: int) -> None:
+    rng = SplitMix64(90 + p % 1000)
+    lengths = [1, CROSS - 1, CROSS, CROSS + 1, 2 * CROSS, 64, 200]
+    for n in lengths:
+        for _ in range(4):
+            a, b = draw(rng, p, n), draw(rng, p, n)
+            want = kernels._schoolbook_mul(a, b, n, p)
+            assert kernels._kronecker_mul(a, b, n, p) == want
+            assert impl.series_mul(a, b, n, p, 1, None) == want
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_inverse_agrees_and_inverts(field: FieldSpec) -> None:
-    p, k, mod = params(field)
-    q = p**k
-    rng = SplitMix64(190 + p * k)
-    for trial in range(20):
-        n = 1 + rng.below(10)
-        a = random_coeffs(rng, field, n)
-        if a[0] == 0:
-            a[0] = 1 + rng.below(q - 1)
-        c0inv = field.inv(a[0])
-        got = compiled.series_inv(a, n, c0inv, p, k, mod)
-        assert got == pure.series_inv(a, n, c0inv, p, k, mod)
-        check = compiled.series_mul(a, got, n, p, k, mod)
-        assert check == [1] + [0] * (n - 1)
+@pytest.mark.parametrize("p", PRIMES)
+def test_uneven_lengths_and_short_outputs(p: int) -> None:
+    # operands of different lengths, nout below, between and above them
+    rng = SplitMix64(190 + p % 1000)
+    for _ in range(60):
+        na, nb = rng.below(3 * CROSS), rng.below(3 * CROSS)
+        nout = rng.below(3 * CROSS)
+        a, b = draw(rng, p, na), draw(rng, p, nb)
+        want = kernels._schoolbook_mul(a, b, nout, p)
+        assert kernels._kronecker_mul(a, b, nout, p) == want
+        assert impl.series_mul(a, b, nout, p, 1, None) == want
+        assert impl.series_mul(tuple(a), tuple(b), nout, p, 1, None) == want
 
 
-def test_empty_series_handled() -> None:
-    assert compiled.series_add([], [], 3, 1, None) == pure.series_add([], [], 3, 1, None)
-    assert compiled.series_mul([], [1], 0, 3, 1, None) == pure.series_mul(
-        [], [1], 0, 3, 1, None
-    )
+@pytest.mark.parametrize("p", PRIMES)
+def test_empty_inputs(p: int) -> None:
+    for nout in (0, CROSS - 1, CROSS, 2 * CROSS):
+        assert impl.series_mul([], [1], nout, p, 1, None) == [0] * nout
+        assert impl.series_mul([1, 2 % p], [], nout, p, 1, None) == [0] * nout
+        assert kernels._kronecker_mul([], [], nout, p) == [0] * nout
+    assert impl.series_add([], [], p, 1, None) == []
+    assert impl.series_neg([], p, 1, None) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_full_slots_at_width_boundaries(p: int) -> None:
+    # all coefficients p - 1 fill every slot to its bound; the lengths put the
+    # bound just below and just above a whole number of bytes
+    for bits in (8, 16, 32, 64, 72):
+        n = max(1, (1 << bits) // (p - 1) ** 2)
+        if n > 300:
+            continue
+        for m in (n - 1, n, n + 1):
+            if m < 1:
+                continue
+            a = [p - 1] * m
+            want = kernels._schoolbook_mul(a, a, m, p)
+            assert kernels._kronecker_mul(a, a, m, p) == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_matches_scalar_recursion(p: int) -> None:
+    field = FieldSpec(p)
+    rng = SplitMix64(290 + p % 1000)
+    for n in (1, 2, CROSS - 1, CROSS, CROSS + 1, 40, 100):
+        for _ in range(3):
+            a = [1 + rng.below(p - 1)] + draw(rng, p, n - 1)
+            c0inv = field.inv(a[0])
+            got = impl.series_inv(a, n, c0inv, p, 1, None)
+            assert got == scalar_inv(a, n, c0inv, p)
+            assert impl.series_mul(a, got, n, p, 1, None) == [1] + [0] * (n - 1)
+            # an operand shorter than the output
+            short = a[: max(1, n // 3)]
+            assert impl.series_inv(short, n, c0inv, p, 1, None) == scalar_inv(
+                short, n, c0inv, p
+            )
+
+
+@pytest.mark.parametrize("field", EXTENSIONS, ids=str)
+def test_extension_kernels_match_field(field: FieldSpec) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(490 + field.q)
+    for _ in range(15):
+        na, nb = 1 + rng.below(14), 1 + rng.below(14)
+        a, b = draw(rng, field.q, na), draw(rng, field.q, nb)
+        nout = min(na, nb)
+        assert impl.series_mul(a, b, nout, p, k, mod) == field_mul(field, a, b, nout)
+        assert impl.series_add(a, b, p, k, mod) == [field.add(x, y) for x, y in zip(a, b)]
+        assert impl.series_neg(a, p, k, mod) == [field.neg(x) for x in a]
+        if a[0]:
+            inv = impl.series_inv(a, na, field.inv(a[0]), p, k, mod)
+            assert field_mul(field, a, inv, na) == [1] + [0] * (na - 1)

@@ -347,6 +347,137 @@ class TestFlatSections:
 
 
 # ==========================================================================
+# the recursions against their scalar loops
+# ==========================================================================
+
+
+def scalar_kernel_unit(w: OneForm) -> TruncSeries:
+    """kernel_unit with every coefficient product a field call."""
+    f = w.coefficient
+    field = f.field
+    p = field.p
+    n = f.precision
+    g = [0] * (n + 1)
+    g[0] = 1
+    for m in range(n):
+        acc = 0
+        for i in range(m + 1):
+            acc = field.add(acc, field.mul(f.coeffs[i], g[m - i]))
+        if (m + 1) % p == 0:
+            if acc != 0:
+                raise NonzeroPCurvature(m, acc)
+            g[m + 1] = 0
+        else:
+            g[m + 1] = field.mul(field.scalar(pow(m + 1, p - 2, p)), acc)
+    return TruncSeries(field, VAR_DISK, tuple(g))
+
+
+def scalar_flat_matrix_section(source: Connection, target: Connection, initial) -> SeriesMatrix:
+    """flat_matrix_section with every coefficient product a field call."""
+    field = target.field
+    p = field.p
+    n = target.rank
+    nprec = min(source.precision, target.precision)
+    a_t = [[target.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
+    a_s = [[source.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
+    h = [[[field.validate(initial[i][j]) for j in range(n)] for i in range(n)]]
+    for m in range(nprec):
+        resid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                acc = 0
+                for t in range(n):
+                    for s in range(m + 1):
+                        acc = field.add(acc, field.mul(a_t[i][t][s], h[m - s][t][j]))
+                        acc = field.sub(acc, field.mul(h[m - s][i][t], a_s[t][j][s]))
+                resid[i][j] = acc
+        if (m + 1) % p == 0:
+            if any(c != 0 for row in resid for c in row):
+                raise NonzeroPCurvature(m, resid[0][0] if n == 1 else resid)
+            h.append([[0] * n for _ in range(n)])
+        else:
+            inv = field.scalar(pow(m + 1, p - 2, p))
+            h.append(
+                [[field.mul(inv, field.neg(resid[i][j])) for j in range(n)] for i in range(n)]
+            )
+    return SeriesMatrix(
+        tuple(
+            tuple(
+                TruncSeries(field, VAR_DISK, tuple(h[m][i][j] for m in range(nprec + 1)))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    )
+
+
+def outcome(fn, *args):
+    """The result, or the order and residual of the obstruction."""
+    try:
+        return fn(*args)
+    except NonzeroPCurvature as exc:
+        return ("obstructed", exc.order, exc.residual)
+
+
+class TestAgainstScalarLoops:
+    FIELDS = (F2, F3, F5, F9)
+
+    def test_flat_sections_of_random_connections(self) -> None:
+        # random connections are almost always obstructed; gauge transforms
+        # of the trivial one never are
+        rng = SplitMix64(43)
+        obstructed = flat = 0
+        for field in self.FIELDS:
+            for n in (1, 2, 3):
+                prec = 3 * field.p + 4
+                zero = Connection(SeriesMatrix.zero(field, VAR_DISK, n, prec))
+                eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                for _ in range(3):
+                    for conn in (
+                        Connection(rng.matrix(field, VAR_DISK, n, prec)),
+                        gauge(rng.unit_matrix(field, VAR_DISK, n, prec), zero),
+                    ):
+                        got = outcome(flat_matrix_section, zero, conn, eye)
+                        assert got == outcome(scalar_flat_matrix_section, zero, conn, eye)
+                        if isinstance(got, tuple):
+                            obstructed += 1
+                        else:
+                            flat += 1
+        assert obstructed >= 30 and flat >= 36
+
+    def test_intertwiners_with_random_initial_values(self) -> None:
+        rng = SplitMix64(44)
+        for field in self.FIELDS:
+            for n in (1, 2, 3):
+                prec = 2 * field.p + 3
+                zero = Connection(SeriesMatrix.zero(field, VAR_DISK, n, prec))
+                for _ in range(3):
+                    source = gauge(rng.unit_matrix(field, VAR_DISK, n, prec), zero)
+                    target = gauge(rng.unit_matrix(field, VAR_DISK, n, prec + 2), zero)
+                    initial = rng.matrix(field, VAR_DISK, n, 1).residue()
+                    assert outcome(flat_matrix_section, source, target, initial) == outcome(
+                        scalar_flat_matrix_section, source, target, initial
+                    )
+                    other = Connection(rng.matrix(field, VAR_DISK, n, prec))
+                    assert outcome(flat_matrix_section, other, target, initial) == outcome(
+                        scalar_flat_matrix_section, other, target, initial
+                    )
+
+    def test_kernel_units(self) -> None:
+        rng = SplitMix64(45)
+        obstructed = 0
+        for field in self.FIELDS:
+            prec = 4 * field.p + 3
+            for _ in range(8):
+                u = rng.unit_series(field, VAR_DISK, prec + 1)
+                for w in (OneForm(dlog(u)), OneForm(rng.series(field, VAR_DISK, prec))):
+                    got = outcome(kernel_unit, w)
+                    assert got == outcome(scalar_kernel_unit, w)
+                    obstructed += isinstance(got, tuple)
+        assert obstructed >= 16
+
+
+# ==========================================================================
 # hypothesis sweeps
 # ==========================================================================
 
