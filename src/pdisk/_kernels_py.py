@@ -1,8 +1,9 @@
 """The series kernels: coefficient loops over encoded field elements.
 
-Coefficients are field elements encoded as integers (see ``pdisk.field``),
-``mod`` is the tuple of the k low modulus digits for extension fields and
-``None`` for k = 1.
+Coefficients are field elements encoded as integers (see ``pdisk.field``).
+``mod`` is ``FieldSpec.modulus``: the k + 1 digits of the monic modulus for
+extension fields and ``None`` for k = 1.  Over extension fields (k > 1) the
+loops use the element arithmetic of ``pdisk.field``.
 
 Over prime fields (k = 1) the quadratic work runs inside CPython's C code.
 ``series_mul`` multiplies by Kronecker substitution from ``KRONECKER_MIN``
@@ -22,6 +23,8 @@ import sys
 from array import array
 from operator import mul
 
+from .field import ext_add, ext_mul, ext_neg
+
 BACKEND = "python"
 
 # Output length from which k = 1 products use Kronecker substitution.  Below it
@@ -36,57 +39,17 @@ _SLOT_WIDTHS = [min(w for w in _SLOT_TYPES if w >= need) for need in range(max(_
 _SWAP = sys.byteorder == "big"
 
 
-def _decode(a: int, p: int, k: int) -> list[int]:
-    digs = []
-    for _ in range(k):
-        digs.append(a % p)
-        a //= p
-    return digs
-
-
-def _encode(digs: list[int], p: int) -> int:
-    a = 0
-    for d in reversed(digs):
-        a = a * p + d
-    return a
-
-
-def _fmul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
-    if a == 0 or b == 0:
-        return 0
-    da = _decode(a, p, k)
-    db = _decode(b, p, k)
-    buf = [0] * (2 * k - 1)
-    for i, x in enumerate(da):
-        if x:
-            for j, y in enumerate(db):
-                buf[i + j] = (buf[i + j] + x * y) % p
-    for i in range(2 * k - 2, k - 1, -1):
-        c = buf[i]
-        if c:
-            buf[i] = 0
-            for j in range(k):
-                buf[i - k + j] = (buf[i - k + j] - c * mod[j]) % p
-    return _encode(buf[:k], p)
-
-
-def _fadd(a: int, b: int, p: int, k: int) -> int:
-    da = _decode(a, p, k)
-    db = _decode(b, p, k)
-    return _encode([(x + y) % p for x, y in zip(da, db)], p)
-
-
 def series_add(a, b, p: int, k: int, mod) -> list[int]:
     n = min(len(a), len(b))
     if k == 1:
         return [(a[i] + b[i]) % p for i in range(n)]
-    return [_fadd(a[i], b[i], p, k) for i in range(n)]
+    return [ext_add(a[i], b[i], p, k) for i in range(n)]
 
 
 def series_neg(a, p: int, k: int, mod) -> list[int]:
     if k == 1:
         return [(-c) % p for c in a]
-    return [_encode([(-d) % p for d in _decode(c, p, k)], p) for c in a]
+    return [ext_neg(c, p, k) for c in a]
 
 
 def _schoolbook_mul(a, b, nout: int, p: int) -> list[int]:
@@ -148,8 +111,7 @@ def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
     for m in range(nout):
         acc = 0
         for i in range(max(0, m - nb + 1), min(na, m + 1)):
-            t = _fmul(a[i], b[m - i], p, k, mod)
-            acc = _fadd(acc, t, p, k)
+            acc = ext_add(acc, ext_mul(a[i], b[m - i], p, k, mod), p, k)
         out[m] = acc
     return out
 
@@ -168,7 +130,6 @@ def series_inv(a, nout: int, c0inv: int, p: int, k: int, mod) -> list[int]:
     for m in range(1, nout):
         acc = 0
         for i in range(1, min(m, len(a) - 1) + 1):
-            acc = _fadd(acc, _fmul(a[i], out[m - i], p, k, mod), p, k)
-        neg = _encode([(-d) % p for d in _decode(acc, p, k)], p)
-        out[m] = _fmul(c0inv, neg, p, k, mod)
+            acc = ext_add(acc, ext_mul(a[i], out[m - i], p, k, mod), p, k)
+        out[m] = ext_mul(c0inv, ext_neg(acc, p, k), p, k, mod)
     return out

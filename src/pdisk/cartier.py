@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .connection import Connection, FHiggs
+from .connection import Connection
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -273,12 +273,3 @@ def flat_matrix_section(
     return SeriesMatrix(
         tuple(tuple(TruncSeries(field, VAR_DISK, tuple(entry)) for entry in row) for row in h)
     )
-
-
-def verify_flat_iff_curvature_zero(conn: Connection, psi: FHiggs) -> bool:
-    """Cross-check helper: flat_sections succeeds exactly when psi = 0."""
-    try:
-        flat_sections(conn)
-        return psi.matrix.is_zero()
-    except NonzeroPCurvature:
-        return not psi.matrix.is_zero()

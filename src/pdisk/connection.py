@@ -121,17 +121,3 @@ def dlog(g) -> TruncSeries:
     inverse = g.inverse()
     derivative = g.derivative()
     return inverse * derivative
-
-
-def hom_flat_section(
-    source: Connection, target: Connection, initial: tuple[tuple[int, ...], ...]
-) -> SeriesMatrix:
-    """The flat section h of the Hom-connection with h(0) = initial.
-
-    h satisfies dh/dz + A_target h - h A_source = 0, so it intertwines the
-    two connections: gauge(h, source) = target when h is invertible.
-    Raises NonzeroPCurvature at the first obstructed order.
-    """
-    from .cartier import flat_matrix_section
-
-    return flat_matrix_section(source, target, initial)

@@ -6,65 +6,96 @@ generator a, a root of the supplied monic irreducible modulus.  For k = 1
 the code is the residue itself and no modulus is needed.
 
 The encoding keeps series coefficients hashable and cheap to hand to the
-series kernels in ``pdisk._kernels_py``.
+series kernels in ``pdisk._kernels_py``.  The module-level ``decode``,
+``encode``, ``ext_add``, ``ext_neg`` and ``ext_mul`` are the one
+implementation of F_{p^k} digit arithmetic: ``FieldSpec`` and the k > 1
+kernel loops both call them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import NonUnit
 
+# Miller-Rabin over these bases decides primality exactly below _PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 2017); FieldSpec refuses p beyond it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < _PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _poly_divmod_fp(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Divide dense F_p[x] polynomials (ascending coefficients, den != 0)."""
-    num = list(num)
-    dn = len(den) - 1
-    while dn >= 0 and den[dn] == 0:
-        dn -= 1
-    inv_lead = pow(den[dn], p - 2, p) if den[dn] != 1 else 1
-    quot = [0] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] % p
-        if c == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
             continue
-        q = (c * inv_lead) % p
-        quot[i - dn] = q
-        for j in range(dn + 1):
-            num[i - dn + j] = (num[i - dn + j] - q * den[j]) % p
-    while len(num) > 1 and num[-1] % p == 0:
-        num.pop()
-    return quot, [c % p for c in num]
-
-
-def _brute_force_irreducible(modulus: tuple[int, ...], p: int, k: int) -> bool:
-    """Check irreducibility by trial division against every candidate factor.
-
-    Enumerates all monic polynomials of degree 1..k//2 over F_p.  Fine at
-    desk scale (k <= 8, small p).
-    """
-    for d in range(1, k // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            _, rem = _poly_divmod_fp(list(modulus), cand, p)
-            if all(c == 0 for c in rem):
-                return False
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
+
+
+# -- element arithmetic on codes, shared with the series kernels -----------
+#
+# mod is FieldSpec.modulus: the k + 1 digits of the monic modulus.
+
+
+def decode(a: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of a code, lowest first."""
+    digs = []
+    for _ in range(k):
+        digs.append(a % p)
+        a //= p
+    return digs
+
+
+def encode(digits: list[int], p: int) -> int:
+    """The code of a digit vector, each digit reduced mod p."""
+    a = 0
+    for d in reversed(digits):
+        a = a * p + (d % p)
+    return a
+
+
+def ext_add(a: int, b: int, p: int, k: int) -> int:
+    return encode([x + y for x, y in zip(decode(a, p, k), decode(b, p, k))], p)
+
+
+def ext_neg(a: int, p: int, k: int) -> int:
+    return encode([-x for x in decode(a, p, k)], p)
+
+
+def ext_mul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
+    """Product in F_p[x]/(mod): schoolbook on digits, then reduction by mod."""
+    if a == 0 or b == 0:
+        return 0
+    da, db = decode(a, p, k), decode(b, p, k)
+    buf = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                buf[i + j] = (buf[i + j] + x * y) % p
+    for i in range(2 * k - 2, k - 1, -1):
+        c = buf[i]
+        if c:
+            buf[i] = 0
+            for j in range(k):
+                buf[i - k + j] = (buf[i - k + j] - c * mod[j]) % p
+    return encode(buf[:k], p)
 
 
 @dataclass(frozen=True)
@@ -76,6 +107,8 @@ class FieldSpec:
     modulus: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.p >= _PRIME_BOUND:
+            raise ValueError(f"p = {self.p} is beyond the supported bound {_PRIME_BOUND}")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if not 1 <= self.k <= 8:
@@ -90,33 +123,23 @@ class FieldSpec:
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.k + 1 or mod[self.k] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _brute_force_irreducible(mod, self.p, self.k):
+        # imported here: polyring reaches this module again through the kernels
+        from .polyring import factor_degrees
+
+        if factor_degrees(FieldSpec(self.p), list(mod)) != [self.k]:
             raise ValueError("modulus is reducible over F_p")
 
     @cached_property
     def q(self) -> int:
         return self.p**self.k
 
-    @cached_property
-    def _pows(self) -> tuple[int, ...]:
-        return tuple(self.p**i for i in range(self.k))
-
     # -- encoding ---------------------------------------------------------
 
     def decode(self, a: int) -> list[int]:
-        p = self.p
-        digs = []
-        for _ in range(self.k):
-            digs.append(a % p)
-            a //= p
-        return digs
+        return decode(a, self.p, self.k)
 
     def encode(self, digits: list[int]) -> int:
-        p = self.p
-        a = 0
-        for d in reversed(digits):
-            a = a * p + (d % p)
-        return a
+        return encode(digits, self.p)
 
     def validate(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
@@ -128,9 +151,7 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % p for x, y in zip(da, db)])
+        return ext_add(a, b, self.p, self.k)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -138,30 +159,12 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        return self.encode([(-x) % p for x in self.decode(a)])
+        return ext_neg(a, self.p, self.k)
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        p, k = self.p, self.k
-        da, db = self.decode(a), self.decode(b)
-        buf = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    buf[i + j] = (buf[i + j] + x * y) % p
-        mod = self.modulus
-        assert mod is not None
-        for i in range(2 * k - 2, k - 1, -1):
-            c = buf[i]
-            if c:
-                buf[i] = 0
-                for j in range(k):
-                    buf[i - k + j] = (buf[i - k + j] - c * mod[j]) % p
-        return self.encode(buf[:k])
+        return ext_mul(a, b, self.p, self.k, self.modulus)
 
     def scalar(self, c: int) -> int:
         """Embed an integer through F_p."""

@@ -6,6 +6,7 @@ analysis: squarefreeness, distinct-degree splitting, modular inverses.
 
 from __future__ import annotations
 
+from .backend import impl
 from .field import FieldSpec
 
 
@@ -41,12 +42,7 @@ def mul(f: FieldSpec, a: list[int], b: list[int]) -> list[int]:
     a, b = trim(a), trim(b)
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return trim(out)
+    return impl.series_mul(a, b, len(a) + len(b) - 1, f.p, f.k, f.modulus)
 
 
 def divmod_(f: FieldSpec, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -137,6 +133,11 @@ def factor_degrees(f: FieldSpec, a: list[int]) -> list[int]:
 
     Distinct-degree splitting: gcd with x^(q^d) - x collects the factors
     of degree d.  Returns one entry per factor, ascending.
+
+    ``factor_degrees(f, a) == [degree(a)]`` decides irreducibility of any a
+    of positive degree, squarefree or not: a reducible a has a factor of
+    degree d <= degree(a) / 2, and the loop emits d before it stops.
+    ``FieldSpec`` tests its modulus this way.
     """
     a = monic(f, trim(a))
     out: list[int] = []

@@ -45,9 +45,6 @@ class SplitMix64:
 
     # -- structured draws -------------------------------------------------
 
-    def field_element(self, field: FieldSpec) -> int:
-        return self.below(field.q)
-
     def unit(self, field: FieldSpec) -> int:
         return 1 + self.below(field.q - 1)
 

@@ -118,16 +118,12 @@ class TruncSeries:
         if self.var != other.var:
             raise VarMismatch(f"operands mix {self.var} with {other.var}")
 
-    def _mod(self) -> tuple[int, ...] | None:
-        f = self.field
-        return None if f.k == 1 else f.modulus
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_peer(other)
         f = self.field
-        out = impl.series_add(self.coeffs, other.coeffs, f.p, f.k, self._mod())
+        out = impl.series_add(self.coeffs, other.coeffs, f.p, f.k, f.modulus)
         return TruncSeries(f, self.var, tuple(out))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
@@ -135,14 +131,14 @@ class TruncSeries:
 
     def __neg__(self) -> "TruncSeries":
         f = self.field
-        out = impl.series_neg(self.coeffs, f.p, f.k, self._mod())
+        out = impl.series_neg(self.coeffs, f.p, f.k, f.modulus)
         return TruncSeries(f, self.var, tuple(out))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_peer(other)
         f = self.field
         nout = min(self.precision, other.precision)
-        out = impl.series_mul(self.coeffs, other.coeffs, nout, f.p, f.k, self._mod())
+        out = impl.series_mul(self.coeffs, other.coeffs, nout, f.p, f.k, f.modulus)
         return TruncSeries(f, self.var, tuple(out))
 
     def scale(self, c: int) -> "TruncSeries":
@@ -163,7 +159,7 @@ class TruncSeries:
             raise NonUnitConstantTerm("constant term is not a unit")
         f = self.field
         c0inv = f.inv(self.coeffs[0])
-        out = impl.series_inv(self.coeffs, self.precision, c0inv, f.p, f.k, self._mod())
+        out = impl.series_inv(self.coeffs, self.precision, c0inv, f.p, f.k, f.modulus)
         return TruncSeries(f, self.var, tuple(out))
 
     def derivative(self) -> "TruncSeries":

@@ -23,6 +23,7 @@ reported precisely when they fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd as _intgcd
 
 from . import polyring
@@ -115,24 +116,22 @@ class SpectralRing:
     # -- derivation -------------------------------------------------------
 
     def has_derivation(self) -> bool:
-        return self._derivation_table() is not None
+        return self._derivation_table is not None
 
+    @cached_property
     def _derivation_table(self) -> "SpectralElement | None":
         """dt/dz as a ring element, or None when unavailable."""
-        if not hasattr(self, "_dt_cache"):
-            q = self.char_poly()
-            n = self.rank
-            dchar = self.element([q[i + 1].scale_int(i + 1) for i in range(n)])
-            dz = self.element([q[i].derivative() for i in range(n)])
-            try:
-                dt: SpectralElement | None = -(dz * dchar.inverse())
-            except NonUnit:
-                dt = None
-            object.__setattr__(self, "_dt_cache", dt)
-        return getattr(self, "_dt_cache")
+        q = self.char_poly()
+        n = self.rank
+        dchar = self.element([q[i + 1].scale_int(i + 1) for i in range(n)])
+        dz = self.element([q[i].derivative() for i in range(n)])
+        try:
+            return -(dz * dchar.inverse())
+        except NonUnit:
+            return None
 
     def derivation(self) -> "SpectralElement":
-        dt = self._derivation_table()
+        dt = self._derivation_table
         if dt is None:
             raise DerivationUnavailable(
                 "char' is not a unit in the spectral ring; no canonical derivation"

@@ -19,6 +19,13 @@ def S(field: FieldSpec, text: str, precision: int, var: str = "z") -> TruncSerie
     return parse_series(field, text, var, precision, "test")
 
 
+def sympy_poly(coeffs, p: int):
+    """The polynomial with ascending coefficients over F_p, as a sympy oracle."""
+    import sympy
+
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+
+
 def M(field: FieldSpec, rows, precision: int, var: str = "z") -> SeriesMatrix:
     """Matrix from a list of lists of grammar strings."""
     return SeriesMatrix.from_rows(

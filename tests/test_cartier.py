@@ -15,9 +15,8 @@ from pdisk.cartier import (
     kernel_unit,
     pi_star_form,
     solve_hp,
-    verify_flat_iff_curvature_zero,
 )
-from pdisk.connection import Connection, dlog, gauge, pcurv
+from pdisk.connection import Connection, FHiggs, dlog, gauge, pcurv
 from pdisk.errors import (
     DimensionMismatch,
     NonzeroPCurvature,
@@ -35,6 +34,15 @@ F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, 2, (1, 0, 1))
+
+
+def verify_flat_iff_curvature_zero(conn: Connection, psi: FHiggs) -> bool:
+    """Cross-check helper: flat_sections succeeds exactly when psi = 0."""
+    try:
+        flat_sections(conn)
+        return psi.matrix.is_zero()
+    except NonzeroPCurvature:
+        return not psi.matrix.is_zero()
 
 
 def form(field: FieldSpec, text: str, precision: int) -> OneForm:

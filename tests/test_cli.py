@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,14 @@ class TestExitCodes:
         payload = json.loads(err)["error"]
         assert payload["code"] == "SchemaError"
         assert "precision" in payload["message"]
+
+    def test_prime_beyond_bound_is_schema_error(self, capsys, tmp_path) -> None:
+        doc = dict(CONN_ANCHOR, p=2**89 - 1)
+        path = write_doc(tmp_path, "big.json", doc)
+        code, out, err = run(capsys, ["pcurv", "-i", path])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "SchemaError"
 
     def test_unreadable_file_is_two(self, capsys, tmp_path) -> None:
         code, _, err = run(capsys, ["pcurv", "-i", str(tmp_path / "absent.json")])
@@ -244,6 +253,24 @@ class TestFormCommands:
         doc = {"p": 2, "var": "z", "precision": 4, "series": "z^3"}
         path = write_doc(tmp_path, "s.json", doc)
         code, _, err = run(capsys, ["descend", "-i", path])
+        assert code == 1
+        assert json.loads(err)["error"]["code"] == "NotAPthPower"
+
+    def test_descend_over_large_extension_in_bounded_time(self, capsys, tmp_path) -> None:
+        # F_{101^8} under x^8 + 2: the modulus check must not enumerate the
+        # ~10^8 candidate factors of degree <= 4
+        doc = {
+            "p": 101,
+            "ext_degree": 8,
+            "modulus": [2, 0, 0, 0, 0, 0, 0, 0, 1],
+            "var": "z",
+            "precision": 3,
+            "series": "1 + z",
+        }
+        path = write_doc(tmp_path, "s.json", doc)
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["descend", "-i", path])
+        assert time.perf_counter() - start < 5.0
         assert code == 1
         assert json.loads(err)["error"]["code"] == "NotAPthPower"
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdisk.errors import NonUnit
 from pdisk.field import FieldSpec
+
+from conftest import sympy_poly
 
 F8 = FieldSpec(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
 FIELDS = [
@@ -29,9 +34,28 @@ class TestConstruction:
         for p in (2, 3, 5, 7, 11, 251):
             assert FieldSpec(p).q == p
 
-    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, -3])
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, -3, 561, 3215031751])
     def test_nonprime_rejected(self, p: int) -> None:
         with pytest.raises(ValueError):
+            FieldSpec(p)
+
+    def test_large_prime_in_bounded_time(self) -> None:
+        start = time.perf_counter()
+        assert FieldSpec(2**61 - 1).q == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # the bound itself: the least strong pseudoprime to bases 2 .. 41
+            3317044064679887385961981,
+            2**89 - 1,  # a Mersenne prime above the bound
+        ],
+    )
+    def test_beyond_bound_rejected(self, p: int) -> None:
+        with pytest.raises(ValueError, match="bound"):
             FieldSpec(p)
 
     def test_degree_bounds(self) -> None:
@@ -174,3 +198,45 @@ def test_f9_hypothesis_laws(a: int, b: int, c: int) -> None:
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+# ==========================================================================
+# sympy as an independent oracle
+# ==========================================================================
+
+def accepts(p: int, modulus: tuple[int, ...]) -> bool:
+    try:
+        FieldSpec(p, len(modulus) - 1, modulus)
+    except ValueError:
+        return False
+    return True
+
+
+# every monic modulus of degree 2-4 over F_2, F_3, F_5 and of degree 5-6 over F_2
+MODULUS_GRID = [(p, k) for p in (2, 3, 5) for k in (2, 3, 4)] + [(2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("p,k", MODULUS_GRID, ids=lambda v: str(v))
+def test_irreducibility_matches_sympy(p: int, k: int) -> None:
+    for tail in product(range(p), repeat=k):
+        modulus = tail + (1,)
+        assert accepts(p, modulus) == sympy_poly(modulus, p).is_irreducible, modulus
+
+
+SYMPY_FIELDS = [
+    FieldSpec(2, 2, (1, 1, 1)),
+    F8,
+    FieldSpec(3, 2, (1, 0, 1)),
+    FieldSpec(5, 2, (2, 1, 1)),  # x^2 + x + 2
+]
+
+
+@pytest.mark.parametrize("field", SYMPY_FIELDS, ids=lambda f: f"q{f.q}")
+def test_mul_matches_sympy(field: FieldSpec) -> None:
+    p, k = field.p, field.k
+    modulus = sympy_poly(field.modulus, p)
+    for a in field.elements():
+        for b in field.elements():
+            rem = (sympy_poly(field.decode(a), p) * sympy_poly(field.decode(b), p)).rem(modulus)
+            digits = [int(c) % p for c in reversed(rem.all_coeffs())]
+            assert field.mul(a, b) == field.encode(digits + [0] * (k - len(digits)))
