@@ -2,8 +2,10 @@
 
 Coefficients are field elements encoded as integers (see ``pdisk.field``).
 ``mod`` is ``FieldSpec.modulus``: the k + 1 digits of the monic modulus for
-extension fields and ``None`` for k = 1.  Over extension fields (k > 1) the
-loops use the element arithmetic of ``pdisk.field``.
+extension fields and ``None`` for k = 1.  The kernels own the k = 1 / k > 1
+fork: callers pass p, k and mod and never branch on k themselves.  Over
+extension fields (k > 1) the loops use the element arithmetic of
+``pdisk.field``.
 
 Over prime fields (k = 1) the quadratic work runs inside CPython's C code.
 ``series_mul`` multiplies by Kronecker substitution from ``KRONECKER_MIN``
@@ -11,8 +13,11 @@ output coefficients on: both operands are packed into one integer, one slot
 of whole bytes per coefficient, the integers are multiplied once and each
 slot of the product is reduced mod p.  A slot holds any convolution sum
 exactly, so no carry crosses slots.  Shorter products use the schoolbook
-loop, which is as fast there.  ``series_inv`` computes each coefficient of
-its triangular recursion as one integer dot product, reduced mod p once.
+loop, which is as fast there.  ``series_dot`` sums the dot products of
+several coefficient sequences as integers and reduces mod p once; it gives
+one coefficient of a truncated product when one operand is reversed, which
+is how ``series_inv`` and the order-by-order recursions of ``pdisk.cartier``
+(``kernel_unit`` and ``flat_matrix_section``) compute their residuals.
 
 BACKEND tells the benchmark and tests which implementation they got.
 """
@@ -116,20 +121,30 @@ def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
     return out
 
 
+def series_dot(pairs, p: int, k: int, mod) -> int:
+    """The sum over (x, y) in pairs of sum x[i] * y[i], i up to the shorter length.
+
+    x and y may be any iterables of coefficients, e.g. ``reversed(list)``.
+    """
+    if k == 1:
+        return sum(sum(map(mul, x, y)) for x, y in pairs) % p
+    acc = 0
+    for x, y in pairs:
+        for a, b in zip(x, y):
+            acc = ext_add(acc, ext_mul(a, b, p, k, mod), p, k)
+    return acc
+
+
 def series_inv(a, nout: int, c0inv: int, p: int, k: int, mod) -> list[int]:
     """Triangular recursion for 1/a; c0inv is the field inverse of a[0]."""
+    # the coefficient of z^m in (a - a[0]) * out pairs a[1:] with out[m-1], out[m-2], ...
+    a1 = a[1:]
+    out = [c0inv]
     if k == 1:
-        # the coefficient of z^m in (a - a[0]) * out pairs a[1:] with out[m-1], out[m-2], ...
-        a1 = a[1:]
-        out = [c0inv]
         for m in range(1, nout):
             out.append((-c0inv * sum(map(mul, a1, reversed(out)))) % p)
         return out
-    out = [0] * nout
-    out[0] = c0inv
+    neg_c0inv = ext_neg(c0inv, p, k)
     for m in range(1, nout):
-        acc = 0
-        for i in range(1, min(m, len(a) - 1) + 1):
-            acc = ext_add(acc, ext_mul(a[i], out[m - i], p, k, mod), p, k)
-        out[m] = ext_mul(c0inv, ext_neg(acc, p, k), p, k, mod)
+        out.append(ext_mul(neg_c0inv, series_dot(((a1, reversed(out)),), p, k, mod), p, k, mod))
     return out

@@ -20,8 +20,9 @@ first nonvanishing residual is reported as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from typing import ClassVar
 
+from .backend import impl
 from .connection import Connection
 from .errors import (
     DimensionMismatch,
@@ -36,71 +37,56 @@ from .series import TruncSeries, VAR_DISK, VAR_TWIST
 
 
 @dataclass(frozen=True)
-class OneForm:
+class _CoefficientForm:
+    """c dx with c a series in the coordinate x; precision is that of c.
+
+    Subclasses name the coordinate and the message for a mismatch.
+    """
+
+    var: ClassVar[str]
+    var_mismatch: ClassVar[str]
+    coefficient: TruncSeries
+
+    def __post_init__(self) -> None:
+        if self.coefficient.var != self.var:
+            raise VarMismatch(self.var_mismatch)
+
+    @property
+    def precision(self) -> int:
+        return self.coefficient.precision
+
+    @property
+    def field(self):
+        return self.coefficient.field
+
+    def __add__(self, other: "_CoefficientForm") -> "_CoefficientForm":
+        return type(self)(self.coefficient + other.coefficient)
+
+    def __sub__(self, other: "_CoefficientForm") -> "_CoefficientForm":
+        return type(self)(self.coefficient - other.coefficient)
+
+    def __neg__(self) -> "_CoefficientForm":
+        return type(self)(-self.coefficient)
+
+    def is_zero(self) -> bool:
+        return self.coefficient.is_zero()
+
+    def agrees_with(self, other: "_CoefficientForm") -> bool:
+        return self.coefficient.agrees_with(other.coefficient)
+
+
+class OneForm(_CoefficientForm):
     """f dz with f a z-series; precision is that of f."""
 
-    coefficient: TruncSeries
-
-    def __post_init__(self) -> None:
-        if self.coefficient.var != VAR_DISK:
-            raise VarMismatch("a one-form on the disk needs a z-series coefficient")
-
-    @property
-    def precision(self) -> int:
-        return self.coefficient.precision
-
-    @property
-    def field(self):
-        return self.coefficient.field
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(-self.coefficient)
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def agrees_with(self, other: "OneForm") -> bool:
-        return self.coefficient.agrees_with(other.coefficient)
+    var = VAR_DISK
+    var_mismatch = "a one-form on the disk needs a z-series coefficient"
 
 
-@dataclass(frozen=True)
-class TwistOneForm:
+class TwistOneForm(_CoefficientForm):
     """g dz' with g a z'-series."""
 
-    coefficient: TruncSeries
-
-    def __post_init__(self) -> None:
-        if self.coefficient.var != VAR_TWIST:
-            raise VarMismatch("a one-form on the twist needs a z'-series coefficient")
-
-    @property
-    def precision(self) -> int:
-        return self.coefficient.precision
-
-    @property
-    def field(self):
-        return self.coefficient.field
-
-    def __add__(self, other: "TwistOneForm") -> "TwistOneForm":
-        return TwistOneForm(self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "TwistOneForm") -> "TwistOneForm":
-        return TwistOneForm(self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "TwistOneForm":
-        return TwistOneForm(-self.coefficient)
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def agrees_with(self, other: "TwistOneForm") -> bool:
-        return self.coefficient.agrees_with(other.coefficient)
+    var = VAR_TWIST
+    var_mismatch = "a one-form on the twist needs a z'-series coefficient"
 
 
 def cartier_op(w: OneForm) -> TwistOneForm:
@@ -170,26 +156,20 @@ def kernel_unit(w: OneForm) -> TruncSeries:
     p-th steps exactly by the p-curvature of d/dz - w, which vanishes when
     hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise.
     """
-    f = w.coefficient
-    field = f.field
-    p = field.p
-    n = f.precision
+    s = w.coefficient
+    f = s.field
+    p = f.p
     g = [1]
-    for m in range(n):
-        # coefficient of z^m in w * g; over F_p one dot product of f with g reversed
-        if field.k == 1:
-            acc = sum(map(mul, f.coeffs, reversed(g))) % p
-        else:
-            acc = 0
-            for i in range(m + 1):
-                acc = field.add(acc, field.mul(f.coeffs[i], g[m - i]))
+    for m in range(s.precision):
+        # the coefficient of z^m in w * g pairs s with g reversed
+        acc = impl.series_dot(((s.coeffs, reversed(g)),), p, f.k, f.modulus)
         if (m + 1) % p == 0:
             if acc != 0:
                 raise NonzeroPCurvature(m, acc)
             g.append(0)
         else:
-            g.append(field.mul(field.scalar(pow(m + 1, p - 2, p)), acc))
-    return TruncSeries(field, VAR_DISK, tuple(g))
+            g.append(f.mul(f.scalar(pow(m + 1, p - 2, p)), acc))
+    return TruncSeries(f, VAR_DISK, tuple(g))
 
 
 def flat_sections(conn: Connection) -> SeriesMatrix:
@@ -224,40 +204,30 @@ def flat_matrix_section(
         raise DimensionMismatch("connection ranks differ")
     if source.field != target.field:
         raise FieldMismatch("connections live over different fields")
-    field = target.field
-    p = field.p
+    f = target.field
+    p = f.p
     n = target.rank
     nprec = min(source.precision, target.precision)
     a_t = [[target.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
-    a_s = [[source.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
+    neg_a_s = [[(-source.matrix.entry(i, j)).coeffs for j in range(n)] for i in range(n)]
     # h[i][j]: the coefficients of solution entry (i, j) found so far
-    h = [[[field.validate(initial[i][j])] for j in range(n)] for i in range(n)]
+    h = [[[f.validate(initial[i][j])] for j in range(n)] for i in range(n)]
     for m in range(nprec):
-        # resid[i][j]: coefficient of z^m in (A_target h - h A_source)[i][j]
-        if field.k == 1:
-            # over F_p each order-m term is one dot product of a with h reversed
-            resid = [
-                [
-                    sum(
-                        sum(map(mul, a_t[i][t], reversed(h[t][j])))
-                        - sum(map(mul, a_s[t][j], reversed(h[i][t])))
-                        for t in range(n)
-                    )
-                    % p
-                    for j in range(n)
-                ]
-                for i in range(n)
+        # resid[i][j]: the coefficient of z^m in (A_target h - h A_source)[i][j], one dot
+        # product of entries of A_target and -A_source with entries of h reversed
+        resid = [
+            [
+                impl.series_dot(
+                    [(a_t[i][t], reversed(h[t][j])) for t in range(n)]
+                    + [(neg_a_s[t][j], reversed(h[i][t])) for t in range(n)],
+                    p,
+                    f.k,
+                    f.modulus,
+                )
+                for j in range(n)
             ]
-        else:
-            resid = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = 0
-                    for t in range(n):
-                        for s in range(m + 1):
-                            acc = field.add(acc, field.mul(a_t[i][t][s], h[t][j][m - s]))
-                            acc = field.sub(acc, field.mul(h[i][t][m - s], a_s[t][j][s]))
-                    resid[i][j] = acc
+            for i in range(n)
+        ]
         if (m + 1) % p == 0:
             bad = [c for row in resid for c in row if c != 0]
             if bad:
@@ -266,10 +236,10 @@ def flat_matrix_section(
                 for entry in row:
                     entry.append(0)
         else:
-            inv = field.scalar(pow(m + 1, p - 2, p))
+            inv = f.scalar(pow(m + 1, p - 2, p))
             for i in range(n):
                 for j in range(n):
-                    h[i][j].append(field.mul(inv, field.neg(resid[i][j])))
+                    h[i][j].append(f.mul(inv, f.neg(resid[i][j])))
     return SeriesMatrix(
-        tuple(tuple(TruncSeries(field, VAR_DISK, tuple(entry)) for entry in row) for row in h)
+        tuple(tuple(TruncSeries(f, VAR_DISK, tuple(entry)) for entry in row) for row in h)
     )

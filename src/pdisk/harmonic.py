@@ -33,7 +33,6 @@ from .errors import (
     InternalInconsistency,
     NonSplitResidue,
     NonzeroPCurvature,
-    NotAPthPower,
     RepeatedResidueRoot,
     VarMismatch,
     ZeroPrecision,
@@ -42,6 +41,7 @@ from .hitchin import (
     InvariantTuple,
     char_invariants,
     companion_section,
+    descend_certified,
     descend_invariants,
     frobenius_base_pullback,
     phitchin,
@@ -55,6 +55,10 @@ from .spectral import (
     check_residue_split,
     hensel_eigen,
 )
+
+
+# what a failed descent of a horizontal (Cartier-descended) matrix reports
+_HORIZONTAL = "horizontal matrix failed to descend"
 
 
 def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
@@ -90,7 +94,7 @@ class HarmonicDatum:
     eigen: EigenData | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.frame not in ("rank1", "eigen", "cyclic"):
+        if self.frame not in ("rank1", "eigen"):
             raise DimensionMismatch(f"unknown frame tag {self.frame!r}")
         if self.curvature_sign not in (1, -1):
             raise DimensionMismatch("curvature_sign must be +1 or -1")
@@ -188,21 +192,6 @@ def _lagrange_element(
     return acc
 
 
-def _descend_matrix(m: SeriesMatrix, p: int) -> SeriesMatrix:
-    try:
-        return m.descend_pth_power()
-    except NotAPthPower as exc:
-        if m.precision < p:
-            raise InsufficientPrecision(
-                f"matrix precision {m.precision} below p = {p}"
-            ) from exc
-        raise InternalInconsistency(
-            "horizontal matrix failed to descend",
-            exponent=exc.exponent,
-            coefficient=exc.coefficient,
-        ) from exc
-
-
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     """Solve the chart Hitchin equations for a flat connection.
 
@@ -245,11 +234,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
                     )
             diag.append(a_eig.entry(i, i))
         theta = _lagrange_element(ring, eigen.mus, diag)
-        phi_diag = [
-            _descend_matrix(SeriesMatrix.diagonal([mu]), p).entry(0, 0) for mu in eigen.mus
-        ]
-        prec = min(s.precision for s in phi_diag)
-        higgs = SeriesMatrix.diagonal([s.truncate(prec) for s in phi_diag])
+        higgs = descend_certified(SeriesMatrix.diagonal(eigen.mus), "matrix", _HORIZONTAL)
         link = eigen.gauge
         datum = HarmonicDatum(b_prime, theta, "eigen", eigen=eigen)
 
@@ -303,7 +288,6 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
     """
     if inverse_harmonic.curvature_sign != -1:
         raise BaseMismatch("cinv consumes an inverse harmonic datum (p-curvature -lambda)")
-    p = conn.field.p
     if conn.rank != inverse_harmonic.rank:
         raise DimensionMismatch("connection rank does not match the harmonic base")
     psi = pcurv(conn)
@@ -322,7 +306,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
             residual=exc.details.get("residual"),
         ) from exc
     psi_flat = psi.matrix.conjugate_by(flat_frame)
-    higgs = _descend_matrix(psi_flat, p)
+    higgs = descend_certified(psi_flat, "matrix", _HORIZONTAL)
     return CorrespondencePackage(inverse_harmonic, conn, higgs, flat_frame, flat_frame)
 
 

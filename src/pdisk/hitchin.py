@@ -170,30 +170,32 @@ def companion_section(b: InvariantTuple) -> SeriesMatrix:
     return SeriesMatrix(tuple(rows))
 
 
+def descend_certified(x: TruncSeries | SeriesMatrix, noun: str, failure: str):
+    """x.descend_pth_power() for a series or matrix that theory says descends.
+
+    A failing exponent is a broken theorem, hence InternalInconsistency with
+    the message ``failure``, except when the stated precision is too small to
+    have seen a full period: then InsufficientPrecision names the ``noun``.
+    """
+    try:
+        return x.descend_pth_power()
+    except NotAPthPower as exc:
+        p = x.field.p
+        if x.precision < p:
+            raise InsufficientPrecision(f"{noun} precision {x.precision} below p = {p}") from exc
+        raise InternalInconsistency(
+            failure, exponent=exc.exponent, coefficient=exc.coefficient
+        ) from exc
+
+
 def descend_invariants(b: InvariantTuple) -> InvariantTuple:
     """Entrywise descent of a p-curvature invariant tuple to the twist.
 
     Only meaningful for tuples arising from a p-curvature, where every
-    entry is supported on exponents divisible by p.  A failing exponent is
-    a broken theorem, hence InternalInconsistency, except when the stated
-    precision is too small to have seen a full period.
+    entry is supported on exponents divisible by p (see descend_certified).
     """
-    p = b.field.p
-    entries = []
-    for e in b.entries:
-        try:
-            entries.append(e.descend_pth_power())
-        except NotAPthPower as exc:
-            if e.precision < p:
-                raise InsufficientPrecision(
-                    f"invariant precision {e.precision} below p = {p}"
-                ) from exc
-            raise InternalInconsistency(
-                "characteristic invariant of a p-curvature failed to descend",
-                exponent=exc.exponent,
-                coefficient=exc.coefficient,
-            ) from exc
-    return InvariantTuple(tuple(entries))
+    failure = "characteristic invariant of a p-curvature failed to descend"
+    return InvariantTuple(tuple(descend_certified(e, "invariant", failure) for e in b.entries))
 
 
 def phitchin(conn: Connection) -> InvariantTuple:
@@ -220,7 +222,6 @@ def tau(b: InvariantTuple):
     Its regular representation in the cyclic frame is exactly
     companion_section(b).
     """
-    from .spectral import build_spectral
+    from .spectral import SpectralRing
 
-    ring = build_spectral(b)
-    return ring.tautological()
+    return SpectralRing(b).tautological()

@@ -190,6 +190,36 @@ def _build_field(p: int, k: int, modulus: tuple[int, ...] | None, path: str) -> 
         raise SchemaError(str(exc), path)
 
 
+def _header_to_obj(field: FieldSpec, var: str, precision: int) -> dict[str, Any]:
+    obj = field_to_obj(field)
+    obj["var"] = var
+    obj["precision"] = precision
+    return obj
+
+
+def _header_from_obj(
+    obj: Any, path: str, fallback_p: int | None
+) -> tuple[FieldSpec, str, int]:
+    """The field, var and precision every series-carrying object starts with."""
+    field = field_from_obj(obj, path, fallback_p)
+    var = _need_var(obj, path)
+    precision = _need_int(obj, "precision", path)
+    if precision < 0:
+        raise SchemaError("precision must be nonnegative", f"{path}.precision")
+    return field, var, precision
+
+
+def _need_ranked(obj: Any, key: str, noun: str, path: str) -> list:
+    """obj[key], which must be a list of obj["rank"] >= 1 items."""
+    rank = _need_int(obj, "rank", path)
+    if rank < 1:
+        raise SchemaError("rank must be at least 1", f"{path}.rank")
+    items = _need(obj, key, path)
+    if not isinstance(items, list) or len(items) != rank:
+        raise SchemaError(f"{key} must be a list of {rank} {noun}", f"{path}.{key}")
+    return items
+
+
 # -- scalar and plain-series files ------------------------------------------
 
 
@@ -215,19 +245,13 @@ def scalar_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
 
 
 def series_to_json(s: TruncSeries) -> dict[str, Any]:
-    obj = field_to_obj(s.field)
-    obj["var"] = s.var
-    obj["precision"] = s.precision
+    obj = _header_to_obj(s.field, s.var, s.precision)
     obj["series"] = format_series(s)
     return obj
 
 
 def series_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> TruncSeries:
-    field = field_from_obj(obj, path, fallback_p)
-    var = _need_var(obj, path)
-    precision = _need_int(obj, "precision", path)
-    if precision < 0:
-        raise SchemaError("precision must be nonnegative", f"{path}.precision")
+    field, var, precision = _header_from_obj(obj, path, fallback_p)
     return parse_series(field, _need(obj, "series", path), var, precision, f"{path}.series")
 
 
@@ -236,9 +260,7 @@ def series_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
 
 def oneform_to_json(w) -> dict[str, Any]:
     s = w.coefficient
-    obj = field_to_obj(s.field)
-    obj["var"] = s.var
-    obj["precision"] = s.precision
+    obj = _header_to_obj(s.field, s.var, s.precision)
     obj["coefficient"] = format_series(s)
     return obj
 
@@ -246,11 +268,7 @@ def oneform_to_json(w) -> dict[str, Any]:
 def oneform_from_json(obj: Any, path: str = "$", fallback_p: int | None = None):
     from .cartier import OneForm, TwistOneForm
 
-    field = field_from_obj(obj, path, fallback_p)
-    var = _need_var(obj, path)
-    precision = _need_int(obj, "precision", path)
-    if precision < 0:
-        raise SchemaError("precision must be nonnegative", f"{path}.precision")
+    field, var, precision = _header_from_obj(obj, path, fallback_p)
     coeff = parse_series(
         field, _need(obj, "coefficient", path), var, precision, f"{path}.coefficient"
     )
@@ -260,31 +278,17 @@ def oneform_from_json(obj: Any, path: str = "$", fallback_p: int | None = None):
 # -- matrices, connections, F-Higgs fields ----------------------------------
 
 
-def _matrix_payload(m: SeriesMatrix) -> dict[str, Any]:
-    obj = field_to_obj(m.field)
-    obj["var"] = m.var
-    obj["precision"] = m.precision
+def matrix_to_json(m: SeriesMatrix) -> dict[str, Any]:
+    obj = _header_to_obj(m.field, m.var, m.precision)
     obj["rank"] = m.rank
     obj["matrix"] = [[format_series(e) for e in row] for row in m.entries]
     return obj
 
 
-def matrix_to_json(m: SeriesMatrix) -> dict[str, Any]:
-    return _matrix_payload(m)
-
-
 def matrix_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> SeriesMatrix:
-    field = field_from_obj(obj, path, fallback_p)
-    var = _need_var(obj, path)
-    precision = _need_int(obj, "precision", path)
-    if precision < 0:
-        raise SchemaError("precision must be nonnegative", f"{path}.precision")
-    rank = _need_int(obj, "rank", path)
-    if rank < 1:
-        raise SchemaError("rank must be at least 1", f"{path}.rank")
-    rows = _need(obj, "matrix", path)
-    if not isinstance(rows, list) or len(rows) != rank:
-        raise SchemaError(f"matrix must be a list of {rank} rows", f"{path}.matrix")
+    field, var, precision = _header_from_obj(obj, path, fallback_p)
+    rows = _need_ranked(obj, "matrix", "rows", path)
+    rank = len(rows)
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != rank:
@@ -299,7 +303,7 @@ def matrix_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
 
 
 def connection_to_json(conn: Connection) -> dict[str, Any]:
-    return _matrix_payload(conn.matrix)
+    return matrix_to_json(conn.matrix)
 
 
 def connection_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> Connection:
@@ -310,7 +314,7 @@ def connection_from_json(obj: Any, path: str = "$", fallback_p: int | None = Non
 
 
 def fhiggs_to_json(psi: FHiggs) -> dict[str, Any]:
-    obj = _matrix_payload(psi.matrix)
+    obj = matrix_to_json(psi.matrix)
     obj["twist_weight"] = psi.twist_weight
     return obj
 
@@ -325,26 +329,15 @@ def fhiggs_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
 
 
 def invariants_to_json(b: InvariantTuple) -> dict[str, Any]:
-    obj = field_to_obj(b.field)
-    obj["var"] = b.var
-    obj["precision"] = b.precision
+    obj = _header_to_obj(b.field, b.var, b.precision)
     obj["rank"] = b.rank
     obj["entries"] = [format_series(e) for e in b.entries]
     return obj
 
 
 def invariants_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> InvariantTuple:
-    field = field_from_obj(obj, path, fallback_p)
-    var = _need_var(obj, path)
-    precision = _need_int(obj, "precision", path)
-    if precision < 0:
-        raise SchemaError("precision must be nonnegative", f"{path}.precision")
-    rank = _need_int(obj, "rank", path)
-    if rank < 1:
-        raise SchemaError("rank must be at least 1", f"{path}.rank")
-    entries = _need(obj, "entries", path)
-    if not isinstance(entries, list) or len(entries) != rank:
-        raise SchemaError(f"entries must be a list of {rank} series", f"{path}.entries")
+    field, var, precision = _header_from_obj(obj, path, fallback_p)
+    entries = _need_ranked(obj, "entries", "series", path)
     parsed = tuple(
         parse_series(field, e, var, precision, f"{path}.entries[{i}]")
         for i, e in enumerate(entries)
@@ -393,8 +386,8 @@ def harmonic_from_json(obj: Any, path: str = "$", fallback_p: int | None = None)
     b_prime = invariants_from_json(_need(obj, "b_prime", path), f"{path}.b_prime", fallback_p)
     theta = spectral_from_json(_need(obj, "theta", path), f"{path}.theta", fallback_p)
     frame = _need(obj, "frame", path)
-    if frame not in ("rank1", "eigen", "cyclic"):
-        raise SchemaError(f"frame must be rank1, eigen or cyclic, got {frame!r}", f"{path}.frame")
+    if frame not in ("rank1", "eigen"):
+        raise SchemaError(f"frame must be rank1 or eigen, got {frame!r}", f"{path}.frame")
     sign = obj.get("curvature_sign", 1)
     if sign not in (1, -1):
         raise SchemaError("curvature_sign must be 1 or -1", f"{path}.curvature_sign")

@@ -9,6 +9,7 @@ entropy source is consulted, so byte-identical reruns are guaranteed.
 
 from __future__ import annotations
 
+from .errors import SingularGauge
 from .field import FieldSpec
 from .matrix import SeriesMatrix
 from .series import TruncSeries
@@ -68,26 +69,8 @@ class SplitMix64:
         """A matrix invertible over the series ring (unit constant-term determinant)."""
         while True:
             m = self.matrix(field, var, rank, precision)
-            if _residue_invertible(m.residue(), field):
-                return m
-
-
-def _residue_invertible(rows: tuple[tuple[int, ...], ...], field: FieldSpec) -> bool:
-    n = len(rows)
-    work = [list(r) for r in rows]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return False
-        work[col], work[piv] = work[piv], work[col]
-        ipiv = field.inv(work[col][col])
-        work[col] = [field.mul(ipiv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[r], work[col])]
-    return True
+            try:
+                m.truncate(1).inverse()
+            except SingularGauge:
+                continue
+            return m

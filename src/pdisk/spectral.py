@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd as _intgcd
+from math import lcm
+from typing import Sequence
 
 from . import polyring
 from .connection import FHiggs
@@ -40,6 +41,16 @@ from .errors import (
 from .hitchin import InvariantTuple, char_invariants
 from .matrix import SeriesMatrix
 from .series import TruncSeries
+
+
+def eval_at(coeffs: Sequence[TruncSeries], mu: TruncSeries) -> TruncSeries:
+    """sum coeffs[i] * mu^i by Horner, at the least precision among the inputs."""
+    prec = min([c.precision for c in coeffs] + [mu.precision])
+    mt = mu.truncate(prec)
+    acc = TruncSeries.zero(mu.field, mu.var, prec)
+    for c in reversed(coeffs):
+        acc = acc * mt + c.truncate(prec)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -242,12 +253,7 @@ class SpectralElement:
 
     def eval_series(self, mu: TruncSeries) -> TruncSeries:
         """Evaluate the representative at a series value of t."""
-        prec = min(self.precision, mu.precision)
-        acc = TruncSeries.zero(self.ring.field, mu.var, prec)
-        mt = mu.truncate(prec)
-        for c in reversed(self.coeffs):
-            acc = acc * mt + c.truncate(prec)
-        return acc
+        return eval_at(self.coeffs, mu)
 
     def eval_matrix(self, m: SeriesMatrix) -> SeriesMatrix:
         """Evaluate the representative at a matrix value of t (Horner)."""
@@ -275,10 +281,6 @@ class EigenData:
         return len(self.mus)
 
 
-def build_spectral(b: InvariantTuple) -> SpectralRing:
-    return SpectralRing(b)
-
-
 def check_residue_split(field, res_char: list[int], n: int) -> list[int]:
     """Residue roots of a simple split spectrum; precise errors otherwise.
 
@@ -290,13 +292,9 @@ def check_residue_split(field, res_char: list[int], n: int) -> list[int]:
         raise RepeatedResidueRoot("residue characteristic polynomial has a repeated root")
     res_roots = polyring.roots(field, res_char)
     if len(res_roots) < n:
-        degrees = polyring.factor_degrees(field, res_char)
-        lcm = 1
-        for d in degrees:
-            lcm = lcm * d // _intgcd(lcm, d)
         raise NonSplitResidue(
             "residue spectrum does not split over the coefficient field",
-            suggested_degree=lcm,
+            suggested_degree=lcm(*polyring.factor_degrees(field, res_char)),
         )
     return res_roots
 
@@ -359,19 +357,13 @@ def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
     char = ring.char_poly()
     res_roots = check_residue_split(field, ring.residue_char(), n)
 
-    def horner(coeffs: list[TruncSeries], mu: TruncSeries) -> TruncSeries:
-        acc = TruncSeries.zero(field, mu.var, mu.precision)
-        for c in reversed(coeffs):
-            acc = acc * mu + c.truncate(mu.precision)
-        return acc
-
     dchar = [char[i + 1].scale_int(i + 1) for i in range(n)]
     mus = []
     for r in res_roots:
         mu = TruncSeries.constant(field, m.var, r, prec)
         for _ in range(max(1, (prec - 1).bit_length() + 1)):
-            mu = mu - horner(char, mu) * horner(dchar, mu).inverse()
-        if not horner(char, mu).is_zero():
+            mu = mu - eval_at(char, mu) * eval_at(dchar, mu).inverse()
+        if not eval_at(char, mu).is_zero():
             raise InternalInconsistency("Newton lifting failed to converge")
         mus.append(mu)
 

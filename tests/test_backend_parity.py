@@ -4,7 +4,8 @@ Over F_p the Kronecker product is checked against the schoolbook loop and
 the dot-product inversion against the scalar triangular recursion below, on
 both sides of the Kronecker crossover and for moduli beyond machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
-field's own arithmetic.
+field's own arithmetic.  series_dot is checked over both kinds of field
+against a sum of FieldSpec products.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from pdisk.rng import SplitMix64
 PRIMES = [2, 3, 5, 7, 2**31 - 1, 4294967311]
 CROSS = kernels.KRONECKER_MIN
 EXTENSIONS = [FieldSpec(3, 2, (1, 0, 1)), FieldSpec(2, 3, (1, 1, 0, 1))]
+DOT_FIELDS = [FieldSpec(p) for p in PRIMES] + [
+    FieldSpec(2, 2, (1, 1, 1)),
+    FieldSpec(3, 2, (1, 0, 1)),
+]
 
 
 def scalar_inv(a, nout: int, c0inv: int, p: int) -> list[int]:
@@ -40,6 +45,14 @@ def field_mul(field: FieldSpec, a, b, nout: int) -> list[int]:
             if i + j < nout:
                 out[i + j] = field.add(out[i + j], field.mul(x, y))
     return out
+
+
+def field_dot(field: FieldSpec, pairs) -> int:
+    acc = 0
+    for x, y in pairs:
+        for a, b in zip(x, y):
+            acc = field.add(acc, field.mul(a, b))
+    return acc
 
 
 def draw(rng: SplitMix64, q: int, n: int) -> list[int]:
@@ -135,3 +148,25 @@ def test_extension_kernels_match_field(field: FieldSpec) -> None:
         if a[0]:
             inv = impl.series_inv(a, na, field.inv(a[0]), p, k, mod)
             assert field_mul(field, a, inv, na) == [1] + [0] * (na - 1)
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
+def test_series_dot_matches_field_loop(field: FieldSpec) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(590 + field.q % 1000)
+    assert impl.series_dot([], p, k, mod) == 0
+    for _ in range(25):
+        # uneven lengths and empty operands; tuples, as series store coefficients
+        pairs = [
+            (draw(rng, field.q, rng.below(12)), tuple(draw(rng, field.q, rng.below(12))))
+            for _ in range(rng.below(5))
+        ]
+        assert impl.series_dot(pairs, p, k, mod) == field_dot(field, pairs)
+        flipped = [(x, reversed(y)) for x, y in pairs]
+        want = field_dot(field, [(x, y[::-1]) for x, y in pairs])
+        assert impl.series_dot(flipped, p, k, mod) == want
+    # every digit p - 1: the largest products and sums the kernel can meet
+    top = [field.q - 1] * 200
+    want = field_dot(field, [(top, top), (top[:7], top), (top, top[:150])])
+    pairs = [(top, top), (top[:7], reversed(top)), (top, top[:150])]
+    assert impl.series_dot(pairs, p, k, mod) == want

@@ -37,7 +37,7 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import SpectralRing, build_spectral
+from pdisk.spectral import SpectralRing
 
 from conftest import M, S
 
@@ -165,7 +165,7 @@ class TestDatumValidation:
     def test_curvature_certificate_enforced(self) -> None:
         # theta = 1 over the zero base has p-curvature 1, not 0
         zero_b = InvariantTuple((S(F2, "0", 4, var="z'"),))
-        ring = build_spectral(frobenius_base_pullback(zero_b))
+        ring = SpectralRing(frobenius_base_pullback(zero_b))
         theta = ring.from_series(S(F2, "1", 8))
         with pytest.raises(CurvatureNonzero):
             HarmonicDatum(zero_b, theta, "rank1")
@@ -173,7 +173,7 @@ class TestDatumValidation:
     def test_in_ring_curvature_matches_scalar(self) -> None:
         # rank 1: the in-ring computation is the scalar closed form
         f = S(F3, "1 + z + 2*z^2", 12)
-        ring = build_spectral(InvariantTuple((S(F3, "0", 12),)))
+        ring = SpectralRing(InvariantTuple((S(F3, "0", 12),)))
         theta = ring.from_series(f)
         got = pcurv_in_ring(theta).coeffs[0]
         conn = Connection(SeriesMatrix.from_rows([[f]]))

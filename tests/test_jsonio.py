@@ -39,7 +39,7 @@ from pdisk.jsonio import (
     spectral_to_json,
 )
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import build_spectral
+from pdisk.spectral import SpectralRing
 
 from conftest import M, S
 
@@ -256,13 +256,13 @@ class TestStructured:
         assert invariants_from_json(obj) == b
 
     def test_spectral_roundtrip(self) -> None:
-        ring = build_spectral(InvariantTuple((S(F2, "1", 9), S(F2, "z^2", 9))))
+        ring = SpectralRing(InvariantTuple((S(F2, "1", 9), S(F2, "z^2", 9))))
         elt = ring.element([S(F2, "z", 9), S(F2, "1 + z^3", 9)])
         back = spectral_from_json(spectral_to_json(elt))
         assert back == elt
 
     def test_spectral_precision_not_inflated(self) -> None:
-        ring = build_spectral(InvariantTuple((S(F2, "1", 9), S(F2, "z^2", 9))))
+        ring = SpectralRing(InvariantTuple((S(F2, "1", 9), S(F2, "z^2", 9))))
         elt = ring.element([S(F2, "z", 4), S(F2, "1", 4)])
         back = spectral_from_json(spectral_to_json(elt))
         assert back.precision == 4
@@ -291,9 +291,11 @@ class TestHarmonicWire:
     def test_frame_tag_validated(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
         obj = harmonic_to_json(pkg.harmonic)
-        obj["frame"] = "diagonal"
-        with pytest.raises(SchemaError):
-            harmonic_from_json(obj)
+        # the cyclic tag was once accepted, though nothing ever produced it
+        for tag in "diagonal cyclic".split():
+            obj["frame"] = tag
+            with pytest.raises(SchemaError):
+                harmonic_from_json(obj)
 
     def test_package_roundtrip_rank1(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))

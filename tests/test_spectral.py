@@ -18,7 +18,7 @@ from pdisk.hitchin import InvariantTuple, char_invariants, companion_section
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK
-from pdisk.spectral import EigenData, build_spectral, hensel_eigen, regular_rep
+from pdisk.spectral import EigenData, SpectralRing, hensel_eigen, regular_rep
 
 from conftest import M, S
 
@@ -34,7 +34,7 @@ def inv(field: FieldSpec, texts: list[str], precision: int) -> InvariantTuple:
 
 def artin_schreier_ring(precision: int = 9):
     # char = t^2 + t + z^2 over F_2: trace 1, det z^2
-    return build_spectral(inv(F2, ["1", "z^2"], precision))
+    return SpectralRing(inv(F2, ["1", "z^2"], precision))
 
 
 # ==========================================================================
@@ -45,7 +45,7 @@ def artin_schreier_ring(precision: int = 9):
 class TestBuildSpectral:
     def test_rank_one_collapses_to_base(self) -> None:
         f = S(F5, "2 + z^3", 7)
-        ring = build_spectral(InvariantTuple((f,)))
+        ring = SpectralRing(InvariantTuple((f,)))
         taut = ring.tautological()
         assert taut.coeffs == (f,)
         # the derivation then continues d/dz
@@ -71,14 +71,14 @@ class TestBuildSpectral:
 
     def test_inseparable_cover_has_no_derivation(self) -> None:
         # char = t^2 + z^2 has char' = 2t = 0
-        ring = build_spectral(inv(F2, ["0", "z^2"], 9))
+        ring = SpectralRing(inv(F2, ["0", "z^2"], 9))
         assert not ring.has_derivation()
         with pytest.raises(DerivationUnavailable):
             ring.derivation()
 
     def test_derivation_with_unit_char_prime(self) -> None:
         # char = t^2 - t + z over F_3: char' = 2t - 1, unit residue poly
-        ring = build_spectral(inv(F3, ["1", "z"], 8))
+        ring = SpectralRing(inv(F3, ["1", "z"], 8))
         t = ring.tautological()
         # implicit differentiation: dt must solve (2t - 1) dt + 1 = 0
         dt = ring.derivation()
@@ -116,7 +116,7 @@ class TestElements:
 
     def test_zero_divisor_refused(self) -> None:
         # in O[t]/(t^2 + t) the class of t kills t + 1
-        ring = build_spectral(inv(F2, ["1", "0"], 6))
+        ring = SpectralRing(inv(F2, ["1", "0"], 6))
         t = ring.tautological()
         assert not t.is_unit()
         with pytest.raises(NonUnit):
@@ -125,13 +125,13 @@ class TestElements:
         assert (t * other).is_zero()
 
     def test_eval_series_is_horner(self) -> None:
-        ring = build_spectral(inv(F3, ["1", "z"], 8))
+        ring = SpectralRing(inv(F3, ["1", "z"], 8))
         elt = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
         mu = S(F3, "2 + z^2", 8)
         assert elt.eval_series(mu) == S(F3, "2 + z + z^2", 8)
 
     def test_dlog_of_unit(self) -> None:
-        ring = build_spectral(inv(F3, ["1", "z"], 8))
+        ring = SpectralRing(inv(F3, ["1", "z"], 8))
         u = ring.from_series(S(F3, "1 + z", 8))
         got = u.dlog()
         expect = ring.from_series(S(F3, "1 + z", 8).inverse() * S(F3, "1", 7))
@@ -139,7 +139,7 @@ class TestElements:
 
     def test_peer_rings_checked(self) -> None:
         a = artin_schreier_ring().one()
-        b = build_spectral(inv(F2, ["0", "z^2"], 9)).one()
+        b = SpectralRing(inv(F2, ["0", "z^2"], 9)).one()
         with pytest.raises(BaseMismatch):
             a + b
 
@@ -264,12 +264,12 @@ class TestRegularRep:
     def test_taut_is_companion(self) -> None:
         for field, texts in ((F2, ["1", "z^2"]), (F3, ["z", "2 + z^2"]), (F5, ["1", "z", "4"])):
             b = inv(field, texts, 8)
-            ring = build_spectral(b)
+            ring = SpectralRing(b)
             assert regular_rep(ring.tautological()) == companion_section(b)
 
     def test_ring_homomorphism(self) -> None:
         rng = SplitMix64(51)
-        ring = build_spectral(inv(F3, ["z", "2 + z^2"], 8))
+        ring = SpectralRing(inv(F3, ["z", "2 + z^2"], 8))
         for _ in range(15):
             a = ring.element([rng.series(F3, VAR_DISK, 8) for _ in range(2)])
             b = ring.element([rng.series(F3, VAR_DISK, 8) for _ in range(2)])
@@ -282,7 +282,7 @@ class TestRegularRep:
         bp = inv(F2, ["1", "z^2"], 9)
         psi = as_psi(companion_section(bp), 2)
         eigen = hensel_eigen(psi, bp)
-        ring = build_spectral(bp)
+        ring = SpectralRing(bp)
         got = regular_rep(ring.tautological(), eigen)
         assert got.agrees_with(psi.matrix)
 
@@ -290,7 +290,7 @@ class TestRegularRep:
         bp = inv(F3, ["z", "2 + z^2"], 8)
         psi = as_psi(companion_section(bp), 3)
         eigen = hensel_eigen(psi, bp)
-        ring = build_spectral(bp)
+        ring = SpectralRing(bp)
         elt = ring.element([S(F3, "1 + z", 8), S(F3, "2", 8)])
         cyc = regular_rep(elt)
         eig = regular_rep(elt, eigen)
@@ -299,14 +299,14 @@ class TestRegularRep:
     def test_eigen_rank_guard(self) -> None:
         bp = inv(F2, ["1", "z^2"], 9)
         eigen = hensel_eigen(as_psi(companion_section(bp), 2), bp)
-        ring = build_spectral(inv(F2, ["1"], 9))
+        ring = SpectralRing(inv(F2, ["1"], 9))
         with pytest.raises(DimensionMismatch):
             regular_rep(ring.one(), eigen)
 
     def test_eval_matrix_on_taut(self) -> None:
         bp = inv(F3, ["z", "2 + z^2"], 8)
         m = companion_section(bp)
-        ring = build_spectral(bp)
+        ring = SpectralRing(bp)
         assert ring.tautological().eval_matrix(m) == m
         shifted = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
         expect = m + SeriesMatrix.diagonal([S(F3, "z", 8)] * 2)
