@@ -22,6 +22,7 @@ from . import jsonio, verify
 from .cartier import OneForm, TwistOneForm, cartier_op, hp_map, solve_hp
 from .connection import dlog, pcurv
 from .errors import PdiskError, SchemaError
+from .field import FieldSpec
 from .harmonic import cinv, cmap, solve_harmonic
 from .hitchin import char_invariants, phitchin
 
@@ -194,6 +195,11 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def cmd_verify(args) -> tuple[Any, int]:
     ps = _int_list(args.p if args.p is not None else "2,3,5", "--p")
+    for p in ps:
+        try:
+            FieldSpec(p)
+        except ValueError as exc:
+            raise SchemaError(str(exc), "--p") from exc
     ranks = _int_list(args.rank, "--rank")
     report = verify.run_suite(
         args.suite, ps, ranks, args.precision, args.trials, args.seed

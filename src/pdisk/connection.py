@@ -5,10 +5,10 @@ sign is a global convention of the package.  Under it the p-curvature
 satisfies dPsi/dz = [Psi, A], equivalently dPsi/dz + A Psi - Psi A = 0,
 which check_horizontality asserts.
 
-pcurv has exactly one semantics: apply the operator p times to each
-constant basis vector and read off the columns.  The rank-1 closed form
-f^p + (d/dz)^(p-1) f exists in the test suite as an independent oracle and
-is deliberately not used here.
+pcurv has exactly one semantics: apply the operator p times to the
+identity matrix, whose columns are the constant basis vectors.  The rank-1
+closed form f^p + (d/dz)^(p-1) f exists in the test suite as an independent
+oracle and is deliberately not used here.
 """
 
 from __future__ import annotations
@@ -75,30 +75,22 @@ def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
 
 
 def pcurv(conn: Connection) -> FHiggs:
-    """The p-curvature, by p-fold application to the constant basis vectors.
+    """The p-curvature, by p-fold application of X -> dX/dz + A X to the identity.
 
-    A constant vector is exactly known at every order, so the first
-    application costs no precision and the result holds N - p + 1 orders.
+    The identity is exactly known at every order, so it is seeded one order
+    above A, the first application costs no precision and the result holds
+    N - p + 1 orders.
     """
-    n = conn.rank
-    field = conn.field
-    p = field.p
+    p = conn.field.p
     nprec = conn.precision
     if nprec < p + 1:
         raise InsufficientPrecision(
             f"need precision >= p + 1 = {p + 1}, have {nprec}"
         )
-    cols = []
-    for j in range(n):
-        vec = tuple(
-            TruncSeries.constant(field, VAR_DISK, 1 if i == j else 0, nprec + 1)
-            for i in range(n)
-        )
-        for _ in range(p):
-            vec = conn.apply(vec)
-        cols.append(vec)
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return FHiggs(SeriesMatrix(rows), twist_weight=p)
+    x = SeriesMatrix.identity(conn.field, VAR_DISK, conn.rank, nprec + 1)
+    for _ in range(p):
+        x = x.derivative() + conn.matrix @ x
+    return FHiggs(x, twist_weight=p)
 
 
 def check_horizontality(conn: Connection, psi: FHiggs | None = None) -> SeriesMatrix:

@@ -140,7 +140,7 @@ class HarmonicDatum:
     def certify_commutation(self, psi: FHiggs) -> None:
         """Certificate (ii): [psi, regular_rep(theta)] = 0."""
         a = self.endomorphism(psi.matrix)
-        m = psi.matrix.truncate(a.precision)
+        m = psi.matrix
         if not ((m @ a) - (a @ m)).is_zero():
             raise InternalInconsistency("theta's endomorphism does not commute with psi")
 
@@ -239,9 +239,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
         datum = HarmonicDatum(b_prime, theta, "eigen", eigen=eigen)
 
     datum.certify_commutation(psi)
-    twisted = Connection(
-        conn.matrix.truncate(datum.theta.precision) - datum.endomorphism(psi.matrix)
-    )
+    twisted = Connection(conn.matrix - datum.endomorphism(psi.matrix))
     try:
         flat_frame = flat_sections(twisted)
     except NonzeroPCurvature as exc:
@@ -294,9 +292,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
     b = char_invariants(psi.matrix)
     if not descend_invariants(b).agrees_with(inverse_harmonic.b_prime):
         raise BaseMismatch("connection's p-Hitchin image differs from the datum base")
-    twist = inverse_harmonic.endomorphism(psi.matrix)
-    prec = min(conn.precision, twist.precision)
-    twisted = Connection(conn.matrix.truncate(prec) + twist.truncate(prec))
+    twisted = Connection(conn.matrix + inverse_harmonic.endomorphism(psi.matrix))
     try:
         flat_frame = flat_sections(twisted)
     except NonzeroPCurvature as exc:

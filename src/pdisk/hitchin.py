@@ -16,6 +16,7 @@ shared subminors, valid over any commutative ring; nothing divides by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .connection import Connection, pcurv
 from .errors import (
@@ -72,15 +73,8 @@ class InvariantTuple:
 
     def char_poly(self) -> list[TruncSeries]:
         """det(t I - M) as ascending t-coefficients (length n + 1, monic)."""
-        n = self.rank
-        field = self.field
-        prec = self.precision
-        coeffs = [TruncSeries.zero(field, self.var, prec) for _ in range(n + 1)]
-        coeffs[n] = TruncSeries.one(field, self.var, prec)
-        for i in range(1, n + 1):
-            b = self.entries[i - 1]
-            coeffs[n - i] = b if i % 2 == 0 else -b
-        return coeffs
+        signed = [b if i % 2 == 0 else -b for i, b in enumerate(self.entries, 1)]
+        return signed[::-1] + [TruncSeries.one(self.field, self.var, self.precision)]
 
 
 def _lambda_add(a: list[TruncSeries], b: list[TruncSeries]) -> list[TruncSeries]:
@@ -92,14 +86,19 @@ def _lambda_add(a: list[TruncSeries], b: list[TruncSeries]) -> list[TruncSeries]
     return out
 
 
-def _lambda_mul(a: list[TruncSeries], b: list[TruncSeries]) -> list[TruncSeries]:
-    field = a[0].field
-    var = a[0].var
-    prec = min(x.precision for x in a + b)
-    out = [TruncSeries.zero(field, var, prec) for _ in range(len(a) + len(b) - 1)]
+def poly_mul(a: Sequence[TruncSeries], b: Sequence[TruncSeries]) -> list[TruncSeries]:
+    """Product of two t-polynomials with series coefficients, ascending in t.
+
+    Each coefficient starts as its first product, so the series arithmetic
+    gives it the least precision among its terms.
+    """
+    out: list[TruncSeries] = []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            if i + j == len(out):
+                out.append(x * y)
+            else:
+                out[i + j] = out[i + j] + x * y
     return out
 
 
@@ -108,17 +107,13 @@ def char_invariants(m: SeriesMatrix) -> InvariantTuple:
     n = m.rank
     if n > MAX_RANK:
         raise RankTooLarge(f"rank {n} exceeds the supported bound {MAX_RANK}")
-    field = m.field
-    var = m.var
-    prec = m.precision
-    zero = TruncSeries.zero(field, var, prec)
-    one = TruncSeries.one(field, var, prec)
+    one = TruncSeries.one(m.field, m.var, m.precision)
 
-    # entries of t*I - M as degree <= 1 polynomials in t
+    # entries of t*I - M as polynomials in t: degree 1 on the diagonal, 0 off it
     def cell(i: int, j: int) -> list[TruncSeries]:
         if i == j:
             return [-m.entry(i, j), one]
-        return [-m.entry(i, j), zero]
+        return [-m.entry(i, j)]
 
     # Row-by-row Laplace expansion over column subsets.  minors maps a
     # column bitmask S with |S| = r to det(rows 0..r-1, cols S).
@@ -130,7 +125,7 @@ def char_invariants(m: SeriesMatrix) -> InvariantTuple:
                 if (mask >> c) & 1:
                     continue
                 below = bin(mask & ((1 << c) - 1)).count("1")
-                term = _lambda_mul(cell(row, c), sub)
+                term = poly_mul(cell(row, c), sub)
                 if (row + below) % 2 == 1:
                     term = [-t for t in term]
                 newmask = mask | (1 << c)
@@ -140,11 +135,9 @@ def char_invariants(m: SeriesMatrix) -> InvariantTuple:
                     nxt[newmask] = term
         minors = nxt
     charpoly = minors[(1 << n) - 1]
-    entries = []
-    for i in range(1, n + 1):
-        c = charpoly[n - i] if n - i < len(charpoly) else zero
-        entries.append(c if i % 2 == 0 else -c)
-    return InvariantTuple(tuple(entries))
+    return InvariantTuple(
+        tuple(charpoly[n - i] if i % 2 == 0 else -charpoly[n - i] for i in range(1, n + 1))
+    )
 
 
 def companion_section(b: InvariantTuple) -> SeriesMatrix:

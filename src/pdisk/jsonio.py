@@ -235,7 +235,14 @@ def scalar_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
     if isinstance(v, str):
         return field, parse_element(field, v, f"{path}.element")
     if isinstance(v, int) and not isinstance(v, bool):
-        return field, v % field.p if field.k == 1 else field.validate(v)
+        if field.k == 1:
+            return field, v % field.p
+        if not 0 <= v < field.q:
+            raise SchemaError(
+                f"element {v} is not an encoded element of F_{field.p}^{field.k}",
+                f"{path}.element",
+            )
+        return field, v
     if isinstance(v, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in v):
         if len(v) > field.k:
             raise SchemaError("element vector longer than extension degree", f"{path}.element")

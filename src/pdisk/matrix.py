@@ -20,10 +20,10 @@ class SeriesMatrix:
         n = len(self.entries)
         if n == 0:
             raise DimensionMismatch("rank must be at least 1")
+        if any(len(row) != n for row in self.entries):
+            raise DimensionMismatch("matrix is not square")
         first = self.entries[0][0]
         for row in self.entries:
-            if len(row) != n:
-                raise DimensionMismatch("matrix is not square")
             for e in row:
                 if e.field != first.field or e.var != first.var:
                     raise DimensionMismatch("entries disagree on field or variable")

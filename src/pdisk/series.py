@@ -10,6 +10,11 @@ is ever silently zero-filled.
     derivative      N_a - 1
     descend         ceil(N / p)   (see descend_pth_power)
 
+This arithmetic, with ``SeriesMatrix`` built on it, is the one place
+precision is met: operands of different precision combine at the smaller
+one, and ``agrees_with`` compares at the common precision, so callers never
+truncate before arithmetic or comparison.
+
 Two coordinates exist: "z" on the disk and "z'" on its Frobenius twist.
 Term strings in JSON always spell the letter z; the ``var`` tag names the
 coordinate.  Coordinate conventions, fixed globally: the relative

@@ -38,18 +38,21 @@ from .errors import (
     NonUnit,
     RepeatedResidueRoot,
 )
-from .hitchin import InvariantTuple, char_invariants
+from .hitchin import InvariantTuple, char_invariants, poly_mul
 from .matrix import SeriesMatrix
 from .series import TruncSeries
 
 
 def eval_at(coeffs: Sequence[TruncSeries], mu: TruncSeries) -> TruncSeries:
-    """sum coeffs[i] * mu^i by Horner, at the least precision among the inputs."""
-    prec = min([c.precision for c in coeffs] + [mu.precision])
-    mt = mu.truncate(prec)
-    acc = TruncSeries.zero(mu.field, mu.var, prec)
-    for c in reversed(coeffs):
-        acc = acc * mt + c.truncate(prec)
+    """sum coeffs[i] * mu^i by Horner, at the least precision among the inputs.
+
+    The leading coefficient is cut to mu's precision, so a single
+    coefficient is too; the series arithmetic meets every other precision.
+    """
+    *rest, lead = coeffs
+    acc = lead.truncate(min(lead.precision, mu.precision))
+    for c in reversed(rest):
+        acc = acc * mu + c
     return acc
 
 
@@ -167,10 +170,7 @@ class SpectralElement:
 
     def __add__(self, other: "SpectralElement") -> "SpectralElement":
         self._check_peer(other)
-        prec = min(self.precision, other.precision)
-        return self.ring.element(
-            [a.truncate(prec) + b.truncate(prec) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self.ring.element([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "SpectralElement") -> "SpectralElement":
         return self + (-other)
@@ -180,14 +180,7 @@ class SpectralElement:
 
     def __mul__(self, other: "SpectralElement") -> "SpectralElement":
         self._check_peer(other)
-        n = self.ring.rank
-        prec = min(self.precision, other.precision)
-        zero = TruncSeries.zero(self.ring.field, self.ring.var, prec)
-        conv = [zero] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                conv[i + j] = conv[i + j] + a.truncate(prec) * b.truncate(prec)
-        return self.ring.element(conv)
+        return self.ring.element(poly_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> "SpectralElement":
         result = self.ring.one()
@@ -256,14 +249,15 @@ class SpectralElement:
         return eval_at(self.coeffs, mu)
 
     def eval_matrix(self, m: SeriesMatrix) -> SeriesMatrix:
-        """Evaluate the representative at a matrix value of t (Horner)."""
-        prec = min(self.precision, m.precision)
-        mt = m.truncate(prec)
+        """Evaluate the representative at a matrix value of t (Horner).
+
+        As in eval_at, the leading coefficient is cut to m's precision.
+        """
         n = m.rank
-        acc = SeriesMatrix.zero(m.field, m.var, n, prec)
-        for c in reversed(self.coeffs):
-            cc = c.truncate(prec)
-            acc = (acc @ mt) + SeriesMatrix.diagonal([cc] * n)
+        *rest, lead = self.coeffs
+        acc = SeriesMatrix.diagonal([lead.truncate(min(lead.precision, m.precision))] * n)
+        for c in reversed(rest):
+            acc = (acc @ m) + SeriesMatrix.diagonal([c] * n)
         return acc
 
 
@@ -316,19 +310,11 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
         for _ in range(n):
             cols.append((elt * power).coeffs)
             power = power * taut
-        prec = min(c.precision for col in cols for c in col)
-        rows = tuple(
-            tuple(cols[j][i].truncate(prec) for j in range(n)) for i in range(n)
-        )
-        return SeriesMatrix(rows)
+        return SeriesMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
     if eigen.rank != n:
         raise DimensionMismatch("eigen data rank does not match the ring")
-    diag = [elt.eval_series(mu) for mu in eigen.mus]
-    prec = min([d.precision for d in diag] + [eigen.gauge.precision])
-    diag_m = SeriesMatrix.diagonal([d.truncate(prec) for d in diag])
-    g = eigen.gauge.truncate(prec)
-    g_inv = eigen.gauge_inv.truncate(prec)
-    return g @ diag_m @ g_inv
+    diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
+    return eigen.gauge @ diag @ eigen.gauge_inv
 
 
 def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:

@@ -99,6 +99,30 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "SchemaError"
 
+    def test_extension_element_out_of_range_is_schema_error(self, capsys, tmp_path) -> None:
+        scalar = write_doc(
+            tmp_path, "zeta.json", {"p": 3, "ext_degree": 2, "modulus": [1, 0, 1], "element": 100}
+        )
+        form = write_doc(
+            tmp_path,
+            "form.json",
+            {"p": 3, "ext_degree": 2, "modulus": [1, 0, 1], "var": "z", "precision": 4, "coefficient": "1"},
+        )
+        code, out, err = run(capsys, ["hp", "-i", scalar, "-i", form])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "SchemaError"
+        assert payload["details"]["path"] == "$.element"
+
+    def test_verify_nonprime_is_schema_error(self, capsys) -> None:
+        code, out, err = run(capsys, ["verify", "--p", "2,4", "--trials", "1"])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "SchemaError"
+        assert payload["details"]["path"] == "--p"
+
     def test_unreadable_file_is_two(self, capsys, tmp_path) -> None:
         code, _, err = run(capsys, ["pcurv", "-i", str(tmp_path / "absent.json")])
         assert code == 2

@@ -46,6 +46,8 @@ class TestShape:
         one = TruncSeries.one(F3, VAR_DISK, 4)
         with pytest.raises(DimensionMismatch):
             SeriesMatrix.from_rows([[one, one]])
+        with pytest.raises(DimensionMismatch):
+            SeriesMatrix(((),))
 
     def test_mixed_precision_rejected(self) -> None:
         a = TruncSeries.one(F3, VAR_DISK, 4)
