@@ -62,7 +62,6 @@ from .hitchin import (
     companion_section,
     descend_invariants,
     phitchin,
-    tau,
 )
 from .matrix import SeriesMatrix
 from .rng import SplitMix64
@@ -132,7 +131,6 @@ __all__ = [
     "run_suite",
     "solve_harmonic",
     "solve_hp",
-    "tau",
     "torsor_difference",
     "__version__",
 ]

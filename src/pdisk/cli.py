@@ -24,7 +24,7 @@ from .connection import dlog, pcurv
 from .errors import PdiskError, SchemaError
 from .field import FieldSpec
 from .harmonic import cinv, cmap, solve_harmonic
-from .hitchin import char_invariants, phitchin
+from .hitchin import MAX_RANK, char_invariants, phitchin
 
 _PROG = "pdisk"
 
@@ -201,6 +201,20 @@ def cmd_verify(args) -> tuple[Any, int]:
         except ValueError as exc:
             raise SchemaError(str(exc), "--p") from exc
     ranks = _int_list(args.rank, "--rank")
+    for n in ranks:
+        if not 1 <= n <= MAX_RANK:
+            raise SchemaError(f"rank {n} is outside 1..{MAX_RANK}", "--rank")
+    if args.trials < 1:
+        raise SchemaError(f"trials must be at least 1, got {args.trials}", "--trials")
+    if args.precision is not None:
+        suites = verify.SUITES if args.suite == "all" else (args.suite,)
+        floor = max(verify.PRECISION_FLOORS[s](p) for s in suites for p in ps)
+        if args.precision < floor:
+            raise SchemaError(
+                f"precision {args.precision} is below {floor}, "
+                "the floor of the requested suites and primes",
+                "--precision",
+            )
     report = verify.run_suite(
         args.suite, ps, ranks, args.precision, args.trials, args.seed
     )

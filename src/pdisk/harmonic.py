@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cartier import OneForm, flat_sections, kernel_unit
-from .connection import Connection, FHiggs, gauge, pcurv
+from .connection import Connection, gauge, pcurv
 from .errors import (
     BaseMismatch,
     CurvatureNonzero,
@@ -40,7 +40,6 @@ from .errors import (
 from .hitchin import (
     InvariantTuple,
     char_invariants,
-    companion_section,
     descend_certified,
     descend_invariants,
     frobenius_base_pullback,
@@ -48,13 +47,7 @@ from .hitchin import (
 )
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_TWIST
-from .spectral import (
-    EigenData,
-    SpectralElement,
-    SpectralRing,
-    check_residue_split,
-    hensel_eigen,
-)
+from .spectral import SpectralElement, SpectralRing, check_residue_split, hensel_eigen
 
 
 # what a failed descent of a horizontal (Cartier-descended) matrix reports
@@ -82,16 +75,13 @@ class HarmonicDatum:
     """A certified solution theta of the chart Hitchin equations.
 
     curvature_sign is +1 for a forward datum (p-curvature of d + theta is
-    +lambda) and -1 for an inverse datum (-lambda).  The optional eigen
-    data is a computational convenience carried along by the solver; it
-    never affects equality and is not serialized.
+    +lambda) and -1 for an inverse datum (-lambda).
     """
 
     b_prime: InvariantTuple
     theta: SpectralElement
     frame: str
     curvature_sign: int = 1
-    eigen: EigenData | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.frame not in ("rank1", "eigen"):
@@ -137,13 +127,6 @@ class HarmonicDatum:
         """
         return self.theta.eval_matrix(psi)
 
-    def certify_commutation(self, psi: FHiggs) -> None:
-        """Certificate (ii): [psi, regular_rep(theta)] = 0."""
-        a = self.endomorphism(psi.matrix)
-        m = psi.matrix
-        if not ((m @ a) - (a @ m)).is_zero():
-            raise InternalInconsistency("theta's endomorphism does not commute with psi")
-
 
 @dataclass(frozen=True)
 class CorrespondencePackage:
@@ -176,19 +159,9 @@ def _lagrange_element(
     ring: SpectralRing, mus: tuple[TruncSeries, ...], values: list[TruncSeries]
 ) -> SpectralElement:
     """The ring element taking value values[i] at eigenvalue mus[i]."""
-    n = ring.rank
-    if n == 1:
-        return ring.from_series(values[0])
-    taut = ring.tautological()
     acc = ring.zero()
-    for i in range(n):
-        term = ring.from_series(values[i])
-        for j in range(n):
-            if j == i:
-                continue
-            factor = taut - ring.from_series(mus[j])
-            term = term * factor * ring.from_series((mus[i] - mus[j]).inverse())
-        acc = acc + term
+    for value, basis in zip(values, ring.lagrange_basis(mus)):
+        acc = acc + ring.from_series(value) * basis
     return acc
 
 
@@ -236,10 +209,12 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
         theta = _lagrange_element(ring, eigen.mus, diag)
         higgs = descend_certified(SeriesMatrix.diagonal(eigen.mus), "matrix", _HORIZONTAL)
         link = eigen.gauge
-        datum = HarmonicDatum(b_prime, theta, "eigen", eigen=eigen)
+        datum = HarmonicDatum(b_prime, theta, "eigen")
 
-    datum.certify_commutation(psi)
-    twisted = Connection(conn.matrix - datum.endomorphism(psi.matrix))
+    endo = datum.endomorphism(psi.matrix)
+    if not ((psi.matrix @ endo) - (endo @ psi.matrix)).is_zero():
+        raise InternalInconsistency("theta's endomorphism does not commute with psi")
+    twisted = Connection(conn.matrix - endo)
     try:
         flat_frame = flat_sections(twisted)
     except NonzeroPCurvature as exc:
@@ -308,7 +283,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
 
 def inverse(h: HarmonicDatum) -> HarmonicDatum:
     """The sign-flipped datum: element -theta, opposite curvature sign."""
-    return HarmonicDatum(h.b_prime, -h.theta, h.frame, -h.curvature_sign, eigen=h.eigen)
+    return HarmonicDatum(h.b_prime, -h.theta, h.frame, -h.curvature_sign)
 
 
 def torsor_difference(
@@ -319,9 +294,9 @@ def torsor_difference(
     Two data over the same base have curvature-free difference; this is
     certified, and CurvatureNonzero reports a caller error (mismatched
     construction) when it fails.  The unit is found by the scalar kernel
-    construction in each eigen coordinate of the ring, reassembled by
-    Lagrange interpolation; None when the ring is not split (never on the
-    strata the solver accepts).
+    construction at each eigenvalue of the ring (SpectralRing.eigenvalues)
+    and reassembled in the ring's Lagrange basis; None when the ring is
+    not split (never on the strata the solver accepts).
     """
     if h1.rank != h2.rank or not h1.b_prime.agrees_with(h2.b_prime):
         raise BaseMismatch("harmonic data live over different bases")
@@ -338,13 +313,11 @@ def torsor_difference(
         u = ring.from_series(kernel_unit(OneForm(delta.coeffs[0])))
     else:
         try:
-            check_residue_split(ring.field, ring.residue_char(), n)
+            mus = ring.eigenvalues()
         except (NonSplitResidue, RepeatedResidueRoot):
             return delta, None
-        comp = companion_section(ring.b)
-        eigen = hensel_eigen(FHiggs(comp, ring.field.p), ring.b)
-        units = [kernel_unit(OneForm(delta.eval_series(mu))) for mu in eigen.mus]
-        u = _lagrange_element(ring, eigen.mus, units)
+        units = [kernel_unit(OneForm(delta.eval_series(mu))) for mu in mus]
+        u = _lagrange_element(ring, mus, units)
     if not u.dlog().agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")
     return delta, u

@@ -208,13 +208,3 @@ def frobenius_base_pullback(b_twist: InvariantTuple) -> InvariantTuple:
         raise VarMismatch("pullback consumes a z'-side tuple")
     return InvariantTuple(tuple(e.expand_pth_power() for e in b_twist.entries))
 
-
-def tau(b: InvariantTuple):
-    """The tautological element: the class of t in the spectral ring of b.
-
-    Its regular representation in the cyclic frame is exactly
-    companion_section(b).
-    """
-    from .spectral import SpectralRing
-
-    return SpectralRing(b).tautological()

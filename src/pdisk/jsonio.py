@@ -21,6 +21,7 @@ import json
 import re
 from typing import Any
 
+from .cartier import OneForm, TwistOneForm
 from .connection import Connection, FHiggs
 from .errors import SchemaError
 from .field import FieldSpec
@@ -223,12 +224,6 @@ def _need_ranked(obj: Any, key: str, noun: str, path: str) -> list:
 # -- scalar and plain-series files ------------------------------------------
 
 
-def scalar_to_json(field: FieldSpec, a: int) -> dict[str, Any]:
-    obj = field_to_obj(field)
-    obj["element"] = a if field.k == 1 else field.decode(a)
-    return obj
-
-
 def scalar_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> tuple[FieldSpec, int]:
     field = field_from_obj(obj, path, fallback_p)
     v = _need(obj, "element", path)
@@ -273,8 +268,6 @@ def oneform_to_json(w) -> dict[str, Any]:
 
 
 def oneform_from_json(obj: Any, path: str = "$", fallback_p: int | None = None):
-    from .cartier import OneForm, TwistOneForm
-
     field, var, precision = _header_from_obj(obj, path, fallback_p)
     coeff = parse_series(
         field, _need(obj, "coefficient", path), var, precision, f"{path}.coefficient"
@@ -324,12 +317,6 @@ def fhiggs_to_json(psi: FHiggs) -> dict[str, Any]:
     obj = matrix_to_json(psi.matrix)
     obj["twist_weight"] = psi.twist_weight
     return obj
-
-
-def fhiggs_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> FHiggs:
-    m = matrix_from_json(obj, path, fallback_p)
-    weight = _need_int(obj, "twist_weight", path)
-    return FHiggs(m, weight)
 
 
 # -- invariant tuples -------------------------------------------------------
@@ -408,14 +395,6 @@ def package_to_json(pkg: CorrespondencePackage) -> dict[str, Any]:
         "harmonic": harmonic_to_json(pkg.harmonic),
         "gauge": matrix_to_json(pkg.gauge),
     }
-
-
-def package_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> CorrespondencePackage:
-    conn = connection_from_json(_need(obj, "connection", path), f"{path}.connection", fallback_p)
-    higgs = matrix_from_json(_need(obj, "higgs", path), f"{path}.higgs", fallback_p)
-    harmonic = harmonic_from_json(_need(obj, "harmonic", path), f"{path}.harmonic", fallback_p)
-    gm = matrix_from_json(_need(obj, "gauge", path), f"{path}.gauge", fallback_p)
-    return CorrespondencePackage(harmonic, conn, higgs, gm, gm)
 
 
 # -- canonical dumping ------------------------------------------------------

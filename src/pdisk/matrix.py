@@ -146,10 +146,6 @@ class SeriesMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def transpose(self) -> "SeriesMatrix":
-        n = self.rank
-        return SeriesMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
     def inverse(self) -> "SeriesMatrix":
         """Invert by elimination over the local ring; pivots must be units.
 
@@ -184,11 +180,9 @@ class SeriesMatrix:
                 inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
         return SeriesMatrix(tuple(tuple(row) for row in inv))
 
-    def conjugate_by(self, g: "SeriesMatrix", g_inv: "SeriesMatrix" | None = None) -> "SeriesMatrix":
+    def conjugate_by(self, g: "SeriesMatrix") -> "SeriesMatrix":
         """g^(-1) @ self @ g."""
-        if g_inv is None:
-            g_inv = g.inverse()
-        return g_inv @ self @ g
+        return g.inverse() @ self @ g
 
     # -- comparisons ------------------------------------------------------
 

@@ -78,10 +78,8 @@ def monic(f: FieldSpec, a: list[int]) -> list[int]:
 
 
 def gcd(f: FieldSpec, a: list[int], b: list[int]) -> list[int]:
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, mod(f, a, b)
-    return monic(f, a)
+    """The monic gcd; [] when both are zero."""
+    return extgcd(f, a, b)[0]
 
 
 def extgcd(f: FieldSpec, a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:

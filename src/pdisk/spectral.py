@@ -14,10 +14,12 @@ where char_b^{dz} differentiates the coefficients only.  When char_b'(t)
 is not a unit (an inseparable or ramified cover) the ring is flagged
 derivation-free and derivative-taking operations refuse.
 
-hensel_eigen lifts the residue eigenvalues of a p-curvature matrix to
-series by Newton iteration and assembles Lagrange projectors and an
-eigenbasis; the preconditions (split, simple residue spectrum) are
-reported precisely when they fail.
+On the split stratum a spectral ring carries two more facts: its
+eigenvalues (the residue roots of char_b, lifted to series by Newton
+iteration) and the Lagrange basis at them.  hensel_eigen evaluates that
+basis at a p-curvature matrix to get its projectors and an eigenbasis;
+the preconditions (split, simple residue spectrum) are reported precisely
+when they fail.
 """
 
 from __future__ import annotations
@@ -127,10 +129,48 @@ class SpectralRing:
                 out[i - n + j] = out[i - n + j] - lead * q[j]
         return out
 
-    # -- derivation -------------------------------------------------------
+    # -- split stratum ----------------------------------------------------
 
-    def has_derivation(self) -> bool:
-        return self._derivation_table is not None
+    def eigenvalues(self) -> list[TruncSeries]:
+        """The n roots of char_b in the series ring, by Newton iteration.
+
+        Requires the residue characteristic polynomial to have n distinct
+        roots in the coefficient field (check_residue_split).  The roots
+        come ascending by field encoding, which fixes every downstream
+        ordering.
+        """
+        n = self.rank
+        prec = self.precision
+        char = self.char_poly()
+        res_roots = check_residue_split(self.field, self.residue_char(), n)
+        dchar = [char[i + 1].scale_int(i + 1) for i in range(n)]
+        mus = []
+        for r in res_roots:
+            mu = TruncSeries.constant(self.field, self.var, r, prec)
+            for _ in range(max(1, (prec - 1).bit_length() + 1)):
+                mu = mu - eval_at(char, mu) * eval_at(dchar, mu).inverse()
+            if not eval_at(char, mu).is_zero():
+                raise InternalInconsistency("Newton lifting failed to converge")
+            mus.append(mu)
+        return mus
+
+    def lagrange_basis(self, mus: Sequence[TruncSeries]) -> list["SpectralElement"]:
+        """The elements L_i with L_i(mus[j]) = 1 if i = j, else 0.
+
+        L_i = prod over j != i of (t - mus[j]) / (mus[i] - mus[j]), of
+        degree n - 1 in t; the differences must be units.
+        """
+        basis = []
+        for i, mu in enumerate(mus):
+            elt = self.one()
+            for j, other in enumerate(mus):
+                if j != i:
+                    c = (mu - other).inverse()
+                    elt = elt * self.element([-(other * c), c])
+            basis.append(elt)
+        return basis
+
+    # -- derivation -------------------------------------------------------
 
     @cached_property
     def _derivation_table(self) -> "SpectralElement | None":
@@ -320,11 +360,10 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
 def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
     """Split eigen structure of a p-curvature matrix.
 
-    Requires the residue characteristic polynomial to have n distinct
-    roots in the coefficient field.  Each root is lifted to a series
-    eigenvalue by Newton iteration against char_{bp}; Lagrange projectors
-    and a unit eigenbasis follow.  Roots are enumerated ascending by field
-    encoding, which fixes every downstream ordering.
+    The eigenvalues are SpectralRing(bp).eigenvalues(), ascending by the
+    field encoding of their residues; the projectors are the ring's
+    Lagrange basis at them evaluated at the matrix, and a unit column of
+    each projector makes the eigenbasis.
 
     NonSplitResidue suggests the extension degree (over the current
     coefficient field) that would make the whole residue spectrum
@@ -338,32 +377,9 @@ def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
         raise BaseMismatch("psi does not realize the supplied invariants")
     prec = min(m.precision, bp.precision)
     m = m.truncate(prec)
-    field = m.field
     ring = SpectralRing(bp.truncate(prec))
-    char = ring.char_poly()
-    res_roots = check_residue_split(field, ring.residue_char(), n)
-
-    dchar = [char[i + 1].scale_int(i + 1) for i in range(n)]
-    mus = []
-    for r in res_roots:
-        mu = TruncSeries.constant(field, m.var, r, prec)
-        for _ in range(max(1, (prec - 1).bit_length() + 1)):
-            mu = mu - eval_at(char, mu) * eval_at(dchar, mu).inverse()
-        if not eval_at(char, mu).is_zero():
-            raise InternalInconsistency("Newton lifting failed to converge")
-        mus.append(mu)
-
-    projectors = []
-    ident = SeriesMatrix.identity(field, m.var, n, prec)
-    for i in range(n):
-        proj = ident
-        for j in range(n):
-            if j == i:
-                continue
-            diff_inv = (mus[i] - mus[j]).inverse()
-            shifted = m - SeriesMatrix.diagonal([mus[j]] * n)
-            proj = proj @ shifted.scale(diff_inv)
-        projectors.append(proj)
+    mus = ring.eigenvalues()
+    projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis(mus)]
 
     cols = []
     for i in range(n):

@@ -331,6 +331,20 @@ _SUITE_BODIES = {
     "roundtrip": _suite_roundtrip,
 }
 
+# The least working precision at which each suite can pass, per prime p.
+# Below it a suite raises InsufficientPrecision or records failures that
+# the precision itself causes: cartier at N <= p plants its defect beyond
+# the known coefficients, and roundtrip at 2p + 2 loses to gauge the one
+# order that solving the gauged connection again needs.
+PRECISION_FLOORS: dict[str, Callable[[int], int]] = {
+    "pcurv": lambda p: p + 2,
+    "hitchin": lambda p: p + 3,
+    "cartier": lambda p: p + 1,
+    "exactness": lambda p: 1,
+    "harmonic": lambda p: 2 * p + 2,
+    "roundtrip": lambda p: 2 * p + 3,
+}
+
 # exactness properties are scalar; that suite ignores the rank grid
 _RANK_FREE = {"exactness"}
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from pdisk import verify
 from pdisk.cli import main
 
 from conftest import M, S
@@ -122,6 +123,26 @@ class TestExitCodes:
         payload = json.loads(err)["error"]
         assert payload["code"] == "SchemaError"
         assert payload["details"]["path"] == "--p"
+
+    @pytest.mark.parametrize(
+        "flags, path",
+        [
+            (["--trials", "0"], "--trials"),
+            (["--trials", "-1"], "--trials"),
+            (["--rank", "0"], "--rank"),
+            (["--rank", "1,9"], "--rank"),
+            (["--precision", "2"], "--precision"),
+            (["--suite", "roundtrip", "--p", "3", "--precision", "8"], "--precision"),
+        ],
+        ids=["trials-0", "trials-neg", "rank-0", "rank-9", "precision-2", "roundtrip-below-floor"],
+    )
+    def test_verify_flag_that_cannot_check_is_schema_error(self, capsys, flags, path) -> None:
+        code, out, err = run(capsys, ["verify", "--trials", "1", *flags])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "SchemaError"
+        assert payload["details"]["path"] == path
 
     def test_unreadable_file_is_two(self, capsys, tmp_path) -> None:
         code, _, err = run(capsys, ["pcurv", "-i", str(tmp_path / "absent.json")])
@@ -385,6 +406,17 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_each_suite_passes_at_its_floor(self, capsys, suite: str) -> None:
+        for p in (2, 3, 5):
+            floor = verify.PRECISION_FLOORS[suite](p)
+            argv = ["verify", "--suite", suite, "--p", str(p), "--trials", "2", "--seed", "1"]
+            code, out, _ = run(capsys, argv + ["--precision", str(floor), "--json"])
+            assert code == 0
+            assert json.loads(out)["fail"] == 0
+            code, _, _ = run(capsys, argv + ["--precision", str(floor - 1)])
+            assert code == 2
 
     def test_bad_prime_list(self, capsys) -> None:
         code, _, err = run(capsys, ["verify", "--p", "2;3", "--trials", "1"])

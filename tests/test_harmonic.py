@@ -9,6 +9,7 @@ from pdisk.errors import (
     BaseMismatch,
     CurvatureNonzero,
     CurvatureNotCancelled,
+    DerivationUnavailable,
     DimensionMismatch,
     InsufficientPrecision,
     NonSplitResidue,
@@ -44,6 +45,7 @@ from conftest import M, S
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
+F9 = FieldSpec(3, 2, (1, 0, 1))
 
 
 def rank1_datum(field: FieldSpec, a_text: str, precision: int) -> HarmonicDatum:
@@ -315,6 +317,29 @@ class TestInverseAndTorsor:
     def test_inverse_nontrivial_at_odd_p(self) -> None:
         h = rank1_datum(F3, "1", 10)
         assert [str(c) for c in inverse(h).theta.coeffs] == ["2"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("field", [F2, F3, F5, F9], ids=["F2", "F3", "F5", "F9"])
+    def test_pcurv_sign_identity(self, field: FieldSpec, n: int) -> None:
+        # psi(d - theta) = -psi(d + theta) in a commutative ring of
+        # characteristic p, by Jacobson's formula psi(d + theta) =
+        # theta^p + d^(p-1) theta (N. Katz, Publ. IHES 39, 1970)
+        rng = SplitMix64(100 * field.q + n)
+        precision = 3 * field.p + 4
+        checked = 0
+        while checked < 6:
+            ring = SpectralRing(
+                InvariantTuple(tuple(rng.series(field, VAR_DISK, precision) for _ in range(n)))
+            )
+            try:
+                ring.derivation()
+            except DerivationUnavailable:
+                continue
+            theta = ring.element([rng.series(field, VAR_DISK, precision) for _ in range(n)])
+            forward, backward = pcurv_in_ring(theta), pcurv_in_ring(-theta)
+            assert backward.precision == forward.precision
+            assert backward.agrees_with(-forward)
+            checked += 1
 
     def test_identical_data(self) -> None:
         h = rank1_datum(F2, "1", 8)

@@ -14,12 +14,11 @@ from pdisk.hitchin import (
     descend_invariants,
     frobenius_base_pullback,
     phitchin,
-    tau,
 )
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import regular_rep
+from pdisk.spectral import SpectralRing, regular_rep
 
 from conftest import M, S
 
@@ -196,25 +195,25 @@ class TestBasePullback:
 
 
 # ==========================================================================
-# tau
+# the tautological element
 # ==========================================================================
 
 
 class TestTau:
     def test_rank_one(self) -> None:
         b = _tuple_of(F3, VAR_DISK, ["1 + z"], 4)
-        t = tau(b)
+        t = SpectralRing(b).tautological()
         assert len(t.coeffs) == 1
         assert t.coeffs[0].agrees_with(S(F3, "1 + z", 4))
 
     def test_regular_rep_is_companion(self) -> None:
         b = _tuple_of(F2, VAR_DISK, ["0", "z^2"], 5)
-        rep = regular_rep(tau(b))
+        rep = regular_rep(SpectralRing(b).tautological())
         assert rep.agrees_with(companion_section(b))
 
     def test_regular_rep_nilpotent(self) -> None:
         b = _tuple_of(F3, VAR_DISK, ["0", "0", "0"], 4)
-        rep = regular_rep(tau(b))
+        rep = regular_rep(SpectralRing(b).tautological())
         assert rep.agrees_with(companion_section(b))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -222,4 +221,4 @@ class TestTau:
         rng = SplitMix64(n + 77)
         for _ in range(10):
             b = InvariantTuple(tuple(rng.series(F5, VAR_DISK, 4) for _ in range(n)))
-            assert regular_rep(tau(b)).agrees_with(companion_section(b))
+            assert regular_rep(SpectralRing(b).tautological()).agrees_with(companion_section(b))

@@ -15,9 +15,9 @@ from pdisk.jsonio import (
     connection_from_json,
     connection_to_json,
     dumps_canonical,
-    fhiggs_from_json,
     fhiggs_to_json,
     field_from_obj,
+    field_to_obj,
     format_series,
     harmonic_from_json,
     harmonic_to_json,
@@ -27,12 +27,10 @@ from pdisk.jsonio import (
     matrix_to_json,
     oneform_from_json,
     oneform_to_json,
-    package_from_json,
     package_to_json,
     parse_element,
     parse_series,
     scalar_from_json,
-    scalar_to_json,
     series_from_json,
     series_to_json,
     spectral_from_json,
@@ -157,11 +155,10 @@ class TestFieldHeader:
             field_from_obj({"p": True}, "$")
 
     def test_extension_header_roundtrip(self) -> None:
-        obj = scalar_to_json(F9, 5)
-        assert obj["ext_degree"] == 2
-        assert obj["modulus"] == [1, 0, 1]
+        obj = {"p": 3, "ext_degree": 2, "modulus": [1, 0, 1], "element": [2, 1]}
         field, a = scalar_from_json(obj)
         assert field == F9 and a == 5
+        assert field_to_obj(field) == {"p": 3, "ext_degree": 2, "modulus": [1, 0, 1]}
 
     def test_bad_modulus_type(self) -> None:
         with pytest.raises(SchemaError):
@@ -235,11 +232,7 @@ class TestStructured:
         psi = FHiggs(M(F3, [["z"]], 4), 3)
         obj = fhiggs_to_json(psi)
         assert obj["twist_weight"] == 3
-        assert fhiggs_from_json(obj) == psi
-
-    def test_fhiggs_needs_weight(self) -> None:
-        with pytest.raises(SchemaError):
-            fhiggs_from_json(matrix_to_json(M(F3, [["z"]], 4)))
+        assert matrix_from_json(obj) == psi.matrix
 
     def test_oneform_chart_dispatch(self) -> None:
         w = OneForm(S(F3, "1 + z", 5))
@@ -299,17 +292,21 @@ class TestHarmonicWire:
 
     def test_package_roundtrip_rank1(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
-        back = package_from_json(package_to_json(pkg))
-        assert back == pkg
+        obj = package_to_json(pkg)
+        assert connection_from_json(obj["connection"]) == pkg.connection
+        assert matrix_from_json(obj["higgs"]) == pkg.higgs
+        assert matrix_from_json(obj["gauge"]) == pkg.gauge
+        assert harmonic_from_json(obj["harmonic"]) == pkg.harmonic
 
     def test_package_roundtrip_eigen(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["0", "0"], ["0", "1"]], 8)))
-        back = package_from_json(package_to_json(pkg))
-        assert back.connection == pkg.connection
-        assert back.higgs == pkg.higgs
-        assert back.gauge == pkg.gauge
-        assert back.harmonic.b_prime == pkg.harmonic.b_prime
-        assert back.harmonic.theta.agrees_with(pkg.harmonic.theta)
+        obj = package_to_json(pkg)
+        assert connection_from_json(obj["connection"]) == pkg.connection
+        assert matrix_from_json(obj["higgs"]) == pkg.higgs
+        assert matrix_from_json(obj["gauge"]) == pkg.gauge
+        back = harmonic_from_json(obj["harmonic"])
+        assert back.b_prime == pkg.harmonic.b_prime
+        assert back.theta.agrees_with(pkg.harmonic.theta)
 
 
 # ==========================================================================

@@ -66,13 +66,11 @@ class TestBuildSpectral:
     def test_separable_derivation_vanishes_here(self) -> None:
         # differentiate t^2 + t + z^2 = 0: (2t + 1) dt = -2z dz, so dt = 0
         ring = artin_schreier_ring()
-        assert ring.has_derivation()
         assert ring.derivation().is_zero()
 
     def test_inseparable_cover_has_no_derivation(self) -> None:
         # char = t^2 + z^2 has char' = 2t = 0
         ring = SpectralRing(inv(F2, ["0", "z^2"], 9))
-        assert not ring.has_derivation()
         with pytest.raises(DerivationUnavailable):
             ring.derivation()
 
