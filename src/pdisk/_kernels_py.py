@@ -16,8 +16,9 @@ exactly, so no carry crosses slots.  Shorter products use the schoolbook
 loop, which is as fast there.  ``series_dot`` sums the dot products of
 several coefficient sequences as integers and reduces mod p once; it gives
 one coefficient of a truncated product when one operand is reversed, which
-is how ``series_inv`` and the order-by-order recursions of ``pdisk.cartier``
-(``kernel_unit`` and ``flat_matrix_section``) compute their residuals.
+is how ``series_inv`` and the order-by-order recursion of ``pdisk.cartier``
+(``flat_matrix_section``, which ``kernel_unit`` runs through) compute their
+residuals.
 
 BACKEND tells the benchmark and tests which implementation they got.
 """

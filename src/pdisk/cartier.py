@@ -11,10 +11,13 @@ For a scalar Lie coefficient zeta = 1 the map computes exactly the
 descended p-curvature of d/dz + f, which the test suite checks against
 the independent closed form f^p + (d/dz)^(p-1) f.
 
-flat_sections solves (d/dz + A) v = 0 order by order.  The coefficient
-recursion multiplies by m+1, which vanishes in characteristic p at every
-p-th step; those steps are obstructed exactly by the p-curvature, and the
-first nonvanishing residual is reported as a certificate.
+flat_matrix_section solves dh/dz + A_target h - h A_source = 0 order by
+order; it is the one such recursion here.  flat_sections (the fundamental
+frame of d/dz + A) and kernel_unit (the rank-1 flat section of d/dz - w)
+are special cases of it.  The coefficient recursion multiplies by m+1,
+which vanishes in characteristic p at every p-th step; those steps are
+obstructed exactly by the p-curvature, and the first nonvanishing residual
+is reported as a certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .connection import Connection
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
-    NonUnitConstantTerm,
     NonzeroPCurvature,
     VarMismatch,
     ZeroPrecision,
@@ -152,24 +154,20 @@ def solve_hp(target: TwistOneForm) -> OneForm:
 def kernel_unit(w: OneForm) -> TruncSeries:
     """A unit g with dlog g = w, for w in the kernel of hp_map(1, .).
 
-    Solves dg/dz = w g order by order; the recursion is obstructed at the
-    p-th steps exactly by the p-curvature of d/dz - w, which vanishes when
-    hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise.
+    g is the flat section with g(0) = 1 of the rank-1 connection d/dz - w,
+    found by flat_matrix_section; its recursion is obstructed at the p-th
+    steps exactly by the p-curvature of d/dz - w, which vanishes when
+    hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise, whose residual
+    is the coefficient of w g at the obstructed order.
     """
     s = w.coefficient
-    f = s.field
-    p = f.p
-    g = [1]
-    for m in range(s.precision):
-        # the coefficient of z^m in w * g pairs s with g reversed
-        acc = impl.series_dot(((s.coeffs, reversed(g)),), p, f.k, f.modulus)
-        if (m + 1) % p == 0:
-            if acc != 0:
-                raise NonzeroPCurvature(m, acc)
-            g.append(0)
-        else:
-            g.append(f.mul(f.scalar(pow(m + 1, p - 2, p)), acc))
-    return TruncSeries(f, VAR_DISK, tuple(g))
+    zero = Connection(SeriesMatrix.zero(s.field, VAR_DISK, 1, s.precision))
+    try:
+        h = flat_matrix_section(zero, Connection(SeriesMatrix.diagonal([-s])), ((1,),))
+    except NonzeroPCurvature as exc:
+        # the recursion's residual is the coefficient of -w g
+        raise NonzeroPCurvature(exc.order, s.field.neg(exc.residual)) from None
+    return h.entry(0, 0)
 
 
 def flat_sections(conn: Connection) -> SeriesMatrix:

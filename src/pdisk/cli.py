@@ -204,10 +204,17 @@ def cmd_verify(args) -> tuple[Any, int]:
     for n in ranks:
         if not 1 <= n <= MAX_RANK:
             raise SchemaError(f"rank {n} is outside 1..{MAX_RANK}", "--rank")
+    suites = verify.SUITES if args.suite == "all" else (args.suite,)
+    # the eigen frame needs n distinct residue roots in F_p, so n <= p
+    if {"harmonic", "roundtrip"} & set(suites) and max(ranks) > min(ps):
+        raise SchemaError(
+            f"rank {max(ranks)} is above p = {min(ps)}; the harmonic and roundtrip "
+            "suites need that many distinct residue roots in F_p",
+            "--rank",
+        )
     if args.trials < 1:
         raise SchemaError(f"trials must be at least 1, got {args.trials}", "--trials")
     if args.precision is not None:
-        suites = verify.SUITES if args.suite == "all" else (args.suite,)
         floor = max(verify.PRECISION_FLOORS[s](p) for s in suites for p in ps)
         if args.precision < floor:
             raise SchemaError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cartier import OneForm, flat_sections, kernel_unit
-from .connection import Connection, gauge, pcurv
+from .connection import Connection, dlog, gauge, pcurv
 from .errors import (
     BaseMismatch,
     CurvatureNonzero,
@@ -75,7 +75,8 @@ class HarmonicDatum:
     """A certified solution theta of the chart Hitchin equations.
 
     curvature_sign is +1 for a forward datum (p-curvature of d + theta is
-    +lambda) and -1 for an inverse datum (-lambda).
+    +lambda) and -1 for an inverse datum (-lambda).  Construction certifies
+    that p-curvature; inverse carries the certificate over.
     """
 
     b_prime: InvariantTuple
@@ -93,17 +94,13 @@ class HarmonicDatum:
         pulled = frobenius_base_pullback(self.b_prime)
         if self.theta.ring.rank != pulled.rank or not self.theta.ring.b.agrees_with(pulled):
             raise BaseMismatch("theta's spectral ring does not match the pulled-back base")
-        self._certify_curvature()
-
-    def _certify_curvature(self) -> None:
-        ring = self.theta.ring
         try:
             pc = pcurv_in_ring(self.theta)
         except ZeroPrecision as exc:
             raise InsufficientPrecision(
                 "theta precision too small to certify its p-curvature"
             ) from exc
-        taut = ring.tautological()
+        taut = self.theta.ring.tautological()
         expected = taut if self.curvature_sign == 1 else -taut
         if not pc.agrees_with(expected):
             raise CurvatureNonzero(
@@ -282,8 +279,18 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
 
 
 def inverse(h: HarmonicDatum) -> HarmonicDatum:
-    """The sign-flipped datum: element -theta, opposite curvature sign."""
-    return HarmonicDatum(h.b_prime, -h.theta, h.frame, -h.curvature_sign)
+    """The sign-flipped datum: element -theta, opposite curvature sign.
+
+    h's certificate carries over without recomputing: psi(d - theta) =
+    -psi(d + theta) in a commutative ring of characteristic p, by Jacobson's
+    formula psi(d + theta) = theta^p + d^(p-1) theta (N. Katz, Publ. IHES
+    39, 1970), at the same precision.  tests/test_harmonic.py checks the
+    identity (test_pcurv_sign_identity).
+    """
+    # built without __init__, so __post_init__ does not certify again
+    flipped = object.__new__(HarmonicDatum)
+    flipped.__dict__.update(h.__dict__, theta=-h.theta, curvature_sign=-h.curvature_sign)
+    return flipped
 
 
 def torsor_difference(
@@ -318,6 +325,6 @@ def torsor_difference(
             return delta, None
         units = [kernel_unit(OneForm(delta.eval_series(mu))) for mu in mus]
         u = _lagrange_element(ring, mus, units)
-    if not u.dlog().agrees_with(delta):
+    if not dlog(u).agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")
     return delta, u

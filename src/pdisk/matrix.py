@@ -36,14 +36,11 @@ class SeriesMatrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, var: str, rank: int, precision: int) -> "SeriesMatrix":
-        one = TruncSeries.one(field, var, precision)
-        zero = TruncSeries.zero(field, var, precision)
-        return cls(tuple(tuple(one if i == j else zero for j in range(rank)) for i in range(rank)))
+        return cls.diagonal([TruncSeries.one(field, var, precision)] * rank)
 
     @classmethod
     def zero(cls, field: FieldSpec, var: str, rank: int, precision: int) -> "SeriesMatrix":
-        z = TruncSeries.zero(field, var, precision)
-        return cls(tuple(tuple(z for _ in range(rank)) for _ in range(rank)))
+        return cls.diagonal([TruncSeries.zero(field, var, precision)] * rank)
 
     @classmethod
     def diagonal(cls, diag: Sequence[TruncSeries]) -> "SeriesMatrix":

@@ -179,7 +179,7 @@ class TruncSeries:
 
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative exponent: invert the series first")
         result = TruncSeries.one(self.field, self.var, self.precision)
         base = self
         while e:

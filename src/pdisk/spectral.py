@@ -222,16 +222,6 @@ class SpectralElement:
         self._check_peer(other)
         return self.ring.element(poly_mul(self.coeffs, other.coeffs))
 
-    def __pow__(self, e: int) -> "SpectralElement":
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
@@ -278,9 +268,6 @@ class SpectralElement:
         dt = self.ring.derivation()
         ddt = [self.coeffs[i + 1].scale_int(i + 1) for i in range(n - 1)]
         return dz_part + self.ring.element(ddt) * dt
-
-    def dlog(self) -> "SpectralElement":
-        return self.inverse() * self.derivative()
 
     # -- evaluation -------------------------------------------------------
 

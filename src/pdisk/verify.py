@@ -222,26 +222,30 @@ def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, p
     )
 
 
-def _accepted_instance(rng: SplitMix64, field: FieldSpec, n: int, prec: int):
-    """A random connection whose p-curvature the eigen machinery accepts."""
+def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int):
+    """A random connection whose p-curvature the eigen machinery accepts.
+
+    When the retry budget runs out, records the instance_generation
+    failure and returns (None, None).
+    """
     for _ in range(_ACCEPT_TRIES):
         conn = Connection(rng.matrix(field, VAR_DISK, n, prec))
         try:
             return conn, solve_harmonic(conn)
         except (NonSplitResidue, RepeatedResidueRoot):
             continue
+    tally.record(
+        "instance_generation",
+        False,
+        _cert(field.p, n, trial, note="no accepted instance within retry budget"),
+    )
     return None, None
 
 
 def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
     p = field.p
-    conn, pkg = _accepted_instance(rng, field, n, prec)
+    conn, pkg = _accepted_instance(tally, rng, field, n, prec, trial)
     if conn is None:
-        tally.record(
-            "instance_generation",
-            False,
-            _cert(p, n, trial, note="no accepted instance within retry budget"),
-        )
         return
     conn_json = lambda: jsonio.connection_to_json(conn)
     psi = pcurv(conn)
@@ -267,13 +271,8 @@ def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pr
 
 def _suite_roundtrip(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
     p = field.p
-    conn, pkg = _accepted_instance(rng, field, n, prec)
+    conn, pkg = _accepted_instance(tally, rng, field, n, prec, trial)
     if conn is None:
-        tally.record(
-            "instance_generation",
-            False,
-            _cert(p, n, trial, note="no accepted instance within retry budget"),
-        )
         return
     h = pkg.harmonic
     x = pkg.higgs

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from pdisk.connection import Connection, gauge, pcurv
+from pdisk.connection import Connection, dlog, gauge, pcurv
 from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring, solve_harmonic, torsor_difference
@@ -164,7 +164,7 @@ def test_criterion_8_torsor_difference() -> None:
         delta, unit = torsor_difference(pkg_a.harmonic, pkg_b.harmonic)
         assert pcurv_in_ring(delta).is_zero(), (p, n, pairs)
         assert unit is not None, (p, n, pairs)
-        assert unit.dlog().agrees_with(delta), (p, n, pairs)
+        assert dlog(unit).agrees_with(delta), (p, n, pairs)
         pairs += 1
     announce(8, "torsor difference integrates", 50, time.perf_counter() - t0)
 

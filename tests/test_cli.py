@@ -133,8 +133,19 @@ class TestExitCodes:
             (["--rank", "1,9"], "--rank"),
             (["--precision", "2"], "--precision"),
             (["--suite", "roundtrip", "--p", "3", "--precision", "8"], "--precision"),
+            (["--p", "2", "--rank", "3"], "--rank"),
+            (["--suite", "roundtrip", "--p", "3", "--rank", "4"], "--rank"),
         ],
-        ids=["trials-0", "trials-neg", "rank-0", "rank-9", "precision-2", "roundtrip-below-floor"],
+        ids=[
+            "trials-0",
+            "trials-neg",
+            "rank-0",
+            "rank-9",
+            "precision-2",
+            "roundtrip-below-floor",
+            "rank-above-p",
+            "roundtrip-rank-above-p",
+        ],
     )
     def test_verify_flag_that_cannot_check_is_schema_error(self, capsys, flags, path) -> None:
         code, out, err = run(capsys, ["verify", "--trials", "1", *flags])
@@ -417,6 +428,15 @@ class TestVerifyCommand:
             assert json.loads(out)["fail"] == 0
             code, _, _ = run(capsys, argv + ["--precision", str(floor - 1)])
             assert code == 2
+
+    @pytest.mark.parametrize(
+        "suite, p", [("pcurv", "2"), ("harmonic", "3")], ids=["pcurv-rank-above-p", "harmonic-rank-p"]
+    )
+    def test_rank_refusal_spares_checkable_cells(self, capsys, suite: str, p: str) -> None:
+        argv = ["verify", "--suite", suite, "--p", p, "--rank", "3", "--trials", "1", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["fail"] == 0
 
     def test_bad_prime_list(self, capsys) -> None:
         code, _, err = run(capsys, ["verify", "--p", "2;3", "--trials", "1"])

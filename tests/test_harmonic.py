@@ -35,6 +35,7 @@ from pdisk.hitchin import (
     frobenius_base_pullback,
     phitchin,
 )
+from pdisk.jsonio import harmonic_from_json, harmonic_to_json
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
@@ -318,6 +319,40 @@ class TestInverseAndTorsor:
         h = rank1_datum(F3, "1", 10)
         assert [str(c) for c in inverse(h).theta.coeffs] == ["2"]
 
+    @pytest.mark.parametrize(
+        "field, n",
+        [(F2, 1), (F2, 2), (F3, 1), (F3, 2), (F3, 3), (F5, 1), (F5, 2), (F5, 3), (F9, 1), (F9, 2), (F9, 3)],
+        ids=lambda v: f"q{v.q}" if isinstance(v, FieldSpec) else f"rank{v}",
+    )
+    def test_inverse_keeps_its_certificate(self, field: FieldSpec, n: int) -> None:
+        # inverse does not recompute the p-curvature; check that what it
+        # carries over holds, and that a document of it certifies again
+        rng = SplitMix64(1000 * field.q + n)
+        for _ in range(2):
+            _, pkg = accepted(rng, field, n, 2 * field.p + 3)
+            h = pkg.harmonic
+            hi = inverse(h)
+            assert hi.curvature_sign == -1
+            assert pcurv_in_ring(hi.theta).agrees_with(-h.ring.tautological())
+            assert inverse(hi) == h
+            doc = harmonic_to_json(hi)
+            back = harmonic_from_json(doc)
+            # the document cuts the ring's base to theta's precision, which
+            # is one below it in the eigen frame; at rank 1 nothing is cut
+            if n == 1:
+                assert back == hi
+            assert (back.b_prime, back.theta.coeffs) == (hi.b_prime, hi.theta.coeffs)
+            assert (back.frame, back.curvature_sign) == (hi.frame, -1)
+            assert harmonic_to_json(back) == doc
+
+    def test_document_with_unflipped_theta_refused(self) -> None:
+        h = rank1_datum(F3, "1 + z", 10)
+        assert not h.ring.tautological().is_zero()
+        doc = harmonic_to_json(h)
+        doc["curvature_sign"] = -1
+        with pytest.raises(CurvatureNonzero):
+            harmonic_from_json(doc)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("field", [F2, F3, F5, F9], ids=["F2", "F3", "F5", "F9"])
     def test_pcurv_sign_identity(self, field: FieldSpec, n: int) -> None:
@@ -364,7 +399,7 @@ class TestInverseAndTorsor:
         pkg2 = solve_harmonic(gauge(g, conn))
         delta, u = torsor_difference(pkg1.harmonic, pkg2.harmonic)
         assert u is not None
-        assert u.dlog().agrees_with(delta)
+        assert dlog(u).agrees_with(delta)
 
     def test_mismatched_bases_refused(self) -> None:
         h1 = rank1_datum(F2, "1", 8)

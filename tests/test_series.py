@@ -151,6 +151,8 @@ class TestArithmetic:
         u = S(F3, "1 + z", 9)
         assert (u**4).agrees_with(u * u * u * u)
         assert (u**0).agrees_with(TruncSeries.one(F3, VAR_DISK, 9))
+        with pytest.raises(ValueError):
+            u**-1
 
     def test_freshman_dream(self) -> None:
         a = S(F3, "1 + 2*z + z^2", 9)
