@@ -214,7 +214,10 @@ def cmd_verify(args) -> tuple[Any, int]:
         )
     if args.trials < 1:
         raise SchemaError(f"trials must be at least 1, got {args.trials}", "--trials")
-    if args.precision is not None:
+    if args.precision is None:
+        top, flag = 3 * max(ps) + 4, "--p"
+    else:
+        top, flag = args.precision, "--precision"
         floor = max(verify.PRECISION_FLOORS[s](p) for s in suites for p in ps)
         if args.precision < floor:
             raise SchemaError(
@@ -222,6 +225,8 @@ def cmd_verify(args) -> tuple[Any, int]:
                 "the floor of the requested suites and primes",
                 "--precision",
             )
+    if top > jsonio.MAX_PRECISION:
+        raise SchemaError(f"working precision {top} is above {jsonio.MAX_PRECISION}", flag)
     report = verify.run_suite(
         args.suite, ps, ranks, args.precision, args.trials, args.seed
     )

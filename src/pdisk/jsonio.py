@@ -31,6 +31,11 @@ from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
 from .spectral import SpectralElement, SpectralRing
 
+# The largest precision a document (or `pdisk verify`) may state.  Parsing
+# allocates that many coefficients up front, and the costliest stage grows
+# about as N^1.7: rank-2 F_5 solve_harmonic takes about 19 s at N = 4096.
+MAX_PRECISION = 4096
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>-?\d+|\[[^\]]*\])\s*\*?\s*)?(?:(?P<letter>z'?)(?:\^(?P<exp>\d+))?)?$"
 )
@@ -207,6 +212,8 @@ def _header_from_obj(
     precision = _need_int(obj, "precision", path)
     if precision < 0:
         raise SchemaError("precision must be nonnegative", f"{path}.precision")
+    if precision > MAX_PRECISION:
+        raise SchemaError(f"precision {precision} is above {MAX_PRECISION}", f"{path}.precision")
     return field, var, precision
 
 

@@ -28,42 +28,46 @@ from .matrix import SeriesMatrix
 from .rng import SplitMix64
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
 
-SUITES = ("pcurv", "hitchin", "cartier", "exactness", "harmonic", "roundtrip")
-
 _ACCEPT_TRIES = 400
-
-Certificate = Callable[[], dict[str, Any]]
 
 
 class _Tally:
-    """Ordered per-property counters plus the first failure certificate."""
+    """Ordered per-property [pass, fail] counts plus the first failure certificate.
+
+    ``cell`` is the grid cell (p, rank, trial) under way; every certificate
+    starts with it.
+    """
 
     def __init__(self) -> None:
-        self.order: list[str] = []
-        self.passes: dict[str, int] = {}
-        self.fails: dict[str, int] = {}
+        self.counts: dict[str, list[int]] = {}
         self.failure: dict[str, Any] | None = None
+        self.cell: dict[str, int] = {}
 
-    def record(self, prop: str, ok: bool, certificate: Certificate) -> None:
-        if prop not in self.passes:
-            self.order.append(prop)
-            self.passes[prop] = 0
-            self.fails[prop] = 0
-        if ok:
-            self.passes[prop] += 1
-        else:
-            self.fails[prop] += 1
-            if self.failure is None:
-                self.failure = {"property": prop, **certificate()}
+    def record(self, prop: str, ok: bool, **cert: Any) -> None:
+        """Count one outcome of ``prop``; keep the first failure's certificate.
+
+        A callable certificate value is called only when that failure is kept.
+        """
+        self.counts.setdefault(prop, [0, 0])[0 if ok else 1] += 1
+        if not ok and self.failure is None:
+            self.failure = {"property": prop, **self.cell}
+            for key, value in cert.items():
+                self.failure[key] = value() if callable(value) else value
+
+    def check(self, prop: str, test: Callable[[], bool], **cert: Any) -> None:
+        """Record ``test()``; a raised PdiskError fails with its payload as ``error``."""
+        try:
+            ok = test()
+        except PdiskError as exc:
+            ok = False
+            cert["error"] = exc.payload()
+        self.record(prop, ok, **cert)
 
     def report(self) -> dict[str, Any]:
-        props = [
-            {"name": n, "pass": self.passes[n], "fail": self.fails[n]} for n in self.order
-        ]
-        total_pass = sum(self.passes.values())
-        total_fail = sum(self.fails.values())
+        total_pass = sum(c[0] for c in self.counts.values())
+        total_fail = sum(c[1] for c in self.counts.values())
         return {
-            "properties": props,
+            "properties": [{"name": n, "pass": c[0], "fail": c[1]} for n, c in self.counts.items()],
             "pass": total_pass,
             "fail": total_fail,
             "total": total_pass + total_fail,
@@ -71,17 +75,7 @@ class _Tally:
         }
 
 
-def _cert(p: int, n: int, trial: int, **extra: Any) -> Certificate:
-    def build() -> dict[str, Any]:
-        out: dict[str, Any] = {"p": p, "rank": n, "trial": trial}
-        for key, value in extra.items():
-            out[key] = value() if callable(value) else value
-        return out
-
-    return build
-
-
-def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
+def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
     p = field.p
     conn = Connection(rng.matrix(field, VAR_DISK, n, prec))
     conn_json = lambda: jsonio.connection_to_json(conn)
@@ -96,13 +90,15 @@ def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec:
         tally.record(
             "closed_form_rank1",
             got.agrees_with(closed),
-            _cert(p, n, trial, connection=conn_json, residual=lambda: str(got - closed)),
+            connection=conn_json,
+            residual=lambda: str(got - closed),
         )
     resid = check_horizontality(conn, psi)
     tally.record(
         "horizontality",
         resid.is_zero(),
-        _cert(p, n, trial, connection=conn_json, residual=lambda: jsonio.matrix_to_json(resid)),
+        connection=conn_json,
+        residual=lambda: jsonio.matrix_to_json(resid),
     )
     b = char_invariants(psi.matrix)
     ok = all(c == 0 for e in b.entries for m, c in enumerate(e.coeffs) if m % p != 0)
@@ -113,13 +109,10 @@ def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec:
         except PdiskError as exc:
             ok = False
             detail = exc.payload()
-    tally.record(
-        "invariant_descent", ok, _cert(p, n, trial, connection=conn_json, error=detail)
-    )
+    tally.record("invariant_descent", ok, connection=conn_json, error=detail)
 
 
-def _suite_hitchin(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
-    p = field.p
+def _suite_hitchin(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
     conn = Connection(rng.matrix(field, VAR_DISK, n, prec))
     g = rng.unit_matrix(field, VAR_DISK, n, prec)
     b1 = phitchin(conn)
@@ -127,24 +120,19 @@ def _suite_hitchin(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
     tally.record(
         "gauge_invariance",
         b2.agrees_with(b1),
-        _cert(
-            p,
-            n,
-            trial,
-            connection=lambda: jsonio.connection_to_json(conn),
-            gauge=lambda: jsonio.matrix_to_json(g),
-        ),
+        connection=lambda: jsonio.connection_to_json(conn),
+        gauge=lambda: jsonio.matrix_to_json(g),
     )
     b = InvariantTuple(tuple(rng.series(field, VAR_TWIST, prec) for _ in range(n)))
     back = char_invariants(companion_section(b))
     tally.record(
         "companion_section",
         back.agrees_with(b),
-        _cert(p, n, trial, invariants=lambda: jsonio.invariants_to_json(b)),
+        invariants=lambda: jsonio.invariants_to_json(b),
     )
 
 
-def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
+def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
     p = field.p
     g = rng.unit_matrix(field, VAR_DISK, n, prec)
     conn = gauge(g, Connection(SeriesMatrix.zero(field, VAR_DISK, n, prec)))
@@ -156,9 +144,7 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
         ok = False
         detail = exc.payload()
     tally.record(
-        "pullback_flat",
-        ok,
-        _cert(p, n, trial, connection=lambda: jsonio.connection_to_json(conn), error=detail),
+        "pullback_flat", ok, connection=lambda: jsonio.connection_to_json(conn), error=detail
     )
 
     diag = [dlog(rng.unit_series(field, VAR_DISK, prec)) for _ in range(n)]
@@ -179,32 +165,25 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
     tally.record(
         "defect_detected",
         ok,
-        _cert(
-            p,
-            n,
-            trial,
-            connection=lambda: jsonio.connection_to_json(bad),
-            predicted_order=s,
-            error=detail,
-        ),
+        connection=lambda: jsonio.connection_to_json(bad),
+        predicted_order=s,
+        error=detail,
     )
 
 
-def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
-    p = field.p
+def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
     u = rng.unit_series(field, VAR_DISK, prec)
     w = OneForm(dlog(u))
     img = hp_map(1, w)
     tally.record(
-        "dlog_in_kernel",
-        img.is_zero(),
-        _cert(p, n, trial, unit=lambda: str(u), image=lambda: str(img.coefficient)),
+        "dlog_in_kernel", img.is_zero(), unit=lambda: str(u), image=lambda: str(img.coefficient)
     )
     back = kernel_unit(w)
     tally.record(
         "kernel_constructive",
         dlog(back).agrees_with(w.coefficient),
-        _cert(p, n, trial, unit=lambda: str(u), recovered=lambda: str(back)),
+        unit=lambda: str(u),
+        recovered=lambda: str(back),
     )
     eta = TwistOneForm(rng.series(field, VAR_TWIST, prec))
     w2 = solve_hp(eta)
@@ -212,17 +191,12 @@ def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, p
     tally.record(
         "section_identity",
         again.agrees_with(eta),
-        _cert(
-            p,
-            n,
-            trial,
-            target=lambda: str(eta.coefficient),
-            image=lambda: str(again.coefficient),
-        ),
+        target=lambda: str(eta.coefficient),
+        image=lambda: str(again.coefficient),
     )
 
 
-def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int):
+def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int):
     """A random connection whose p-curvature the eigen machinery accepts.
 
     When the retry budget runs out, records the instance_generation
@@ -234,17 +208,12 @@ def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int,
             return conn, solve_harmonic(conn)
         except (NonSplitResidue, RepeatedResidueRoot):
             continue
-    tally.record(
-        "instance_generation",
-        False,
-        _cert(field.p, n, trial, note="no accepted instance within retry budget"),
-    )
+    tally.record("instance_generation", False, note="no accepted instance within retry budget")
     return None, None
 
 
-def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
-    p = field.p
-    conn, pkg = _accepted_instance(tally, rng, field, n, prec, trial)
+def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
+    conn, pkg = _accepted_instance(tally, rng, field, n, prec)
     if conn is None:
         return
     conn_json = lambda: jsonio.connection_to_json(conn)
@@ -252,73 +221,47 @@ def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pr
     a = pkg.harmonic.endomorphism(psi.matrix)
     twisted = Connection(conn.matrix - a)
     tally.record(
-        "twisted_curvature_zero",
-        pcurv(twisted).matrix.is_zero(),
-        _cert(p, n, trial, connection=conn_json),
+        "twisted_curvature_zero", pcurv(twisted).matrix.is_zero(), connection=conn_json
     )
     tally.record(
-        "commutation",
-        ((psi.matrix @ a) - (a @ psi.matrix)).is_zero(),
-        _cert(p, n, trial, connection=conn_json),
+        "commutation", ((psi.matrix @ a) - (a @ psi.matrix)).is_zero(), connection=conn_json
     )
     psi_flat = psi.matrix.conjugate_by(pkg.flat_frame)
     tally.record(
-        "transported_horizontal",
-        psi_flat.derivative().is_zero(),
-        _cert(p, n, trial, connection=conn_json),
+        "transported_horizontal", psi_flat.derivative().is_zero(), connection=conn_json
     )
 
 
-def _suite_roundtrip(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int, trial: int) -> None:
-    p = field.p
-    conn, pkg = _accepted_instance(tally, rng, field, n, prec, trial)
+def _suite_roundtrip(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
+    conn, pkg = _accepted_instance(tally, rng, field, n, prec)
     if conn is None:
         return
     h = pkg.harmonic
     x = pkg.higgs
     conn_json = lambda: jsonio.connection_to_json(conn)
-    try:
+
+    def cinv_cmap_identity() -> bool:
         c2 = cmap(h, x)
         pkg2 = cinv(c2, inverse(h))
         ok = pkg2.higgs.agrees_with(x)
         psi2 = pcurv(c2)
         lifted = pkg2.higgs.expand_pth_power()
         transported = psi2.matrix.conjugate_by(pkg2.gauge)
-        ok = ok and lifted.agrees_with(transported)
-        tally.record("cinv_cmap_identity", ok, _cert(p, n, trial, connection=conn_json))
-    except PdiskError as exc:
-        tally.record(
-            "cinv_cmap_identity",
-            False,
-            _cert(p, n, trial, connection=conn_json, error=exc.payload()),
-        )
+        return ok and lifted.agrees_with(transported)
 
-    try:
+    def cmap_cinv_gauge() -> bool:
         pkg3 = cinv(conn, inverse(h))
         c3 = cmap(h, pkg3.higgs)
-        moved = gauge(pkg3.gauge.inverse(), conn)
-        ok = moved.matrix.agrees_with(c3.matrix)
-        tally.record("cmap_cinv_gauge", ok, _cert(p, n, trial, connection=conn_json))
-    except PdiskError as exc:
-        tally.record(
-            "cmap_cinv_gauge",
-            False,
-            _cert(p, n, trial, connection=conn_json, error=exc.payload()),
-        )
+        return gauge(pkg3.gauge.inverse(), conn).matrix.agrees_with(c3.matrix)
 
-    try:
+    def torsor_unit() -> bool:
         g = rng.unit_matrix(field, VAR_DISK, n, prec)
-        pkg_b = solve_harmonic(gauge(g, conn))
-        _, unit = torsor_difference(h, pkg_b.harmonic)
-        tally.record(
-            "torsor_unit", unit is not None, _cert(p, n, trial, connection=conn_json)
-        )
-    except PdiskError as exc:
-        tally.record(
-            "torsor_unit",
-            False,
-            _cert(p, n, trial, connection=conn_json, error=exc.payload()),
-        )
+        _, unit = torsor_difference(h, solve_harmonic(gauge(g, conn)).harmonic)
+        return unit is not None
+
+    tally.check("cinv_cmap_identity", cinv_cmap_identity, connection=conn_json)
+    tally.check("cmap_cinv_gauge", cmap_cinv_gauge, connection=conn_json)
+    tally.check("torsor_unit", torsor_unit, connection=conn_json)
 
 
 _SUITE_BODIES = {
@@ -329,6 +272,8 @@ _SUITE_BODIES = {
     "harmonic": _suite_harmonic,
     "roundtrip": _suite_roundtrip,
 }
+
+SUITES = tuple(_SUITE_BODIES)
 
 # The least working precision at which each suite can pass, per prime p.
 # Below it a suite raises InsufficientPrecision or records failures that
@@ -380,15 +325,11 @@ def run_suite(
         field = FieldSpec(p)
         prec = precision if precision is not None else 3 * p + 4
         for n in grid_ranks:
-            cell = rng.split()
+            stream = rng.split()
             for t in range(trials):
-                body(tally, cell, field, n, prec, t)
-    report: dict[str, Any] = {
-        "suite": name,
-        "parameters": _params(ps, ranks, precision, trials, seed),
-    }
-    report.update(tally.report())
-    return report
+                tally.cell = {"p": p, "rank": n, "trial": t}
+                body(tally, stream, field, n, prec)
+    return {"suite": name, "parameters": _params(ps, ranks, precision, trials, seed), **tally.report()}
 
 
 def _params(ps, ranks, precision, trials, seed) -> dict[str, Any]:

@@ -1,9 +1,10 @@
-"""The benchmark's tracing hooks still find what they wrap in pdisk.
+"""The benchmark's tracing hooks and suite list still match pdisk.
 
-perfbench/spans.py wraps pdisk functions and counts constructions by name;
-the timed benchmark runs untraced and this suite does not collect
-perfbench's own tests, so a rename here would otherwise break only
-``perfbench/run.py --trace 1``.
+perfbench/spans.py wraps pdisk functions and counts constructions by name,
+and perfbench/spec.py keeps its own copy of the verify suite names.  The
+timed benchmark runs untraced and this suite does not collect perfbench's
+own tests, so a rename here would otherwise break only
+``perfbench/run.py --trace 1`` or the verify-default sweep.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from pdisk import cartier
+from pdisk import cartier, verify
 from pdisk.cartier import OneForm
 from pdisk.connection import dlog
 from pdisk.field import FieldSpec
@@ -35,3 +36,10 @@ def test_spans_install_and_restore(monkeypatch) -> None:
     assert tracer.calls["cartier.kernel_unit"] == 1
     assert tracer.calls["cartier.flat_matrix_section"] == 1
     assert tracer.counts["series.TruncSeries.constructed"] > 0
+
+
+def test_suite_tables_agree(monkeypatch) -> None:
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.import_module("spec")
+    assert spec.SUITES == verify.SUITES
+    assert set(verify.PRECISION_FLOORS) == set(verify.SUITES)

@@ -135,6 +135,8 @@ class TestExitCodes:
             (["--suite", "roundtrip", "--p", "3", "--precision", "8"], "--precision"),
             (["--p", "2", "--rank", "3"], "--rank"),
             (["--suite", "roundtrip", "--p", "3", "--rank", "4"], "--rank"),
+            (["--precision", str(10**12)], "--precision"),
+            (["--p", "1000003"], "--p"),
         ],
         ids=[
             "trials-0",
@@ -145,6 +147,8 @@ class TestExitCodes:
             "roundtrip-below-floor",
             "rank-above-p",
             "roundtrip-rank-above-p",
+            "precision-above-bound",
+            "default-precision-above-bound",
         ],
     )
     def test_verify_flag_that_cannot_check_is_schema_error(self, capsys, flags, path) -> None:
@@ -154,6 +158,18 @@ class TestExitCodes:
         payload = json.loads(err)["error"]
         assert payload["code"] == "SchemaError"
         assert payload["details"]["path"] == path
+
+    def test_precision_above_bound_is_schema_error(self, capsys, tmp_path) -> None:
+        """A 56-byte document stating precision 10^12 is refused, not allocated."""
+        path = write_doc(
+            tmp_path, "huge.json", {"p": 2, "var": "z", "precision": 10**12, "series": "1"}
+        )
+        code, out, err = run(capsys, ["descend", "-i", path])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "SchemaError"
+        assert payload["details"]["path"] == "$.precision"
 
     def test_unreadable_file_is_two(self, capsys, tmp_path) -> None:
         code, _, err = run(capsys, ["pcurv", "-i", str(tmp_path / "absent.json")])

@@ -47,6 +47,50 @@ def test_verify_all_report_rank3() -> None:
     assert digest == "2e08ece3994a6e32c2422639b9a06999667d7fed1f7f0496e13022203db0248a"
 
 
+@pytest.mark.parametrize(
+    "suite, ps, ranks, precision, trials, prop, want",
+    [
+        (
+            "harmonic",
+            [2],
+            [3],
+            7,
+            1,
+            "instance_generation",
+            "cf7ea3ae2c20e3ea5eb68439d5f0997b597409543d041ae96e046cde94cbbbd7",
+        ),
+        (
+            "cartier",
+            [5],
+            [1, 2],
+            5,
+            2,
+            "defect_detected",
+            "a7183dd50c0d58cce53851e5030840d2fed4242cc1a9878547cc9ed255f491f0",
+        ),
+        (
+            "roundtrip",
+            [3],
+            [2],
+            8,
+            3,
+            "torsor_unit",
+            "1112641a2438dc3b059ed3b95829d5fb34bbb005e7f59ce699b01538009e716b",
+        ),
+    ],
+    ids=["no-instance", "no-obstruction", "raised-error"],
+)
+def test_verify_failure_certificate(
+    suite: str, ps: list[int], ranks: list[int], precision: int, trials: int, prop: str, want: str
+) -> None:
+    """Grids below a suite's floor keep a failure certificate, one of each shape:
+    a bare note, evidence with an ``error`` that nothing raised, and the
+    payload of a raised error."""
+    report = run_suite(suite, ps, ranks, precision, trials, 0)
+    assert report["failure"]["property"] == prop
+    assert sha(dumps_canonical(report, compact=True)) == want
+
+
 def packages(field: FieldSpec, rank: int, precision: int, seed: int) -> list:
     """Seeded accepted instances, each followed by its cinv(cmap(...)) package."""
     rng = SplitMix64(seed)

@@ -12,6 +12,7 @@ from pdisk.field import FieldSpec
 from pdisk.harmonic import inverse, solve_harmonic
 from pdisk.hitchin import InvariantTuple
 from pdisk.jsonio import (
+    MAX_PRECISION,
     connection_from_json,
     connection_to_json,
     dumps_canonical,
@@ -163,6 +164,18 @@ class TestFieldHeader:
     def test_bad_modulus_type(self) -> None:
         with pytest.raises(SchemaError):
             field_from_obj({"p": 3, "ext_degree": 2, "modulus": "101"}, "$")
+
+    @pytest.mark.parametrize("precision", [MAX_PRECISION + 1, 10**12])
+    def test_precision_above_bound_refused(self, precision: int) -> None:
+        """Refused before parsing allocates ``precision`` coefficients."""
+        obj = {"p": 2, "var": "z", "precision": precision, "series": "1"}
+        with pytest.raises(SchemaError) as exc:
+            series_from_json(obj)
+        assert exc.value.path == "$.precision"
+
+    def test_precision_at_bound_accepted(self) -> None:
+        obj = {"p": 2, "var": "z", "precision": MAX_PRECISION, "series": "1 + z"}
+        assert series_from_json(obj).precision == MAX_PRECISION
 
 
 # ==========================================================================
