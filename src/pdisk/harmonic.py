@@ -46,7 +46,7 @@ from .hitchin import (
     phitchin,
 )
 from .matrix import SeriesMatrix
-from .series import TruncSeries, VAR_TWIST
+from .series import TruncSeries, VAR_TWIST, dot
 from .spectral import SpectralElement, SpectralRing, check_residue_split, hensel_eigen
 
 
@@ -156,10 +156,7 @@ def _lagrange_element(
     ring: SpectralRing, mus: tuple[TruncSeries, ...], values: list[TruncSeries]
 ) -> SpectralElement:
     """The ring element taking value values[i] at eigenvalue mus[i]."""
-    acc = ring.zero()
-    for value, basis in zip(values, ring.lagrange_basis(mus)):
-        acc = acc + ring.from_series(value) * basis
-    return acc
+    return dot([ring.from_series(v) for v in values], ring.lagrange_basis(mus))
 
 
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:

@@ -8,9 +8,10 @@ builds the companion matrix of det(t I - M) under the same convention,
 which makes char_invariants(companion_section(b)) = b an identity for
 every p.
 
-The determinant is computed division-free by Laplace expansion with
-shared subminors, valid over any commutative ring; nothing divides by
-1..n, so small p is safe.
+The characteristic polynomial is computed by Berkowitz's recursion
+(Inform. Process. Lett. 18, 1984) from sums of products and t-polynomial
+products alone.  It is division-free, so valid over any commutative ring;
+nothing divides by 1..n, so small p is safe.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     VarMismatch,
 )
 from .matrix import SeriesMatrix
-from .series import TruncSeries, VAR_TWIST
+from .series import TruncSeries, VAR_TWIST, dot
 
 MAX_RANK = 8
 
@@ -77,67 +78,41 @@ class InvariantTuple:
         return signed[::-1] + [TruncSeries.one(self.field, self.var, self.precision)]
 
 
-def _lambda_add(a: list[TruncSeries], b: list[TruncSeries]) -> list[TruncSeries]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] = out[i] + y
-    return out
-
-
 def poly_mul(a: Sequence[TruncSeries], b: Sequence[TruncSeries]) -> list[TruncSeries]:
-    """Product of two t-polynomials with series coefficients, ascending in t.
+    """Product of two t-polynomials with series coefficients: their convolution.
 
-    Each coefficient starts as its first product, so the series arithmetic
-    gives it the least precision among its terms.
+    Coefficient k is the sum of a[i] * b[k - i], so ascending and
+    descending coefficient lists both work.  Each coefficient is one dot,
+    at the least precision among its terms.  An empty operand gives [].
     """
     out: list[TruncSeries] = []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j == len(out):
-                out.append(x * y)
-            else:
-                out[i + j] = out[i + j] + x * y
+    for k in range(len(a) + len(b) - 1 if a and b else 0):
+        lo = max(0, k - len(b) + 1)
+        out.append(dot(a[lo : k + 1], b[k - lo :: -1]))
     return out
 
 
 def char_invariants(m: SeriesMatrix) -> InvariantTuple:
-    """Characteristic invariants of a matrix, division-free."""
+    """Characteristic invariants of a matrix, by Berkowitz's recursion."""
     n = m.rank
     if n > MAX_RANK:
         raise RankTooLarge(f"rank {n} exceeds the supported bound {MAX_RANK}")
+    e = m.entries
     one = TruncSeries.one(m.field, m.var, m.precision)
-
-    # entries of t*I - M as polynomials in t: degree 1 on the diagonal, 0 off it
-    def cell(i: int, j: int) -> list[TruncSeries]:
-        if i == j:
-            return [-m.entry(i, j), one]
-        return [-m.entry(i, j)]
-
-    # Row-by-row Laplace expansion over column subsets.  minors maps a
-    # column bitmask S with |S| = r to det(rows 0..r-1, cols S).
-    minors: dict[int, list[TruncSeries]] = {0: [one]}
-    for row in range(n):
-        nxt: dict[int, list[TruncSeries]] = {}
-        for mask, sub in minors.items():
-            for c in range(n):
-                if (mask >> c) & 1:
-                    continue
-                below = bin(mask & ((1 << c) - 1)).count("1")
-                term = poly_mul(cell(row, c), sub)
-                if (row + below) % 2 == 1:
-                    term = [-t for t in term]
-                newmask = mask | (1 << c)
-                if newmask in nxt:
-                    nxt[newmask] = _lambda_add(nxt[newmask], term)
-                else:
-                    nxt[newmask] = term
-        minors = nxt
-    charpoly = minors[(1 << n) - 1]
-    return InvariantTuple(
-        tuple(charpoly[n - i] if i % 2 == 0 else -charpoly[n - i] for i in range(1, n + 1))
-    )
+    # det(t I - A) of the leading k x k block A, descending in t.  Bordering
+    # A by row r, column c and corner a multiplies it by the Toeplitz matrix
+    # with first column 1, -a, -r c, -r A c, ..., -r A^(k-1) c.
+    charpoly = [one]
+    for k in range(n):
+        r = e[k][:k]
+        c = [row[k] for row in e[:k]]
+        column = [one, -e[k][k]]
+        for j in range(k):
+            if j:
+                c = [dot(row[:k], c) for row in e[:k]]
+            column.append(-dot(r, c))
+        charpoly = poly_mul(column, charpoly)[: k + 2]
+    return InvariantTuple(tuple(x if i % 2 == 0 else -x for i, x in enumerate(charpoly[1:], 1)))
 
 
 def companion_section(b: InvariantTuple) -> SeriesMatrix:

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, SingularGauge
 from .field import FieldSpec
-from .series import TruncSeries
+from .series import TruncSeries, dot
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,8 @@ class SeriesMatrix:
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_peer(other)
-        n = self.rank
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for t in range(1, n):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return SeriesMatrix(tuple(rows))
+        cols = tuple(zip(*other.entries))
+        return SeriesMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.entries))
 
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         if len(vec) != self.rank:

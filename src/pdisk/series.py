@@ -5,7 +5,7 @@ else; N is the precision.  Precision is data, not padding: every operation
 returns the largest precision actually warranted by its inputs and nothing
 is ever silently zero-filled.
 
-    add, mul        min(N_a, N_b)
+    add, mul, dot   min(N_a, N_b, ...)
     inverse         N_a           (unit constant term required)
     derivative      N_a - 1
     descend         ceil(N / p)   (see descend_pth_power)
@@ -25,7 +25,9 @@ projection sends z to z' and raises coefficients to the p-th power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from operator import add, mul
+from typing import Iterable, TypeVar
 
 from .backend import impl
 from .errors import (
@@ -78,11 +80,11 @@ class TruncSeries:
 
     @classmethod
     def one(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":
-        return cls.make(field, var, [1], precision)
+        return cls.constant(field, var, 1, precision)
 
     @classmethod
     def constant(cls, field: FieldSpec, var: str, c: int, precision: int) -> "TruncSeries":
-        return cls.make(field, var, [c], precision)
+        return cls.monomial(field, var, 0, precision, c)
 
     @classmethod
     def monomial(
@@ -240,3 +242,16 @@ class TruncSeries:
         from .jsonio import format_series
 
         return format_series(self)
+
+
+_R = TypeVar("_R")
+
+
+def dot(xs: Iterable[_R], ys: Iterable[_R]) -> _R:
+    """The sum of x * y over paired ring elements, at the least precision among the terms.
+
+    Works for any elements with ``+`` and ``*``: ``TruncSeries`` and
+    ``SpectralElement`` alike.  The pairing stops at the shorter input,
+    which must not be empty.
+    """
+    return reduce(add, map(mul, xs, ys))

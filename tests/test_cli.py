@@ -171,6 +171,29 @@ class TestExitCodes:
         assert payload["code"] == "SchemaError"
         assert payload["details"]["path"] == "$.precision"
 
+    def test_precision_zero_matrix_has_invariants(self, capsys, tmp_path) -> None:
+        doc = {"p": 2, "var": "z", "precision": 0, "rank": 1, "matrix": [["0"]]}
+        path = write_doc(tmp_path, "m.json", doc)
+        code, out, err = run(capsys, ["invariants", "-i", path, "--json"])
+        assert (code, err) == (0, "")
+        body = json.loads(out)
+        assert body["precision"] == 0 and body["entries"] == ["0"]
+
+    @pytest.mark.parametrize("command", ["cmap", "cinv"])
+    def test_precision_zero_datum_is_insufficient(self, capsys, tmp_path, command: str) -> None:
+        base = {"p": 2, "precision": 0, "rank": 1, "entries": ["0"]}
+        datum = {
+            "b_prime": dict(base, var="z'"),
+            "frame": "rank1",
+            "theta": {"b": dict(base, var="z"), "coeffs_in_lambda": ["0"]},
+        }
+        var = "z'" if command == "cmap" else "z"
+        other = {"p": 2, "var": var, "precision": 0, "rank": 1, "matrix": [["0"]]}
+        paths = [write_doc(tmp_path, "datum.json", datum), write_doc(tmp_path, "other.json", other)]
+        code, out, err = run(capsys, [command, "-i", paths[0], "-i", paths[1]])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "InsufficientPrecision"
+
     def test_unreadable_file_is_two(self, capsys, tmp_path) -> None:
         code, _, err = run(capsys, ["pcurv", "-i", str(tmp_path / "absent.json")])
         assert code == 2

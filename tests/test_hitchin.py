@@ -82,6 +82,26 @@ class TestCharInvariants:
         with pytest.raises(RankTooLarge):
             char_invariants(SeriesMatrix.identity(F2, VAR_DISK, 9, 3))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_sympy(self, p: int, n: int) -> None:
+        # independent oracle: det(t I - M) over Z[z] by sympy, then mod (p, z^N)
+        import sympy
+
+        z, t = sympy.symbols("z t")
+        rng = SplitMix64(100 * p + n)
+        prec = 1 + rng.below(8)
+        m = rng.matrix(FieldSpec(p), VAR_DISK, n, prec)
+        lifted = sympy.Matrix(
+            n, n, lambda i, j: sum(c * z**e for e, c in enumerate(m.entry(i, j).coeffs))
+        )
+        char = lifted.charpoly(t).all_coeffs()
+        want = []
+        for i in range(1, n + 1):
+            b_i = sympy.Poly((-1) ** i * char[i], z)
+            want.append(tuple(int(b_i.coeff_monomial(z**e)) % p for e in range(prec)))
+        assert [e.coeffs for e in char_invariants(m).entries] == want
+
 
 # ==========================================================================
 # companion_section

@@ -15,7 +15,7 @@ from pdisk.connection import Connection, pcurv
 from pdisk.field import FieldSpec
 from pdisk.hitchin import InvariantTuple, char_invariants
 from pdisk.matrix import SeriesMatrix
-from pdisk.series import TruncSeries, VAR_DISK
+from pdisk.series import TruncSeries, VAR_DISK, dot
 from pdisk.spectral import SpectralRing, eval_at
 
 FIELDS = [FieldSpec(3), FieldSpec(5), FieldSpec(3, 2, (1, 0, 1))]
@@ -86,6 +86,20 @@ def test_series_unary_operations(data, field: FieldSpec, n: int) -> None:
         out = op(a)
         assert out.precision == want
         assert_sound(out, op(a_ext))
+
+
+@given(
+    data=st.data(),
+    field=fields,
+    ns=st.lists(st.tuples(precisions, precisions), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_dot(data, field: FieldSpec, ns: list[tuple[int, int]]) -> None:
+    xs = [data.draw(series_pair(field, nx)) for nx, _ in ns]
+    ys = [data.draw(series_pair(field, ny)) for _, ny in ns]
+    out = dot([x for x, _ in xs], [y for y, _ in ys])
+    assert out.precision == min(min(pair) for pair in ns)
+    assert_sound(out, dot([x for _, x in xs], [y for _, y in ys]))
 
 
 # -- spectral ring ------------------------------------------------------------

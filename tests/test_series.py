@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ZeroPrecision):
             empty.descend_pth_power()
 
+    def test_constants_at_precision_zero(self) -> None:
+        for s in (TruncSeries.one(F9, VAR_DISK, 0), TruncSeries.constant(F9, VAR_TWIST, 5, 0)):
+            assert s.precision == 0 and s.coeffs == ()
+        assert TruncSeries.constant(F9, VAR_DISK, 5, 2).coeffs == (5, 0)
+
     def test_coeff_reads(self) -> None:
         s = S(F3, "1 + 2*z^2", 4)
         assert [s.coeff(m) for m in range(4)] == [1, 0, 2, 0]
