@@ -154,22 +154,22 @@ def cmd_solve_harmonic(args) -> tuple[Any, int]:
     return jsonio.package_to_json(solve_harmonic(conn)), 0
 
 
-def _split_datum_and(docs: list[Any], other_key: str) -> tuple[Any, Any]:
-    """Pick out the harmonic-datum document; the other must carry other_key."""
+def _split_datum_and_matrix(docs: list[Any]) -> tuple[Any, Any]:
+    """Pick out the harmonic-datum document; the other must carry "matrix"."""
     if isinstance(docs[0], dict) and "theta" in docs[0]:
         datum_doc, other_doc = docs[0], docs[1]
     elif isinstance(docs[1], dict) and "theta" in docs[1]:
         datum_doc, other_doc = docs[1], docs[0]
     else:
         raise SchemaError('neither input looks like a harmonic datum (no "theta" key)', "$")
-    if not (isinstance(other_doc, dict) and other_key in other_doc):
-        raise SchemaError(f'expected the second document to carry "{other_key}"', "$")
+    if not (isinstance(other_doc, dict) and "matrix" in other_doc):
+        raise SchemaError('expected the second document to carry "matrix"', "$")
     return datum_doc, other_doc
 
 
 def cmd_cmap(args) -> tuple[Any, int]:
     docs = _inputs(args, 2, 2)
-    datum_doc, higgs_doc = _split_datum_and(docs, "matrix")
+    datum_doc, higgs_doc = _split_datum_and_matrix(docs)
     datum = jsonio.harmonic_from_json(datum_doc, fallback_p=args.p)
     higgs = jsonio.matrix_from_json(higgs_doc, fallback_p=args.p)
     return jsonio.connection_to_json(cmap(datum, higgs)), 0
@@ -177,7 +177,7 @@ def cmd_cmap(args) -> tuple[Any, int]:
 
 def cmd_cinv(args) -> tuple[Any, int]:
     docs = _inputs(args, 2, 2)
-    datum_doc, conn_doc = _split_datum_and(docs, "matrix")
+    datum_doc, conn_doc = _split_datum_and_matrix(docs)
     datum = jsonio.harmonic_from_json(datum_doc, fallback_p=args.p)
     conn = jsonio.connection_from_json(conn_doc, fallback_p=args.p)
     return jsonio.package_to_json(cinv(conn, datum)), 0
@@ -200,6 +200,8 @@ def cmd_verify(args) -> tuple[Any, int]:
             FieldSpec(p)
         except ValueError as exc:
             raise SchemaError(str(exc), "--p") from exc
+        if p > verify.MAX_PRIME:
+            raise SchemaError(f"prime {p} is above {verify.MAX_PRIME}, the suites' bound", "--p")
     ranks = _int_list(args.rank, "--rank")
     for n in ranks:
         if not 1 <= n <= MAX_RANK:
@@ -214,22 +216,18 @@ def cmd_verify(args) -> tuple[Any, int]:
         )
     if args.trials < 1:
         raise SchemaError(f"trials must be at least 1, got {args.trials}", "--trials")
-    if args.precision is None:
-        top, flag = 3 * max(ps) + 4, "--p"
-    else:
-        top, flag = args.precision, "--precision"
+    prec, top = args.precision, jsonio.MAX_PRECISION
+    if prec is not None:
         floor = max(verify.PRECISION_FLOORS[s](p) for s in suites for p in ps)
-        if args.precision < floor:
+        if prec < floor:
             raise SchemaError(
-                f"precision {args.precision} is below {floor}, "
+                f"precision {prec} is below {floor}, "
                 "the floor of the requested suites and primes",
                 "--precision",
             )
-    if top > jsonio.MAX_PRECISION:
-        raise SchemaError(f"working precision {top} is above {jsonio.MAX_PRECISION}", flag)
-    report = verify.run_suite(
-        args.suite, ps, ranks, args.precision, args.trials, args.seed
-    )
+        if prec > top:
+            raise SchemaError(f"working precision {prec} is above {top}", "--precision")
+    report = verify.run_suite(args.suite, ps, ranks, prec, args.trials, args.seed)
     return report, (0 if report["fail"] == 0 else 1)
 
 
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run seeded property suites", description="run seeded property suites")
     v.add_argument("--suite", default="all", choices=("all",) + verify.SUITES, help="which suite to run")
-    v.add_argument("--p", metavar="LIST", help="comma separated primes (default 2,3,5)")
+    v.add_argument("--p", metavar="LIST", help=f"comma separated primes up to {verify.MAX_PRIME} (default 2,3,5)")
     v.add_argument("--rank", default="1,2", metavar="LIST", help="comma separated ranks (default 1,2)")
     v.add_argument("--precision", type=int, default=None, help="working precision (default 3p+4 per prime)")
     v.add_argument("--trials", type=int, default=25, help="trials per property and grid cell")

@@ -151,12 +151,10 @@ def _need_int(obj: Any, key: str, path: str) -> int:
     return v
 
 
-def _need_var(obj: Any, path: str, expect: str | None = None) -> str:
+def _need_var(obj: Any, path: str) -> str:
     v = _need(obj, "var", path)
     if v not in (VAR_DISK, VAR_TWIST):
         raise SchemaError(f"var must be 'z' or \"z'\", got {v!r}", f"{path}.var")
-    if expect is not None and v != expect:
-        raise SchemaError(f"expected var {expect!r}, got {v!r}", f"{path}.var")
     return v
 
 

@@ -142,31 +142,20 @@ class SeriesMatrix:
         matrix is invertible over the field; otherwise SingularGauge.
         """
         n = self.rank
-        prec = self.precision
-        work = [list(row) for row in self.entries]
-        inv = [list(row) for row in SeriesMatrix.identity(self.field, self.var, n, prec).entries]
+        ident = SeriesMatrix.identity(self.field, self.var, n, self.precision).entries
+        rows = [list(a + e) for a, e in zip(self.entries, ident)]
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if work[r][col].is_unit():
-                    piv = r
-                    break
+            piv = next((r for r in range(col, n) if rows[r][col].is_unit()), None)
             if piv is None:
                 raise SingularGauge("constant-term matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            ipiv = work[col][col].inverse()
-            work[col] = [e * ipiv for e in work[col]]
-            inv[col] = [e * ipiv for e in inv[col]]
+            rows[col], rows[piv] = rows[piv], rows[col]
+            ipiv = rows[col][col].inverse()
+            rows[col] = [e * ipiv for e in rows[col]]
             for r in range(n):
-                if r == col:
-                    continue
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-        return SeriesMatrix(tuple(tuple(row) for row in inv))
+                f = rows[r][col]
+                if r != col and not f.is_zero():
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        return SeriesMatrix(tuple(tuple(row[n:]) for row in rows))
 
     def conjugate_by(self, g: "SeriesMatrix") -> "SeriesMatrix":
         """g^(-1) @ self @ g."""

@@ -54,7 +54,7 @@ class TruncSeries:
     def __post_init__(self) -> None:
         if self.var not in (VAR_DISK, VAR_TWIST):
             raise VarMismatch(f"unknown variable {self.var!r}")
-        object.__setattr__(self, "coeffs", tuple(self.field.validate(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(self.field.validate, self.coeffs)))
 
     # -- construction -----------------------------------------------------
 

@@ -58,6 +58,11 @@ def eval_at(coeffs: Sequence[TruncSeries], mu: TruncSeries) -> TruncSeries:
     return acc
 
 
+def t_derivative(coeffs: Sequence[TruncSeries]) -> list[TruncSeries]:
+    """d/dt of a t-polynomial given by ascending series coefficients."""
+    return [c.scale_int(i) for i, c in enumerate(coeffs[1:], 1)]
+
+
 @dataclass(frozen=True)
 class SpectralRing:
     """O[t]/(char_b), b an invariant tuple in either coordinate."""
@@ -80,11 +85,18 @@ class SpectralRing:
     def precision(self) -> int:
         return self.b.precision
 
-    def char_poly(self) -> list[TruncSeries]:
+    @cached_property
+    def char(self) -> list[TruncSeries]:
+        """char_b as ascending t-coefficients (length n + 1, monic)."""
         return self.b.char_poly()
 
+    @cached_property
+    def dchar(self) -> list[TruncSeries]:
+        """The t-derivative char_b' (length n)."""
+        return t_derivative(self.char)
+
     def residue_char(self) -> list[int]:
-        return [c.coeff(0) for c in self.char_poly()]
+        return [c.coeff(0) for c in self.char]
 
     # -- element construction ---------------------------------------------
 
@@ -99,9 +111,6 @@ class SpectralRing:
         while len(padded) < n:
             padded.append(zero)
         return SpectralElement(self, tuple(padded))
-
-    def zero(self) -> "SpectralElement":
-        return self.element([TruncSeries.zero(self.field, self.var, self.precision)])
 
     def one(self) -> "SpectralElement":
         return self.element([TruncSeries.one(self.field, self.var, self.precision)])
@@ -119,7 +128,7 @@ class SpectralRing:
     def _reduce(self, coeffs: list[TruncSeries]) -> list[TruncSeries]:
         """Reduce a t-polynomial by the monic characteristic polynomial."""
         n = self.rank
-        q = self.char_poly()
+        q = self.char
         out = list(coeffs)
         for i in range(len(out) - 1, n - 1, -1):
             lead = out.pop()
@@ -141,9 +150,8 @@ class SpectralRing:
         """
         n = self.rank
         prec = self.precision
-        char = self.char_poly()
+        char, dchar = self.char, self.dchar
         res_roots = check_residue_split(self.field, self.residue_char(), n)
-        dchar = [char[i + 1].scale_int(i + 1) for i in range(n)]
         mus = []
         for r in res_roots:
             mu = TruncSeries.constant(self.field, self.var, r, prec)
@@ -175,12 +183,9 @@ class SpectralRing:
     @cached_property
     def _derivation_table(self) -> "SpectralElement | None":
         """dt/dz as a ring element, or None when unavailable."""
-        q = self.char_poly()
-        n = self.rank
-        dchar = self.element([q[i + 1].scale_int(i + 1) for i in range(n)])
-        dz = self.element([q[i].derivative() for i in range(n)])
+        dz = self.element([c.derivative() for c in self.char[:-1]])
         try:
-            return -(dz * dchar.inverse())
+            return -(dz * self.element(self.dchar).inverse())
         except NonUnit:
             return None
 
@@ -262,12 +267,9 @@ class SpectralElement:
     def derivative(self) -> "SpectralElement":
         """The extended z-derivation: coefficientwise d/dz plus dt/dz d/dt."""
         dz_part = self.ring.element([c.derivative() for c in self.coeffs])
-        n = self.ring.rank
-        if n == 1:
+        if self.ring.rank == 1:
             return dz_part
-        dt = self.ring.derivation()
-        ddt = [self.coeffs[i + 1].scale_int(i + 1) for i in range(n - 1)]
-        return dz_part + self.ring.element(ddt) * dt
+        return dz_part + self.ring.element(t_derivative(self.coeffs)) * self.ring.derivation()
 
     # -- evaluation -------------------------------------------------------
 

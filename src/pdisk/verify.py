@@ -23,7 +23,7 @@ from .connection import Connection, check_horizontality, dlog, gauge, pcurv
 from .errors import NonSplitResidue, NonzeroPCurvature, PdiskError, RepeatedResidueRoot
 from .field import FieldSpec
 from .harmonic import cinv, cmap, inverse, solve_harmonic, torsor_difference
-from .hitchin import InvariantTuple, char_invariants, companion_section, phitchin
+from .hitchin import InvariantTuple, char_invariants, companion_section, descend_invariants, phitchin
 from .matrix import SeriesMatrix
 from .rng import SplitMix64
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
@@ -101,15 +101,7 @@ def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec:
         residual=lambda: jsonio.matrix_to_json(resid),
     )
     b = char_invariants(psi.matrix)
-    ok = all(c == 0 for e in b.entries for m, c in enumerate(e.coeffs) if m % p != 0)
-    detail: dict[str, Any] = {}
-    if ok:
-        try:
-            phitchin(conn)
-        except PdiskError as exc:
-            ok = False
-            detail = exc.payload()
-    tally.record("invariant_descent", ok, connection=conn_json, error=detail)
+    tally.check("invariant_descent", lambda: descend_invariants(b).rank == n, connection=conn_json)
 
 
 def _suite_hitchin(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
@@ -136,15 +128,10 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
     p = field.p
     g = rng.unit_matrix(field, VAR_DISK, n, prec)
     conn = gauge(g, Connection(SeriesMatrix.zero(field, VAR_DISK, n, prec)))
-    ok = True
-    detail: dict[str, Any] = {}
-    try:
-        flat_sections(conn)
-    except NonzeroPCurvature as exc:
-        ok = False
-        detail = exc.payload()
-    tally.record(
-        "pullback_flat", ok, connection=lambda: jsonio.connection_to_json(conn), error=detail
+    tally.check(
+        "pullback_flat",
+        lambda: flat_sections(conn).rank == n,
+        connection=lambda: jsonio.connection_to_json(conn),
     )
 
     diag = [dlog(rng.unit_series(field, VAR_DISK, prec)) for _ in range(n)]
@@ -288,6 +275,10 @@ PRECISION_FLOORS: dict[str, Callable[[int], int]] = {
     "harmonic": lambda p: 2 * p + 2,
     "roundtrip": lambda p: 2 * p + 3,
 }
+
+# The largest prime the CLI runs suites at: a trial costs about p^2 at the
+# default precision, and the default grid at p = 53 took 32 s (README).
+MAX_PRIME = 53
 
 # exactness properties are scalar; that suite ignores the rank grid
 _RANK_FREE = {"exactness"}

@@ -137,6 +137,7 @@ class TestExitCodes:
             (["--suite", "roundtrip", "--p", "3", "--rank", "4"], "--rank"),
             (["--precision", str(10**12)], "--precision"),
             (["--p", "1000003"], "--p"),
+            (["--p", "1361", "--suite", "pcurv", "--rank", "1"], "--p"),
         ],
         ids=[
             "trials-0",
@@ -149,6 +150,7 @@ class TestExitCodes:
             "roundtrip-rank-above-p",
             "precision-above-bound",
             "default-precision-above-bound",
+            "prime-above-bound",
         ],
     )
     def test_verify_flag_that_cannot_check_is_schema_error(self, capsys, flags, path) -> None:

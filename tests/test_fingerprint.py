@@ -4,8 +4,8 @@ Each value is the sha256 of canonical JSON that the package emits for a fixed
 seed.  A refactor that keeps behaviour keeps every pin; a change that moves
 any emitted coefficient, certificate or ordering breaks one.  The extension
 field pin is the only byte-level guard of the k > 1 path through
-solve_harmonic, cmap and cinv; the rank-3 pins guard the full Laplace
-expansion of char_invariants and the cubic spectral rings.  The eigen-split
+solve_harmonic, cmap and cinv; the rank-3 pins guard Berkowitz's recursion
+in char_invariants and the cubic spectral rings.  The eigen-split
 pins cover what no package carries: the unit u of torsor_difference and the
 Lagrange projectors of hensel_eigen.
 """
@@ -41,7 +41,7 @@ def test_verify_all_report() -> None:
 
 
 def test_verify_all_report_rank3() -> None:
-    """Rank 3 runs the full Laplace expansion and a cubic spectral ring."""
+    """Rank 3 runs Berkowitz's recursion and a cubic spectral ring."""
     report = run_suite("all", [7], [3], None, 1, 5)
     digest = sha(dumps_canonical(report, compact=True))
     assert digest == "2e08ece3994a6e32c2422639b9a06999667d7fed1f7f0496e13022203db0248a"

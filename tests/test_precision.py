@@ -9,9 +9,10 @@ precision against the formula its docstring documents.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdisk.connection import Connection, pcurv
+from pdisk.errors import DerivationUnavailable
 from pdisk.field import FieldSpec
 from pdisk.hitchin import InvariantTuple, char_invariants
 from pdisk.matrix import SeriesMatrix
@@ -53,6 +54,35 @@ def matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
     known = SeriesMatrix.from_rows([[c[0] for c in row] for row in cells])
     extended = SeriesMatrix.from_rows([[c[1] for c in row] for row in cells])
     return known, extended
+
+
+@st.composite
+def unit_matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
+    """A matrix pair as in matrix_pair whose constant-term matrix is invertible.
+
+    The constant terms are the rows, in a drawn order, of an upper triangular
+    matrix with nonzero diagonal.  Whenever the first row is not the
+    triangle's first, the leading entry is zero and elimination must swap.
+    """
+    known, extended = draw(matrix_pair(field, rank, precision))
+    order = draw(st.permutations(range(rank)))
+    units = st.integers(1, field.q - 1)
+
+    def with_residue(m: SeriesMatrix, residue) -> SeriesMatrix:
+        return SeriesMatrix.from_rows(
+            [
+                [TruncSeries(field, VAR_DISK, (c,) + e.coeffs[1:]) for c, e in zip(rrow, row)]
+                for rrow, row in zip(residue, m.entries)
+            ]
+        )
+
+    residue = []
+    for i in order:
+        row = list(known.residue()[len(residue)])
+        row[:i] = [0] * i
+        row[i] = draw(units)
+        residue.append(row)
+    return with_residue(known, residue), with_residue(extended, residue)
 
 
 def assert_sound(stated, extended) -> None:
@@ -122,6 +152,25 @@ def test_spectral_element_operations(data, field: FieldSpec, n: int, nb: int, na
         assert_sound(out, op(x_ext, y_ext))
 
 
+@given(data=st.data(), field=fields, n=ranks, nb=precisions, na=precisions)
+@settings(max_examples=40, deadline=None)
+def test_spectral_derivative(data, field: FieldSpec, n: int, nb: int, na: int) -> None:
+    """d/dz drops one order of the element, whose precision the ring caps."""
+    extra = data.draw(st.integers(1, 4))
+    b = [data.draw(series_pair(field, nb, extra=extra)) for _ in range(n)]
+    ring = SpectralRing(InvariantTuple(tuple(e for e, _ in b)))
+    ring_ext = SpectralRing(InvariantTuple(tuple(e for _, e in b)))
+    try:
+        ring.derivation()
+    except DerivationUnavailable:
+        assume(False)
+    a = [data.draw(series_pair(field, na)) for _ in range(n)]
+    x, x_ext = ring.element([s for s, _ in a]), ring_ext.element([s for _, s in a])
+    out = x.derivative()
+    assert out.precision == min(na, nb) - 1
+    assert_sound(out, x_ext.derivative())
+
+
 @given(
     data=st.data(),
     field=fields,
@@ -148,6 +197,27 @@ def test_matrix_product(data, field: FieldSpec, n: int, na: int, nb: int) -> Non
     out = a @ b
     assert out.precision == min(na, nb)
     assert_sound(out, a_ext @ b_ext)
+
+
+@given(data=st.data(), field=fields, n=ranks, prec=precisions)
+@settings(max_examples=40, deadline=None)
+def test_matrix_inverse(data, field: FieldSpec, n: int, prec: int) -> None:
+    a, a_ext = data.draw(unit_matrix_pair(field, n, prec))
+    out = a.inverse()
+    assert out.precision == prec
+    assert_sound(out, a_ext.inverse())
+    assert (a @ out).agrees_with(SeriesMatrix.identity(field, VAR_DISK, n, prec))
+
+
+def test_matrix_inverse_swaps_a_non_unit_pivot() -> None:
+    """Leading entry z is not a unit, so the first step swaps in row 2."""
+    field = FieldSpec(5)
+    z, one = (TruncSeries.make(field, VAR_DISK, c, 6) for c in ([0, 1], [1]))
+    a = SeriesMatrix.from_rows([[z, one], [one, one + z]])
+    out = a.inverse()
+    assert out.precision == 6
+    assert (a @ out).agrees_with(SeriesMatrix.identity(field, VAR_DISK, 2, 6))
+    assert (out @ a).agrees_with(SeriesMatrix.identity(field, VAR_DISK, 2, 6))
 
 
 @given(data=st.data(), field=fields, n=ranks, extra=st.integers(1, 5))
