@@ -85,8 +85,8 @@ class HarmonicDatum:
     curvature_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.frame not in ("rank1", "eigen"):
-            raise DimensionMismatch(f"unknown frame tag {self.frame!r}")
+        if self.frame != ("rank1" if self.rank == 1 else "eigen"):
+            raise DimensionMismatch(f"frame tag {self.frame!r} does not fit rank {self.rank}")
         if self.curvature_sign not in (1, -1):
             raise DimensionMismatch("curvature_sign must be +1 or -1")
         if self.b_prime.var != VAR_TWIST:
@@ -152,11 +152,9 @@ class CorrespondencePackage:
         return self.harmonic.b_prime
 
 
-def _lagrange_element(
-    ring: SpectralRing, mus: tuple[TruncSeries, ...], values: list[TruncSeries]
-) -> SpectralElement:
-    """The ring element taking value values[i] at eigenvalue mus[i]."""
-    return dot([ring.from_series(v) for v in values], ring.lagrange_basis(mus))
+def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> SpectralElement:
+    """The ring element taking value values[i] at the ring's eigenvalue i."""
+    return dot([ring.from_series(v) for v in values], ring.lagrange_basis)
 
 
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:
@@ -164,11 +162,11 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
 
     Rank 1: theta is the connection matrix itself.  Higher rank: pass to
     the eigen frame of the p-curvature, where the connection matrix is
-    provably diagonal; theta is the Lagrange class of that diagonal, and
-    the Higgs side is the descended eigenvalue diagonal.  Certificates
-    checked before returning: theta's in-ring p-curvature is lambda, its
-    endomorphism commutes with the p-curvature, and the theta-twisted
-    connection admits a full flat frame.
+    provably diagonal; theta is the Lagrange class of that diagonal in the
+    ring hensel_eigen split, and the Higgs side is the descended eigenvalue
+    diagonal.  Certificates checked before returning: theta's in-ring
+    p-curvature is lambda, and the theta-twisted connection admits a full
+    flat frame.
     """
     p = conn.field.p
     n = conn.rank
@@ -179,10 +177,9 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     psi = pcurv(conn)
     b = char_invariants(psi.matrix)
     b_prime = descend_invariants(b)
-    ring = SpectralRing(b)
 
     if n == 1:
-        theta = ring.from_series(conn.matrix.entry(0, 0))
+        theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
         higgs = SeriesMatrix.diagonal([b_prime.entries[0]])
         link = SeriesMatrix.identity(conn.field, conn.matrix.var, 1, psi.matrix.precision)
         datum = HarmonicDatum(b_prime, theta, "rank1")
@@ -200,15 +197,12 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
                         column=j,
                     )
             diag.append(a_eig.entry(i, i))
-        theta = _lagrange_element(ring, eigen.mus, diag)
+        theta = _lagrange_element(eigen.ring, diag)
         higgs = descend_certified(SeriesMatrix.diagonal(eigen.mus), "matrix", _HORIZONTAL)
         link = eigen.gauge
         datum = HarmonicDatum(b_prime, theta, "eigen")
 
-    endo = datum.endomorphism(psi.matrix)
-    if not ((psi.matrix @ endo) - (endo @ psi.matrix)).is_zero():
-        raise InternalInconsistency("theta's endomorphism does not commute with psi")
-    twisted = Connection(conn.matrix - endo)
+    twisted = Connection(conn.matrix - datum.endomorphism(psi.matrix))
     try:
         flat_frame = flat_sections(twisted)
     except NonzeroPCurvature as exc:
@@ -317,11 +311,11 @@ def torsor_difference(
         u = ring.from_series(kernel_unit(OneForm(delta.coeffs[0])))
     else:
         try:
-            mus = ring.eigenvalues()
+            mus = ring.eigenvalues
         except (NonSplitResidue, RepeatedResidueRoot):
             return delta, None
         units = [kernel_unit(OneForm(delta.eval_series(mu))) for mu in mus]
-        u = _lagrange_element(ring, mus, units)
+        u = _lagrange_element(ring, units)
     if not dlog(u).agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")
     return delta, u

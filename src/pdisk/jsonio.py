@@ -385,8 +385,9 @@ def harmonic_from_json(obj: Any, path: str = "$", fallback_p: int | None = None)
     b_prime = invariants_from_json(_need(obj, "b_prime", path), f"{path}.b_prime", fallback_p)
     theta = spectral_from_json(_need(obj, "theta", path), f"{path}.theta", fallback_p)
     frame = _need(obj, "frame", path)
-    if frame not in ("rank1", "eigen"):
-        raise SchemaError(f"frame must be rank1 or eigen, got {frame!r}", f"{path}.frame")
+    want = "rank1" if b_prime.rank == 1 else "eigen"
+    if frame != want:
+        raise SchemaError(f"rank {b_prime.rank} needs frame {want}, got {frame!r}", f"{path}.frame")
     sign = obj.get("curvature_sign", 1)
     if sign not in (1, -1):
         raise SchemaError("curvature_sign must be 1 or -1", f"{path}.curvature_sign")

@@ -10,16 +10,16 @@ R, by differentiating the defining relation:
 
     dt/dz = - char_b^{dz}(t) * char_b'(t)^(-1)
 
-where char_b^{dz} differentiates the coefficients only.  When char_b'(t)
-is not a unit (an inseparable or ramified cover) the ring is flagged
-derivation-free and derivative-taking operations refuse.
+where char_b^{dz} differentiates the coefficients only (zero over a base
+F*(b'), so no inverse is formed).  When char_b'(t) is not a unit, the
+ring is flagged derivation-free and derivative-taking operations refuse.
 
-On the split stratum a spectral ring carries two more facts: its
-eigenvalues (the residue roots of char_b, lifted to series by Newton
+On the split stratum a spectral ring carries two more facts, each cached:
+its eigenvalues (the residue roots of char_b, lifted to series by Newton
 iteration) and the Lagrange basis at them.  hensel_eigen evaluates that
-basis at a p-curvature matrix to get its projectors and an eigenbasis;
-the preconditions (split, simple residue spectrum) are reported precisely
-when they fail.
+basis at a p-curvature matrix to get its projectors and an eigenbasis, and
+keeps the ring; the preconditions (split, simple residue spectrum) are
+reported precisely when they fail.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ class SpectralRing:
 
     # -- split stratum ----------------------------------------------------
 
-    def eigenvalues(self) -> list[TruncSeries]:
+    @cached_property
+    def eigenvalues(self) -> tuple[TruncSeries, ...]:
         """The n roots of char_b in the series ring, by Newton iteration.
 
         Requires the residue characteristic polynomial to have n distinct
@@ -160,34 +161,35 @@ class SpectralRing:
             if not eval_at(char, mu).is_zero():
                 raise InternalInconsistency("Newton lifting failed to converge")
             mus.append(mu)
-        return mus
+        return tuple(mus)
 
-    def lagrange_basis(self, mus: Sequence[TruncSeries]) -> list["SpectralElement"]:
-        """The elements L_i with L_i(mus[j]) = 1 if i = j, else 0.
+    @cached_property
+    def lagrange_basis(self) -> tuple["SpectralElement", ...]:
+        """The elements L_i with L_i(mu_j) = 1 if i = j, else 0, at the eigenvalues.
 
-        L_i = prod over j != i of (t - mus[j]) / (mus[i] - mus[j]), of
-        degree n - 1 in t; the differences must be units.
+        L_i = prod over j != i of (t - mu_j) / (mu_i - mu_j), of degree
+        n - 1 in t; the differences are units on the split stratum.
         """
         basis = []
-        for i, mu in enumerate(mus):
+        for i, mu in enumerate(self.eigenvalues):
             elt = self.one()
-            for j, other in enumerate(mus):
+            for j, other in enumerate(self.eigenvalues):
                 if j != i:
                     c = (mu - other).inverse()
                     elt = elt * self.element([-(other * c), c])
             basis.append(elt)
-        return basis
+        return tuple(basis)
 
     # -- derivation -------------------------------------------------------
 
     @cached_property
     def _derivation_table(self) -> "SpectralElement | None":
-        """dt/dz as a ring element, or None when unavailable."""
+        """dt/dz as a ring element (zero over a pulled-back base), or None when unavailable."""
         dz = self.element([c.derivative() for c in self.char[:-1]])
-        try:
-            return -(dz * self.element(self.dchar).inverse())
-        except NonUnit:
+        dchar = self.element(self.dchar)
+        if not dchar.is_unit():
             return None
+        return dz if dz.is_zero() else -(dz * dchar.inverse())
 
     def derivation(self) -> "SpectralElement":
         dt = self._derivation_table
@@ -292,16 +294,20 @@ class SpectralElement:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Split spectral data of a p-curvature matrix."""
+    """Split spectral data of a p-curvature matrix; mus are the ring's eigenvalues."""
 
-    mus: tuple[TruncSeries, ...]
+    ring: SpectralRing
     projectors: tuple[SeriesMatrix, ...]
     gauge: SeriesMatrix
     gauge_inv: SeriesMatrix
 
     @property
+    def mus(self) -> tuple[TruncSeries, ...]:
+        return self.ring.eigenvalues
+
+    @property
     def rank(self) -> int:
-        return len(self.mus)
+        return self.ring.rank
 
 
 def check_residue_split(field, res_char: list[int], n: int) -> list[int]:
@@ -349,10 +355,11 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
 def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
     """Split eigen structure of a p-curvature matrix.
 
-    The eigenvalues are SpectralRing(bp).eigenvalues(), ascending by the
+    The eigenvalues are SpectralRing(bp).eigenvalues, ascending by the
     field encoding of their residues; the projectors are the ring's
-    Lagrange basis at them evaluated at the matrix, and a unit column of
-    each projector makes the eigenbasis.
+    Lagrange basis evaluated at the matrix, and a unit column of each
+    projector makes the eigenbasis.  The returned EigenData carries that
+    ring, so its eigenvalues and Lagrange basis are not computed again.
 
     NonSplitResidue suggests the extension degree (over the current
     coefficient field) that would make the whole residue spectrum
@@ -367,8 +374,7 @@ def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
     prec = min(m.precision, bp.precision)
     m = m.truncate(prec)
     ring = SpectralRing(bp.truncate(prec))
-    mus = ring.eigenvalues()
-    projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis(mus)]
+    projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis]
 
     cols = []
     for i in range(n):
@@ -383,4 +389,4 @@ def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
         cols.append(chosen)
     g = SeriesMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
     g_inv = g.inverse()
-    return EigenData(tuple(mus), tuple(projectors), g, g_inv)
+    return EigenData(ring, tuple(projectors), g, g_inv)

@@ -186,8 +186,9 @@ def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, p
 def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int):
     """A random connection whose p-curvature the eigen machinery accepts.
 
-    When the retry budget runs out, records the instance_generation
-    failure and returns (None, None).
+    When the retry budget runs out, or solve_harmonic raises any other
+    PdiskError, records the instance_generation failure and returns
+    (None, None).
     """
     for _ in range(_ACCEPT_TRIES):
         conn = Connection(rng.matrix(field, VAR_DISK, n, prec))
@@ -195,6 +196,10 @@ def _accepted_instance(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int,
             return conn, solve_harmonic(conn)
         except (NonSplitResidue, RepeatedResidueRoot):
             continue
+        except PdiskError as exc:
+            conn_json = lambda: jsonio.connection_to_json(conn)
+            tally.record("instance_generation", False, connection=conn_json, error=exc.payload())
+            return None, None
     tally.record("instance_generation", False, note="no accepted instance within retry budget")
     return None, None
 
@@ -210,9 +215,10 @@ def _suite_harmonic(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pr
     tally.record(
         "twisted_curvature_zero", pcurv(twisted).matrix.is_zero(), connection=conn_json
     )
-    tally.record(
-        "commutation", ((psi.matrix @ a) - (a @ psi.matrix)).is_zero(), connection=conn_json
-    )
+    # theta(psi) is frame-free: theta at the pulled-back Higgs side, moved by the gauge g
+    g = pkg.gauge
+    in_frame = g @ pkg.harmonic.theta.eval_matrix(pkg.higgs.expand_pth_power()) @ g.inverse()
+    tally.record("commutation", a.agrees_with(in_frame), connection=conn_json)
     psi_flat = psi.matrix.conjugate_by(pkg.flat_frame)
     tally.record(
         "transported_horizontal", psi_flat.derivative().is_zero(), connection=conn_json

@@ -406,6 +406,17 @@ class TestCorrespondenceFlow:
         code2, out2, _ = run(capsys, ["cmap", "-i", higgs, "-i", datum])
         assert out2 == out
 
+    def test_frame_tag_that_disagrees_with_rank_is_schema_error(self, capsys, tmp_path) -> None:
+        pkg = self.solve(capsys, tmp_path, [["0", "0"], ["0", "1"]], p=3, precision=13)
+        datum_doc = dict(pkg["harmonic"], frame="rank1")
+        datum = write_doc(tmp_path, "datum.json", datum_doc)
+        higgs = write_doc(tmp_path, "higgs.json", pkg["higgs"])
+        code, out, err = run(capsys, ["cmap", "-i", datum, "-i", higgs])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["details"]["path"] == "$.frame"
+
     def test_cinv_roundtrip_at_p2(self, capsys, tmp_path) -> None:
         # at p = 2 the element is its own negative, so flipping the sign
         # tag alone builds the inverse datum

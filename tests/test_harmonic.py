@@ -148,6 +148,15 @@ class TestDatumValidation:
         with pytest.raises(DimensionMismatch):
             HarmonicDatum(h.b_prime, h.theta, "banana")
 
+    def test_frame_tag_must_fit_rank(self) -> None:
+        h1 = rank1_datum(F2, "1", 8)
+        with pytest.raises(DimensionMismatch):
+            HarmonicDatum(h1.b_prime, h1.theta, "eigen")
+        _, pkg = accepted(SplitMix64(3), F3, 2, 13)
+        h2 = pkg.harmonic
+        with pytest.raises(DimensionMismatch):
+            HarmonicDatum(h2.b_prime, h2.theta, "rank1")
+
     def test_sign_checked(self) -> None:
         h = rank1_datum(F2, "1", 8)
         with pytest.raises(DimensionMismatch):

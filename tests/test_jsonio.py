@@ -303,6 +303,17 @@ class TestHarmonicWire:
             with pytest.raises(SchemaError):
                 harmonic_from_json(obj)
 
+    def test_frame_tag_must_fit_rank(self) -> None:
+        rank1 = harmonic_to_json(solve_harmonic(Connection(M(F2, [["1"]], 8))).harmonic)
+        rank2 = harmonic_to_json(
+            solve_harmonic(Connection(M(F3, [["0", "0"], ["0", "1"]], 13))).harmonic
+        )
+        for obj, tag in ((rank1, "eigen"), (rank2, "rank1")):
+            obj["frame"] = tag
+            with pytest.raises(SchemaError) as exc:
+                harmonic_from_json(obj)
+            assert exc.value.path == "$.frame"
+
     def test_package_roundtrip_rank1(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
         obj = package_to_json(pkg)

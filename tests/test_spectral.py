@@ -14,10 +14,15 @@ from pdisk.errors import (
     RepeatedResidueRoot,
 )
 from pdisk.field import FieldSpec
-from pdisk.hitchin import InvariantTuple, char_invariants, companion_section
+from pdisk.hitchin import (
+    InvariantTuple,
+    char_invariants,
+    companion_section,
+    frobenius_base_pullback,
+)
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
-from pdisk.series import TruncSeries, VAR_DISK
+from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import EigenData, SpectralRing, hensel_eigen, regular_rep
 
 from conftest import M, S
@@ -83,6 +88,36 @@ class TestBuildSpectral:
         two_t = t + t
         one = ring.one()
         assert ((two_t - one) * dt + one).is_zero()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_derivation_matches_the_ring_inverse_formula(self, p: int) -> None:
+        # the formula dt/dz = -char^{dz}(t) * char'(t)^(-1), inverse and all,
+        # is the reference; over pulled-back bases the derivation skips it
+        field = FieldSpec(p)
+        rng = SplitMix64(p)
+        outcomes = set()
+        for n in (1, 2, 3):
+            for pulled in (True, False):
+                for _ in range(4):
+                    if pulled:
+                        twist = tuple(rng.series(field, VAR_TWIST, 3) for _ in range(n))
+                        b = frobenius_base_pullback(InvariantTuple(twist))
+                    else:
+                        b = InvariantTuple(tuple(rng.series(field, VAR_DISK, 7) for _ in range(n)))
+                    ring = SpectralRing(b)
+                    dz = ring.element([c.derivative() for c in ring.char[:-1]])
+                    try:
+                        reference = -(dz * ring.element(ring.dchar).inverse())
+                    except NonUnit:
+                        with pytest.raises(DerivationUnavailable):
+                            ring.derivation()
+                        outcomes.add((pulled, None))
+                        continue
+                    # equal coefficient tuples, so equal precision too
+                    assert ring.derivation() == reference
+                    outcomes.add((pulled, reference.is_zero()))
+        assert {(True, True), (False, False)} <= outcomes
+        assert None in {zero for _, zero in outcomes}
 
     def test_reduction_mod_char(self) -> None:
         ring = artin_schreier_ring()

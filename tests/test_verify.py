@@ -1,4 +1,4 @@
-"""Failure certificates of the verify properties recorded through _Tally.check.
+"""Failure certificates of verify properties whose library call raised.
 
 Each case makes one library call raise, runs the suite that checks it, and
 reads the certificate the report keeps for the first failure.
@@ -24,8 +24,14 @@ CERT_KEYS = ["property", "p", "rank", "trial", "connection", "error"]
             InternalInconsistency("planted descent failure", exponent=1, coefficient=2),
         ),
         ("cartier", "pullback_flat", "flat_sections", NonzeroPCurvature(4, ["1"])),
+        (
+            "harmonic",
+            "instance_generation",
+            "solve_harmonic",
+            InternalInconsistency("planted solver failure"),
+        ),
     ],
-    ids=["invariant_descent", "pullback_flat"],
+    ids=["invariant_descent", "pullback_flat", "instance_generation"],
 )
 def test_raised_error_is_the_certificate_error(monkeypatch, suite, prop, name, exc) -> None:
     def planted(*args, **kwargs):
