@@ -16,7 +16,6 @@ from .cartier import (
     TwistOneForm,
     cartier_op,
     flat_matrix_section,
-    flat_sections,
     hp_map,
     kernel_unit,
     pi_star_form,
@@ -118,7 +117,6 @@ __all__ = [
     "descend_invariants",
     "dlog",
     "flat_matrix_section",
-    "flat_sections",
     "gauge",
     "hensel_eigen",
     "hp_map",

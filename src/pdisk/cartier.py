@@ -11,13 +11,13 @@ For a scalar Lie coefficient zeta = 1 the map computes exactly the
 descended p-curvature of d/dz + f, which the test suite checks against
 the independent closed form f^p + (d/dz)^(p-1) f.
 
-flat_matrix_section solves dh/dz + A_target h - h A_source = 0 order by
-order; it is the one such recursion here.  flat_sections (the fundamental
-frame of d/dz + A) and kernel_unit (the rank-1 flat section of d/dz - w)
-are special cases of it.  The coefficient recursion multiplies by m+1,
-which vanishes in characteristic p at every p-th step; those steps are
-obstructed exactly by the p-curvature, and the first nonvanishing residual
-is reported as a certificate.
+flat_matrix_section solves (d/dz + A) h = 0 from h(0) = I order by
+order, the fundamental flat frame of d/dz + A; it is the one such
+recursion here, and kernel_unit (the rank-1 flat section of d/dz - w) runs
+through it.  The coefficient recursion multiplies by m+1, which vanishes
+in characteristic p at every p-th step; those steps are obstructed exactly
+by the p-curvature, and the first nonvanishing residual is reported as a
+certificate.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from typing import ClassVar
 
 from .backend import impl
 from .connection import Connection
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    NonzeroPCurvature,
-    VarMismatch,
-    ZeroPrecision,
-)
+from .errors import NonzeroPCurvature, VarMismatch, ZeroPrecision
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
 
@@ -155,72 +149,46 @@ def kernel_unit(w: OneForm) -> TruncSeries:
     """A unit g with dlog g = w, for w in the kernel of hp_map(1, .).
 
     g is the flat section with g(0) = 1 of the rank-1 connection d/dz - w,
-    found by flat_matrix_section; its recursion is obstructed at the p-th
-    steps exactly by the p-curvature of d/dz - w, which vanishes when
-    hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise, whose residual
-    is the coefficient of w g at the obstructed order.
+    the flat frame flat_matrix_section builds; its recursion is obstructed
+    at the p-th steps exactly by the p-curvature of d/dz - w, which
+    vanishes when hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise,
+    whose residual is the coefficient of w g at the obstructed order.
     """
     s = w.coefficient
-    zero = Connection(SeriesMatrix.zero(s.field, VAR_DISK, 1, s.precision))
     try:
-        h = flat_matrix_section(zero, Connection(SeriesMatrix.diagonal([-s])), ((1,),))
+        h = flat_matrix_section(Connection(SeriesMatrix.diagonal([-s])))
     except NonzeroPCurvature as exc:
         # the recursion's residual is the coefficient of -w g
         raise NonzeroPCurvature(exc.order, s.field.neg(exc.residual)) from None
     return h.entry(0, 0)
 
 
-def flat_sections(conn: Connection) -> SeriesMatrix:
+def flat_matrix_section(conn: Connection) -> SeriesMatrix:
     """The fundamental flat frame of a connection with zero p-curvature.
 
-    Solves (d/dz + A) v = 0 with v(0) = e_j for each j.  At order m+1 the
-    recursion reads (m+1) v_{m+1} = -(A v)_m; whenever p divides m+1 the
-    left side dies and the right side must vanish, which happens for every
-    j exactly when the p-curvature is zero within precision.  The first
-    offending order and its residual column are reported; free
-    coefficients at the obstructed orders are set to zero.
+    Solves (d/dz + A) h = 0 with h(0) = I.  At order m+1 the recursion
+    reads (m+1) h_{m+1} = -(A h)_m; whenever p divides m+1 the left side
+    dies and the right side must vanish, which happens for every column
+    exactly when the p-curvature is zero within precision.  The first
+    offending order and its residual are reported; free coefficients at
+    the obstructed orders are set to zero.
 
-    On success the returned matrix g = (v^(1) | ... | v^(n)) satisfies
-    gauge(g^(-1), conn) = trivial connection.
+    On success the returned matrix h satisfies gauge(h^(-1), conn) =
+    trivial connection.
     """
-    trivial_init = tuple(
-        tuple(1 if i == j else 0 for j in range(conn.rank)) for i in range(conn.rank)
-    )
-    zero_a = SeriesMatrix.zero(conn.field, VAR_DISK, conn.rank, conn.precision)
-    return flat_matrix_section(Connection(zero_a), conn, trivial_init)
-
-
-def flat_matrix_section(
-    source: Connection, target: Connection, initial: tuple[tuple[int, ...], ...]
-) -> SeriesMatrix:
-    """Solve dh/dz + A_target h - h A_source = 0 with h(0) = initial.
-
-    flat_sections is the special case A_source = 0, initial = identity.
-    The solution intertwines: gauge(h, source) = target for invertible h.
-    """
-    if source.rank != target.rank:
-        raise DimensionMismatch("connection ranks differ")
-    if source.field != target.field:
-        raise FieldMismatch("connections live over different fields")
-    f = target.field
+    f = conn.field
     p = f.p
-    n = target.rank
-    nprec = min(source.precision, target.precision)
-    a_t = [[target.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
-    neg_a_s = [[(-source.matrix.entry(i, j)).coeffs for j in range(n)] for i in range(n)]
+    n = conn.rank
+    a = [[conn.matrix.entry(i, j).coeffs for j in range(n)] for i in range(n)]
     # h[i][j]: the coefficients of solution entry (i, j) found so far
-    h = [[[f.validate(initial[i][j])] for j in range(n)] for i in range(n)]
-    for m in range(nprec):
-        # resid[i][j]: the coefficient of z^m in (A_target h - h A_source)[i][j], one dot
-        # product of entries of A_target and -A_source with entries of h reversed
+    h = [[[1 if i == j else 0] for j in range(n)] for i in range(n)]
+    for m in range(conn.precision):
+        # resid[i][j]: the coefficient of z^m in (A h)[i][j], one dot product
+        # of entries of A with entries of h reversed
         resid = [
             [
                 impl.series_dot(
-                    [(a_t[i][t], reversed(h[t][j])) for t in range(n)]
-                    + [(neg_a_s[t][j], reversed(h[i][t])) for t in range(n)],
-                    p,
-                    f.k,
-                    f.modulus,
+                    [(a[i][t], reversed(h[t][j])) for t in range(n)], p, f.k, f.modulus
                 )
                 for j in range(n)
             ]

@@ -56,11 +56,14 @@ class FHiggs:
     """A p-curvature matrix: twist-linear endomorphism of weight p."""
 
     matrix: SeriesMatrix
-    twist_weight: int
 
     @property
     def rank(self) -> int:
         return self.matrix.rank
+
+    @property
+    def twist_weight(self) -> int:
+        return self.matrix.field.p
 
 
 def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
@@ -90,7 +93,7 @@ def pcurv(conn: Connection) -> FHiggs:
     x = SeriesMatrix.identity(conn.field, VAR_DISK, conn.rank, nprec + 1)
     for _ in range(p):
         x = x.derivative() + conn.matrix @ x
-    return FHiggs(x, twist_weight=p)
+    return FHiggs(x)
 
 
 def check_horizontality(conn: Connection, psi: FHiggs | None = None) -> SeriesMatrix:

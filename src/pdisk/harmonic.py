@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .cartier import OneForm, flat_sections, kernel_unit
+from .cartier import OneForm, flat_matrix_section, kernel_unit
 from .connection import Connection, dlog, gauge, pcurv
 from .errors import (
     BaseMismatch,
@@ -81,12 +81,9 @@ class HarmonicDatum:
 
     b_prime: InvariantTuple
     theta: SpectralElement
-    frame: str
     curvature_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.frame != ("rank1" if self.rank == 1 else "eigen"):
-            raise DimensionMismatch(f"frame tag {self.frame!r} does not fit rank {self.rank}")
         if self.curvature_sign not in (1, -1):
             raise DimensionMismatch("curvature_sign must be +1 or -1")
         if self.b_prime.var != VAR_TWIST:
@@ -114,6 +111,11 @@ class HarmonicDatum:
     @property
     def ring(self) -> SpectralRing:
         return self.theta.ring
+
+    @property
+    def frame(self) -> str:
+        """The frame theta was solved in: "rank1", or "eigen" at rank >= 2."""
+        return "rank1" if self.rank == 1 else "eigen"
 
     def endomorphism(self, psi: SeriesMatrix) -> SeriesMatrix:
         """regular_rep of theta along a concrete p-curvature matrix.
@@ -160,13 +162,15 @@ def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> Spectral
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     """Solve the chart Hitchin equations for a flat connection.
 
-    Rank 1: theta is the connection matrix itself.  Higher rank: pass to
-    the eigen frame of the p-curvature, where the connection matrix is
-    provably diagonal; theta is the Lagrange class of that diagonal in the
-    ring hensel_eigen split, and the Higgs side is the descended eigenvalue
-    diagonal.  Certificates checked before returning: theta's in-ring
-    p-curvature is lambda, and the theta-twisted connection admits a full
-    flat frame.
+    The invariants b of the p-curvature are computed once: at rank 1 for
+    the ring of theta, at higher rank by hensel_eigen, whose ring carries
+    them.  Rank 1: theta is the connection matrix itself.  Higher rank:
+    pass to the eigen frame of the p-curvature, where the connection
+    matrix is provably diagonal; theta is the Lagrange class of that
+    diagonal in the ring hensel_eigen split, and the Higgs side is the
+    descended eigenvalue diagonal.  Certificates checked before returning:
+    theta's in-ring p-curvature is lambda, and the theta-twisted
+    connection admits a full flat frame.
     """
     p = conn.field.p
     n = conn.rank
@@ -175,16 +179,17 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
             f"need precision >= 2p + 2 = {2 * p + 2}, have {conn.precision}"
         )
     psi = pcurv(conn)
-    b = char_invariants(psi.matrix)
-    b_prime = descend_invariants(b)
 
     if n == 1:
+        # no eigen split at rank 1, so polyring.roots is never reached
+        b = char_invariants(psi.matrix)
+        b_prime = descend_invariants(b)
         theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
         higgs = SeriesMatrix.diagonal([b_prime.entries[0]])
         link = SeriesMatrix.identity(conn.field, conn.matrix.var, 1, psi.matrix.precision)
-        datum = HarmonicDatum(b_prime, theta, "rank1")
     else:
-        eigen = hensel_eigen(psi, b)
+        eigen = hensel_eigen(psi)
+        b_prime = descend_invariants(eigen.ring.b)
         in_frame = gauge(eigen.gauge_inv, conn)
         a_eig = in_frame.matrix
         diag = []
@@ -200,11 +205,11 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
         theta = _lagrange_element(eigen.ring, diag)
         higgs = descend_certified(SeriesMatrix.diagonal(eigen.mus), "matrix", _HORIZONTAL)
         link = eigen.gauge
-        datum = HarmonicDatum(b_prime, theta, "eigen")
+    datum = HarmonicDatum(b_prime, theta)
 
     twisted = Connection(conn.matrix - datum.endomorphism(psi.matrix))
     try:
-        flat_frame = flat_sections(twisted)
+        flat_frame = flat_matrix_section(twisted)
     except NonzeroPCurvature as exc:
         raise InternalInconsistency(
             "theta-twisted connection is not curvature-free",
@@ -231,7 +236,7 @@ def cmap(harmonic: HarmonicDatum, higgs: SeriesMatrix) -> Connection:
     if not char_invariants(higgs).agrees_with(harmonic.b_prime):
         raise BaseMismatch("Higgs invariants differ from the harmonic base")
     if n > 1:
-        check_residue_split(higgs.field, harmonic.ring.residue_char(), n)
+        check_residue_split(higgs.field, harmonic.ring.residue_char())
     pulled = higgs.expand_pth_power()
     conn = Connection(harmonic.endomorphism(pulled))
     if not phitchin(conn).agrees_with(harmonic.b_prime):
@@ -257,7 +262,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
         raise BaseMismatch("connection's p-Hitchin image differs from the datum base")
     twisted = Connection(conn.matrix + inverse_harmonic.endomorphism(psi.matrix))
     try:
-        flat_frame = flat_sections(twisted)
+        flat_frame = flat_matrix_section(twisted)
     except NonzeroPCurvature as exc:
         raise CurvatureNotCancelled(
             "twisted connection still obstructed",

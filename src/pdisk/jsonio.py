@@ -391,7 +391,7 @@ def harmonic_from_json(obj: Any, path: str = "$", fallback_p: int | None = None)
     sign = obj.get("curvature_sign", 1)
     if sign not in (1, -1):
         raise SchemaError("curvature_sign must be 1 or -1", f"{path}.curvature_sign")
-    return HarmonicDatum(b_prime, theta, frame, sign)
+    return HarmonicDatum(b_prime, theta, sign)
 
 
 def package_to_json(pkg: CorrespondencePackage) -> dict[str, Any]:

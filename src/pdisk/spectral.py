@@ -16,10 +16,11 @@ ring is flagged derivation-free and derivative-taking operations refuse.
 
 On the split stratum a spectral ring carries two more facts, each cached:
 its eigenvalues (the residue roots of char_b, lifted to series by Newton
-iteration) and the Lagrange basis at them.  hensel_eigen evaluates that
-basis at a p-curvature matrix to get its projectors and an eigenbasis, and
-keeps the ring; the preconditions (split, simple residue spectrum) are
-reported precisely when they fail.
+iteration) and the Lagrange basis at them.  hensel_eigen builds the ring
+of a p-curvature matrix's own invariants, evaluates that basis at the
+matrix to get its projectors and an eigenbasis, and keeps the ring; the
+preconditions (split, simple residue spectrum) are reported precisely
+when they fail.
 """
 
 from __future__ import annotations
@@ -149,10 +150,9 @@ class SpectralRing:
         come ascending by field encoding, which fixes every downstream
         ordering.
         """
-        n = self.rank
         prec = self.precision
         char, dchar = self.char, self.dchar
-        res_roots = check_residue_split(self.field, self.residue_char(), n)
+        res_roots = check_residue_split(self.field, self.residue_char())
         mus = []
         for r in res_roots:
             mu = TruncSeries.constant(self.field, self.var, r, prec)
@@ -310,8 +310,8 @@ class EigenData:
         return self.ring.rank
 
 
-def check_residue_split(field, res_char: list[int], n: int) -> list[int]:
-    """Residue roots of a simple split spectrum; precise errors otherwise.
+def check_residue_split(field, res_char: list[int]) -> list[int]:
+    """The deg(res_char) residue roots of a simple split spectrum; precise errors otherwise.
 
     NonSplitResidue carries the extension degree that would rationalize
     the whole residue spectrum: the lcm of the residue factor degrees.
@@ -320,7 +320,7 @@ def check_residue_split(field, res_char: list[int], n: int) -> list[int]:
     if polyring.degree(sqfree_gcd) > 0:
         raise RepeatedResidueRoot("residue characteristic polynomial has a repeated root")
     res_roots = polyring.roots(field, res_char)
-    if len(res_roots) < n:
+    if len(res_roots) < polyring.degree(res_char):
         raise NonSplitResidue(
             "residue spectrum does not split over the coefficient field",
             suggested_degree=lcm(*polyring.factor_degrees(field, res_char)),
@@ -352,14 +352,15 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
     return eigen.gauge @ diag @ eigen.gauge_inv
 
 
-def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
+def hensel_eigen(psi: FHiggs) -> EigenData:
     """Split eigen structure of a p-curvature matrix.
 
-    The eigenvalues are SpectralRing(bp).eigenvalues, ascending by the
-    field encoding of their residues; the projectors are the ring's
-    Lagrange basis evaluated at the matrix, and a unit column of each
-    projector makes the eigenbasis.  The returned EigenData carries that
-    ring, so its eigenvalues and Lagrange basis are not computed again.
+    The ring is SpectralRing(char_invariants(psi.matrix)); the eigenvalues
+    are its eigenvalues, ascending by the field encoding of their
+    residues.  The projectors are the ring's Lagrange basis evaluated at
+    the matrix, and a unit column of each projector makes the eigenbasis.
+    The returned EigenData carries that ring, so its invariants,
+    eigenvalues and Lagrange basis are not computed again.
 
     NonSplitResidue suggests the extension degree (over the current
     coefficient field) that would make the whole residue spectrum
@@ -367,13 +368,7 @@ def hensel_eigen(psi: FHiggs, bp: InvariantTuple) -> EigenData:
     """
     m = psi.matrix
     n = m.rank
-    if bp.rank != n:
-        raise DimensionMismatch("invariant tuple rank does not match the matrix")
-    if not char_invariants(m).agrees_with(bp):
-        raise BaseMismatch("psi does not realize the supplied invariants")
-    prec = min(m.precision, bp.precision)
-    m = m.truncate(prec)
-    ring = SpectralRing(bp.truncate(prec))
+    ring = SpectralRing(char_invariants(m))
     projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis]
 
     cols = []

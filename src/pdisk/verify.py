@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from . import jsonio
-from .cartier import OneForm, TwistOneForm, flat_sections, hp_map, kernel_unit, solve_hp
+from .cartier import OneForm, TwistOneForm, flat_matrix_section, hp_map, kernel_unit, solve_hp
 from .connection import Connection, check_horizontality, dlog, gauge, pcurv
 from .errors import NonSplitResidue, NonzeroPCurvature, PdiskError, RepeatedResidueRoot
 from .field import FieldSpec
@@ -130,7 +130,7 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
     conn = gauge(g, Connection(SeriesMatrix.zero(field, VAR_DISK, n, prec)))
     tally.check(
         "pullback_flat",
-        lambda: flat_sections(conn).rank == n,
+        lambda: flat_matrix_section(conn).rank == n,
         connection=lambda: jsonio.connection_to_json(conn),
     )
 
@@ -143,7 +143,7 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
     diag[slot] = diag[slot] + defect
     bad = Connection(SeriesMatrix.diagonal(diag))
     try:
-        flat_sections(bad)
+        flat_matrix_section(bad)
         ok = False
         detail = {"note": "no obstruction raised"}
     except NonzeroPCurvature as exc:

@@ -1,16 +1,19 @@
-"""The benchmark's tracing hooks and suite list still match pdisk.
+"""The benchmark's tracing hooks, suite list and workloads still match pdisk.
 
 perfbench/spans.py wraps pdisk functions and counts constructions by name,
-and perfbench/spec.py keeps its own copy of the verify suite names.  The
-timed benchmark runs untraced and this suite does not collect perfbench's
-own tests, so a rename here would otherwise break only
-``perfbench/run.py --trace 1`` or the verify-default sweep.
+perfbench/spec.py keeps its own copy of the verify suite names, and
+perfbench/workloads.py calls the public API (pcurv, cmap, cinv, inverse,
+gauge, jsonio).  The timed benchmark runs untraced and this suite does not
+collect perfbench's own tests, so a rename or a narrowed signature here
+would otherwise break only ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 from pdisk import cartier, verify
 from pdisk.cartier import OneForm
@@ -43,3 +46,12 @@ def test_suite_tables_agree(monkeypatch) -> None:
     spec = importlib.import_module("spec")
     assert spec.SUITES == verify.SUITES
     assert set(verify.PRECISION_FLOORS) == set(verify.SUITES)
+
+
+@pytest.mark.parametrize("workload", ["verify-default", "harmonic-deep"])
+def test_one_workload_unit_runs(monkeypatch, workload) -> None:
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    unit = workloads.make(workload, 0).run_unit()
+    assert unit.failed == 0, unit.notes
+    assert unit.output

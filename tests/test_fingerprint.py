@@ -20,7 +20,6 @@ from pdisk.connection import Connection, gauge, pcurv
 from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import cinv, cmap, inverse, solve_harmonic, torsor_difference
-from pdisk.hitchin import char_invariants
 from pdisk.jsonio import dumps_canonical, matrix_to_json, package_to_json, spectral_to_json
 from pdisk.rng import SplitMix64
 from pdisk.series import VAR_DISK
@@ -155,7 +154,7 @@ def eigen_split_docs(field: FieldSpec, rank: int, precision: int, seed: int) -> 
         delta, u = torsor_difference(h1, h2)
         torsors.append({"delta": spectral_to_json(delta), "u": spectral_to_json(u)})
         psi = pcurv(conn)
-        eigen = hensel_eigen(psi, char_invariants(psi.matrix))
+        eigen = hensel_eigen(psi)
         eigens.append(
             {
                 "projectors": [matrix_to_json(m) for m in eigen.projectors],

@@ -143,36 +143,22 @@ class TestSolveHarmonic:
 
 
 class TestDatumValidation:
-    def test_frame_tag_checked(self) -> None:
-        h = rank1_datum(F2, "1", 8)
-        with pytest.raises(DimensionMismatch):
-            HarmonicDatum(h.b_prime, h.theta, "banana")
-
-    def test_frame_tag_must_fit_rank(self) -> None:
-        h1 = rank1_datum(F2, "1", 8)
-        with pytest.raises(DimensionMismatch):
-            HarmonicDatum(h1.b_prime, h1.theta, "eigen")
-        _, pkg = accepted(SplitMix64(3), F3, 2, 13)
-        h2 = pkg.harmonic
-        with pytest.raises(DimensionMismatch):
-            HarmonicDatum(h2.b_prime, h2.theta, "rank1")
-
     def test_sign_checked(self) -> None:
         h = rank1_datum(F2, "1", 8)
         with pytest.raises(DimensionMismatch):
-            HarmonicDatum(h.b_prime, h.theta, "rank1", curvature_sign=2)
+            HarmonicDatum(h.b_prime, h.theta, curvature_sign=2)
 
     def test_base_must_be_twisted(self) -> None:
         h = rank1_datum(F2, "1", 8)
         base_z = frobenius_base_pullback(h.b_prime)
         with pytest.raises(VarMismatch):
-            HarmonicDatum(base_z, h.theta, "rank1")
+            HarmonicDatum(base_z, h.theta)
 
     def test_ring_must_match_pulled_base(self) -> None:
         h = rank1_datum(F2, "1", 8)
         other = InvariantTuple((S(F2, "z", h.b_prime.precision, var="z'"),))
         with pytest.raises(BaseMismatch):
-            HarmonicDatum(other, h.theta, "rank1")
+            HarmonicDatum(other, h.theta)
 
     def test_curvature_certificate_enforced(self) -> None:
         # theta = 1 over the zero base has p-curvature 1, not 0
@@ -180,7 +166,7 @@ class TestDatumValidation:
         ring = SpectralRing(frobenius_base_pullback(zero_b))
         theta = ring.from_series(S(F2, "1", 8))
         with pytest.raises(CurvatureNonzero):
-            HarmonicDatum(zero_b, theta, "rank1")
+            HarmonicDatum(zero_b, theta)
 
     def test_in_ring_curvature_matches_scalar(self) -> None:
         # rank 1: the in-ring computation is the scalar closed form

@@ -242,7 +242,7 @@ class TestStructured:
         assert connection_from_json(connection_to_json(conn)) == conn
 
     def test_fhiggs_roundtrip(self) -> None:
-        psi = FHiggs(M(F3, [["z"]], 4), 3)
+        psi = FHiggs(M(F3, [["z"]], 4))
         obj = fhiggs_to_json(psi)
         assert obj["twist_weight"] == 3
         assert matrix_from_json(obj) == psi.matrix

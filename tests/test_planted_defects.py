@@ -1,10 +1,11 @@
-"""Planted defects: every property of the harmonic and roundtrip suites can fail.
+"""Planted defects: every property of every verify suite can fail.
 
 A check that passes whatever the code does checks nothing.  Each case
 monkeypatches one plausible defect (a sign, a missed step, a wrong cut, a
 wrong frame) into the library, runs its suite on a small grid and asserts
 that the report records a failure of the property that guards it, with the
-certificate keys pinned.
+certificate keys pinned.  The cartier and exactness cases also guard the
+flat-frame recursion that kernel_unit runs through.
 
 The remaining cases are mutations that earlier changes checked only by
 hand, on mutated copies: a sign flip in the ext_mul reduction, a dropped
@@ -20,14 +21,15 @@ import dataclasses
 
 import pytest
 
-from pdisk import field as field_mod, harmonic, spectral, verify
-from pdisk.cartier import kernel_unit
-from pdisk.connection import Connection
-from pdisk.errors import CurvatureNonzero
+from pdisk import cartier, field as field_mod, harmonic, spectral, verify
+from pdisk.cartier import TwistOneForm, flat_matrix_section, kernel_unit, solve_hp
+from pdisk.connection import Connection, FHiggs
+from pdisk.errors import CurvatureNonzero, NonzeroPCurvature
 from pdisk.field import FieldSpec
 from pdisk.harmonic import HarmonicDatum, solve_harmonic
-from pdisk.hitchin import InvariantTuple
+from pdisk.hitchin import InvariantTuple, companion_section
 from pdisk.matrix import SeriesMatrix
+from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 
 from conftest import M, S, sympy_poly
 
@@ -129,6 +131,129 @@ def test_unplanted_suites_pass() -> None:
     for suite in ("harmonic", "roundtrip"):
         report = verify.run_suite(suite, [3], [2], None, 2, 0)
         assert report["fail"] == 0 and report["pass"] > 0
+
+
+# -- the pcurv, hitchin, cartier and exactness suites --------------------------
+
+
+def _pcurv_one_step_short(monkeypatch) -> None:
+    def pcurv(conn):
+        x = SeriesMatrix.identity(conn.field, VAR_DISK, conn.rank, conn.precision + 1)
+        for _ in range(conn.field.p - 1):
+            x = x.derivative() + conn.matrix @ x
+        return FHiggs(x)
+
+    monkeypatch.setattr(verify, "pcurv", pcurv)
+
+
+def _companion_unsigned(monkeypatch) -> None:
+    def companion(b):
+        rows = companion_section(b).entries
+        return SeriesMatrix(tuple(row[:-1] + (-row[-1],) for row in rows))
+
+    monkeypatch.setattr(verify, "companion_section", companion)
+
+
+def _flat_frame_of_negated_matrix(monkeypatch) -> None:
+    # the d/dz - A sign convention in place of the package's d/dz + A
+    monkeypatch.setattr(
+        verify, "flat_matrix_section", lambda conn: flat_matrix_section(Connection(-conn.matrix))
+    )
+
+
+def _obstruction_one_order_late(monkeypatch) -> None:
+    def late(conn):
+        try:
+            return flat_matrix_section(conn)
+        except NonzeroPCurvature as exc:
+            raise NonzeroPCurvature(exc.order + 1, exc.residual) from None
+
+    monkeypatch.setattr(verify, "flat_matrix_section", late)
+
+
+def _cartier_op_slot_early(monkeypatch) -> None:
+    def cartier_op(w):
+        s = w.coefficient
+        p = s.field.p
+        nout = max(0, -(-(s.precision - p + 1) // p))
+        out = tuple(s.coeffs[j * p + p - 2] for j in range(nout))
+        return TwistOneForm(TruncSeries(s.field, VAR_TWIST, out))
+
+    monkeypatch.setattr(cartier, "cartier_op", cartier_op)
+
+
+def _verify_kernel_unit_inverted(monkeypatch) -> None:
+    monkeypatch.setattr(verify, "kernel_unit", lambda w: kernel_unit(w).inverse())
+
+
+def _solve_hp_adds_eta(monkeypatch) -> None:
+    # solve_hp(-eta) sets u_{jp+p-1} = u_j^p + eta_j: the sign of eta flipped
+    monkeypatch.setattr(verify, "solve_hp", lambda eta: solve_hp(-eta))
+
+
+CELL = ["property", "p", "rank", "trial"]
+
+# property -> (suite, ranks, defect, the property whose certificate the report
+# keeps, that certificate's keys after CELL).  The pcurv defect breaks
+# horizontality first, so invariant_descent is seen in the counts; its own
+# certificate keys are pinned in tests/test_verify.py.
+SUITE_CASES = {
+    "closed_form_rank1": (
+        "pcurv", [1], _pcurv_one_step_short, "closed_form_rank1", ["connection", "residual"]
+    ),
+    "horizontality": (
+        "pcurv", [2], _pcurv_one_step_short, "horizontality", ["connection", "residual"]
+    ),
+    "invariant_descent": (
+        "pcurv", [2], _pcurv_one_step_short, "horizontality", ["connection", "residual"]
+    ),
+    "gauge_invariance": (
+        "hitchin", [2], _gauge_without_derivative, "gauge_invariance", ["connection", "gauge"]
+    ),
+    "companion_section": (
+        "hitchin", [2], _companion_unsigned, "companion_section", ["invariants"]
+    ),
+    "pullback_flat": (
+        "cartier", [2], _flat_frame_of_negated_matrix, "pullback_flat", ["connection", "error"]
+    ),
+    "defect_detected": (
+        "cartier",
+        [2],
+        _obstruction_one_order_late,
+        "defect_detected",
+        ["connection", "predicted_order", "error"],
+    ),
+    "dlog_in_kernel": (
+        "exactness", [1], _cartier_op_slot_early, "dlog_in_kernel", ["unit", "image"]
+    ),
+    "kernel_constructive": (
+        "exactness", [1], _verify_kernel_unit_inverted, "kernel_constructive", ["unit", "recovered"]
+    ),
+    "section_identity": (
+        "exactness", [1], _solve_hp_adds_eta, "section_identity", ["target", "image"]
+    ),
+}
+
+
+@pytest.mark.parametrize("prop", list(SUITE_CASES))
+def test_planted_defect_fails_its_suite_property(monkeypatch, prop) -> None:
+    suite, ranks, plant, kept, keys = SUITE_CASES[prop]
+    plant(monkeypatch)
+    report = verify.run_suite(suite, [3], ranks, None, 2, 0)
+    failure = report["failure"]
+    assert failure is not None and failure["property"] == kept
+    assert list(failure) == CELL + keys
+    counts = {row["name"]: (row["pass"], row["fail"]) for row in report["properties"]}
+    assert counts[prop][1] > 0
+
+
+@pytest.mark.parametrize(
+    "suite, ranks", [("pcurv", [1, 2]), ("hitchin", [2]), ("cartier", [2]), ("exactness", [1])]
+)
+def test_unplanted_grids_pass(suite, ranks) -> None:
+    # the grids above without a defect: every failure there is the defect's
+    report = verify.run_suite(suite, [3], ranks, None, 2, 0)
+    assert report["fail"] == 0 and report["pass"] > 0
 
 
 # ==========================================================================

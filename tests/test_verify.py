@@ -23,7 +23,7 @@ CERT_KEYS = ["property", "p", "rank", "trial", "connection", "error"]
             "descend_invariants",
             InternalInconsistency("planted descent failure", exponent=1, coefficient=2),
         ),
-        ("cartier", "pullback_flat", "flat_sections", NonzeroPCurvature(4, ["1"])),
+        ("cartier", "pullback_flat", "flat_matrix_section", NonzeroPCurvature(4, ["1"])),
         (
             "harmonic",
             "instance_generation",
