@@ -1,0 +1,55 @@
+"""Time the series objects: TruncSeries construction and product, SeriesMatrix construction.
+
+Every kernel result becomes a ``TruncSeries`` and every matrix result a
+``SeriesMatrix``, so the per-object checks of their constructors are paid
+hundreds of thousands of times per verify sweep.  This reports per-call
+timings (best of five, as ``bench_kernels.py``) over F_5 and F_9 at the
+lengths the workloads use: 4 to 19 on the verify grid, 160 in the deep
+harmonic solve.  Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_series.py
+"""
+
+from __future__ import annotations
+
+from bench_kernels import clock, fmt
+
+from pdisk.field import FieldSpec
+from pdisk.matrix import SeriesMatrix
+from pdisk.rng import SplitMix64
+from pdisk.series import TruncSeries, VAR_DISK
+
+FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
+LENGTHS = [4, 10, 19, 160]
+RANKS = [2, 3]
+MATRIX_PRECISION = 19
+
+
+def main() -> None:
+    rng = SplitMix64(2024)
+
+    def draw(f: FieldSpec, n: int) -> tuple[int, ...]:
+        return tuple(rng.below(f.q) for _ in range(n))
+
+    print(f"{'field':>5} {'n':>5} {'TruncSeries()':>14} {'a * b':>12}")
+    for name, f in FIELDS.items():
+        for n in LENGTHS:
+            cs = draw(f, n)
+            a = TruncSeries(f, VAR_DISK, cs)
+            b = TruncSeries(f, VAR_DISK, draw(f, n))
+            t_make, _ = clock(TruncSeries, f, VAR_DISK, cs)
+            t_mul, _ = clock(a.__mul__, b)
+            print(f"{name:>5} {n:>5} {fmt(t_make):>14} {fmt(t_mul):>12}")
+    print(f"{'field':>5} {'rank':>5} {'SeriesMatrix()':>14}  (N = {MATRIX_PRECISION})")
+    for name, f in FIELDS.items():
+        for r in RANKS:
+            rows = tuple(
+                tuple(TruncSeries(f, VAR_DISK, draw(f, MATRIX_PRECISION)) for _ in range(r))
+                for _ in range(r)
+            )
+            t_matrix, _ = clock(SeriesMatrix, rows)
+            print(f"{name:>5} {r:>5} {fmt(t_matrix):>14}")
+
+
+if __name__ == "__main__":
+    main()

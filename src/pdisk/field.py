@@ -195,7 +195,9 @@ class FieldSpec:
         return self.pow(a, self.q - 2)
 
     def frobenius(self, a: int) -> int:
-        """The p-power map, an automorphism of order k."""
+        """The p-power map, an automorphism of order k (the identity on F_p)."""
+        if self.k == 1:
+            return a
         return self.pow(a, self.p)
 
     def elements(self) -> range:

@@ -70,6 +70,11 @@ def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
     return r
 
 
+def frame_for_rank(rank: int) -> str:
+    """The frame theta is solved in at a rank: "rank1", or "eigen" at rank >= 2."""
+    return "rank1" if rank == 1 else "eigen"
+
+
 @dataclass(frozen=True)
 class HarmonicDatum:
     """A certified solution theta of the chart Hitchin equations.
@@ -114,8 +119,8 @@ class HarmonicDatum:
 
     @property
     def frame(self) -> str:
-        """The frame theta was solved in: "rank1", or "eigen" at rank >= 2."""
-        return "rank1" if self.rank == 1 else "eigen"
+        """The frame theta was solved in (``frame_for_rank``)."""
+        return frame_for_rank(self.rank)
 
     def endomorphism(self, psi: SeriesMatrix) -> SeriesMatrix:
         """regular_rep of theta along a concrete p-curvature matrix.

@@ -44,8 +44,13 @@ class InvariantTuple:
         if not self.entries:
             raise DimensionMismatch("rank must be at least 1")
         first = self.entries[0]
+        field = first.field
         for e in self.entries:
-            if e.field != first.field or e.var != first.var or e.precision != first.precision:
+            if (
+                (e.field is not field and e.field != field)
+                or e.var != first.var
+                or e.precision != first.precision
+            ):
                 raise DimensionMismatch("invariant entries disagree on field, var or precision")
 
     @property

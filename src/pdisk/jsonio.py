@@ -25,7 +25,7 @@ from .cartier import OneForm, TwistOneForm
 from .connection import Connection, FHiggs
 from .errors import SchemaError
 from .field import FieldSpec
-from .harmonic import CorrespondencePackage, HarmonicDatum
+from .harmonic import CorrespondencePackage, HarmonicDatum, frame_for_rank
 from .hitchin import InvariantTuple
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
@@ -385,7 +385,7 @@ def harmonic_from_json(obj: Any, path: str = "$", fallback_p: int | None = None)
     b_prime = invariants_from_json(_need(obj, "b_prime", path), f"{path}.b_prime", fallback_p)
     theta = spectral_from_json(_need(obj, "theta", path), f"{path}.theta", fallback_p)
     frame = _need(obj, "frame", path)
-    want = "rank1" if b_prime.rank == 1 else "eigen"
+    want = frame_for_rank(b_prime.rank)
     if frame != want:
         raise SchemaError(f"rank {b_prime.rank} needs frame {want}, got {frame!r}", f"{path}.frame")
     sign = obj.get("curvature_sign", 1)

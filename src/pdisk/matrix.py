@@ -23,9 +23,10 @@ class SeriesMatrix:
         if any(len(row) != n for row in self.entries):
             raise DimensionMismatch("matrix is not square")
         first = self.entries[0][0]
+        field = first.field
         for row in self.entries:
             for e in row:
-                if e.field != first.field or e.var != first.var:
+                if (e.field is not field and e.field != field) or e.var != first.var:
                     raise DimensionMismatch("entries disagree on field or variable")
                 if e.precision != first.precision:
                     raise DimensionMismatch("entries disagree on precision")

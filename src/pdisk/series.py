@@ -15,6 +15,11 @@ precision is met: operands of different precision combine at the smaller
 one, and ``agrees_with`` compares at the common precision, so callers never
 truncate before arithmetic or comparison.
 
+Construction checks that every coefficient is an encoded element of the
+field, the whole tuple at once; ``FieldSpec.validate`` runs only to raise
+for the first offender.  Field comparisons between operands test identity
+first, since the operands of one computation share one ``FieldSpec``.
+
 Two coordinates exist: "z" on the disk and "z'" on its Frobenius twist.
 Term strings in JSON always spell the letter z; the ``var`` tag names the
 coordinate.  Coordinate conventions, fixed globally: the relative
@@ -52,9 +57,19 @@ class TruncSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        """Check the variable tag and that every coefficient encodes a field element.
+
+        The whole tuple is checked at once: all of type int and within
+        range(q).  Only a tuple that fails goes through ``FieldSpec.validate``
+        one coefficient at a time, which raises for the first offender (or
+        accepts bools, which validate lets through).
+        """
         if self.var not in (VAR_DISK, VAR_TWIST):
             raise VarMismatch(f"unknown variable {self.var!r}")
-        object.__setattr__(self, "coeffs", tuple(map(self.field.validate, self.coeffs)))
+        cs = tuple(self.coeffs)
+        if cs and (set(map(type, cs)) != {int} or min(cs) < 0 or max(cs) >= self.field.q):
+            cs = tuple(map(self.field.validate, cs))
+        object.__setattr__(self, "coeffs", cs)
 
     # -- construction -----------------------------------------------------
 
@@ -120,7 +135,7 @@ class TruncSeries:
         return TruncSeries(self.field, self.var, self.coeffs[:precision])
 
     def _check_peer(self, other: "TruncSeries") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("operands live over different coefficient fields")
         if self.var != other.var:
             raise VarMismatch(f"operands mix {self.var} with {other.var}")

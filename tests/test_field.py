@@ -191,6 +191,24 @@ class TestScalars:
         assert len(powers) == 7  # x generates the unit group
 
 
+class TestFrobenius:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 53])
+    def test_prime_field_fermat(self, p: int) -> None:
+        f = FieldSpec(p)
+        for a in f.elements():
+            assert f.frobenius(a) == pow(a, p, p) == a
+
+    @pytest.mark.parametrize(
+        "field", [FieldSpec(2, 2, (1, 1, 1)), FieldSpec(3, 2, (1, 0, 1))], ids=["q4", "q9"]
+    )
+    def test_extension_field_square_and_multiply(self, field: FieldSpec) -> None:
+        # over F_{p^2} the p-power map is the one nontrivial automorphism
+        images = [field.frobenius(a) for a in field.elements()]
+        assert images == [field.pow(a, field.p) for a in field.elements()]
+        assert images != list(field.elements())
+        assert [field.frobenius(b) for b in images] == list(field.elements())
+
+
 @given(a=st.integers(0, 8), b=st.integers(0, 8), c=st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_f9_hypothesis_laws(a: int, b: int, c: int) -> None:

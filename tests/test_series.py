@@ -86,6 +86,92 @@ class TestConstruction:
 
 
 # ==========================================================================
+# refusal parity: construction refuses exactly what FieldSpec.validate refuses
+# ==========================================================================
+
+
+def validate_message(field: FieldSpec, a: object) -> str:
+    with pytest.raises(ValueError) as info:
+        field.validate(a)
+    return str(info.value)
+
+
+BAD_COEFFS = {
+    "negative": lambda f: -1,
+    "q": lambda f: f.q,
+    "str": lambda f: "1",
+    "float": lambda f: 1.0,
+    "none": lambda f: None,
+}
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=["q5", "q9"])
+class TestRefusalParity:
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", list(BAD_COEFFS))
+    def test_bad_coefficient_message(self, field: FieldSpec, position: int, kind: str) -> None:
+        bad = BAD_COEFFS[kind](field)
+        cs = [1, 0, 2, 3, 4]
+        cs[position] = bad
+        with pytest.raises(ValueError) as info:
+            TruncSeries(field, VAR_DISK, tuple(cs))
+        assert str(info.value) == validate_message(field, bad)
+
+    def test_first_offender_reported(self, field: FieldSpec) -> None:
+        cs = (1, "x", 0, -1, field.q, None)
+        with pytest.raises(ValueError) as info:
+            TruncSeries(field, VAR_DISK, cs)
+        assert str(info.value) == validate_message(field, "x")
+        with pytest.raises(ValueError) as info:
+            TruncSeries(field, VAR_DISK, (0, field.q + 7, -2))
+        assert str(info.value) == validate_message(field, field.q + 7)
+
+    def test_bools_accepted(self, field: FieldSpec) -> None:
+        s = TruncSeries(field, VAR_DISK, (True, False, 1))
+        assert s.coeffs == (1, 0, 1)
+
+    def test_list_stored_as_tuple(self, field: FieldSpec) -> None:
+        s = TruncSeries(field, VAR_TWIST, [field.q - 1, 0])
+        assert isinstance(s.coeffs, tuple) and s.coeffs == (field.q - 1, 0)
+
+    def test_precision_zero_constructs(self, field: FieldSpec) -> None:
+        assert TruncSeries(field, VAR_DISK, ()).precision == 0
+        assert TruncSeries(field, VAR_DISK, []).coeffs == ()
+
+
+def _validates(field: FieldSpec, a: object) -> bool:
+    try:
+        field.validate(a)
+    except ValueError:
+        return False
+    return True
+
+
+@given(
+    field=st.sampled_from([F5, F9]),
+    cs=st.lists(
+        st.one_of(
+            st.integers(-3, 12),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.text(max_size=2),
+            st.none(),
+        ),
+        max_size=8,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_construction_refuses_exactly_what_validate_refuses(field: FieldSpec, cs: list) -> None:
+    offenders = [c for c in cs if not _validates(field, c)]
+    if not offenders:
+        assert TruncSeries(field, VAR_DISK, cs).coeffs == tuple(cs)
+    else:
+        with pytest.raises(ValueError) as info:
+            TruncSeries(field, VAR_DISK, cs)
+        assert str(info.value) == validate_message(field, offenders[0])
+
+
+# ==========================================================================
 # precision laws (pinned)
 # ==========================================================================
 
