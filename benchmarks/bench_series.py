@@ -1,11 +1,13 @@
-"""Time the series objects: TruncSeries construction and product, SeriesMatrix construction.
+"""Time the series objects: construction, products, sums of products and matrix products.
 
 Every kernel result becomes a ``TruncSeries`` and every matrix result a
 ``SeriesMatrix``, so the per-object checks of their constructors are paid
 hundreds of thousands of times per verify sweep.  This reports per-call
 timings (best of five, as ``bench_kernels.py``) over F_5 and F_9 at the
 lengths the workloads use: 4 to 19 on the verify grid, 160 in the deep
-harmonic solve.  Run from the repository root:
+harmonic solve.  The last table times ``dot`` of two pairs and the matrix
+product ``@`` over F_5 at the shapes the workloads multiply.  Run from the
+repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """
@@ -17,12 +19,15 @@ from bench_kernels import clock, fmt
 from pdisk.field import FieldSpec
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
-from pdisk.series import TruncSeries, VAR_DISK
+from pdisk.series import TruncSeries, VAR_DISK, dot
 
 FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
 RANKS = [2, 3]
 MATRIX_PRECISION = 19
+# (rank, precision) of the timed matrix products over F_5
+PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
+DOT_PRECISION = 19
 
 
 def main() -> None:
@@ -49,6 +54,22 @@ def main() -> None:
             )
             t_matrix, _ = clock(SeriesMatrix, rows)
             print(f"{name:>5} {r:>5} {fmt(t_matrix):>14}")
+    f = FIELDS["F5"]
+
+    def series(n: int) -> TruncSeries:
+        return TruncSeries(f, VAR_DISK, draw(f, n))
+
+    xs, ys = [series(DOT_PRECISION) for _ in range(2)], [series(DOT_PRECISION) for _ in range(2)]
+    t_dot, _ = clock(dot, xs, ys)
+    print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>12} {'time':>12}")
+    print(f"{'F5':>5} {'-':>5} {DOT_PRECISION:>5} {'dot, 2 pairs':>12} {fmt(t_dot):>12}")
+    for r, n in PRODUCT_SHAPES:
+        a, b = (
+            SeriesMatrix(tuple(tuple(series(n) for _ in range(r)) for _ in range(r)))
+            for _ in range(2)
+        )
+        t_matmul, _ = clock(a.__matmul__, b)
+        print(f"{'F5':>5} {r:>5} {n:>5} {'a @ b':>12} {fmt(t_matmul):>12}")
 
 
 if __name__ == "__main__":

@@ -161,7 +161,8 @@ class CorrespondencePackage:
 
 def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> SpectralElement:
     """The ring element taking value values[i] at the ring's eigenvalue i."""
-    return dot([ring.from_series(v) for v in values], ring.lagrange_basis)
+    basis = ring.lagrange_basis
+    return ring.element([dot(values, [L.coeffs[j] for L in basis]) for j in range(ring.rank)])
 
 
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:

@@ -17,7 +17,8 @@ nothing divides by 1..n, so small p is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .connection import Connection, pcurv
 from .errors import (
@@ -83,18 +84,18 @@ class InvariantTuple:
         return signed[::-1] + [TruncSeries.one(self.field, self.var, self.precision)]
 
 
-def poly_mul(a: Sequence[TruncSeries], b: Sequence[TruncSeries]) -> list[TruncSeries]:
+def poly_mul(a: Sequence[TruncSeries], b: Sequence[TruncSeries]) -> Iterator[TruncSeries]:
     """Product of two t-polynomials with series coefficients: their convolution.
 
     Coefficient k is the sum of a[i] * b[k - i], so ascending and
     descending coefficient lists both work.  Each coefficient is one dot,
-    at the least precision among its terms.  An empty operand gives [].
+    at the least precision among its terms, formed when it is taken, so a
+    caller that keeps the first few forms only those.  An empty operand
+    gives none.
     """
-    out: list[TruncSeries] = []
     for k in range(len(a) + len(b) - 1 if a and b else 0):
         lo = max(0, k - len(b) + 1)
-        out.append(dot(a[lo : k + 1], b[k - lo :: -1]))
-    return out
+        yield dot(a[lo : k + 1], b[k - lo :: -1])
 
 
 def char_invariants(m: SeriesMatrix) -> InvariantTuple:
@@ -116,7 +117,7 @@ def char_invariants(m: SeriesMatrix) -> InvariantTuple:
             if j:
                 c = [dot(row[:k], c) for row in e[:k]]
             column.append(-dot(r, c))
-        charpoly = poly_mul(column, charpoly)[: k + 2]
+        charpoly = list(islice(poly_mul(column, charpoly), k + 2))
     return InvariantTuple(tuple(x if i % 2 == 0 else -x for i, x in enumerate(charpoly[1:], 1)))
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .backend import impl
 from .errors import DimensionMismatch, SingularGauge
 from .field import FieldSpec
-from .series import TruncSeries, dot
+from .series import TruncSeries
 
 
 @dataclass(frozen=True)
@@ -24,11 +25,12 @@ class SeriesMatrix:
             raise DimensionMismatch("matrix is not square")
         first = self.entries[0][0]
         field = first.field
+        precision = len(first.coeffs)
         for row in self.entries:
             for e in row:
                 if (e.field is not field and e.field != field) or e.var != first.var:
                     raise DimensionMismatch("entries disagree on field or variable")
-                if e.precision != first.precision:
+                if len(e.coeffs) != precision:
                     raise DimensionMismatch("entries disagree on precision")
 
     @classmethod
@@ -108,9 +110,16 @@ class SeriesMatrix:
         return self.map_entries(lambda e: -e)
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        """The product at the smaller precision: one ``series_matmul`` kernel call."""
         self._check_peer(other)
-        cols = tuple(zip(*other.entries))
-        return SeriesMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.entries))
+        f, var = self.field, self.var
+        nout = min(self.precision, other.precision)
+        out = impl.series_matmul(
+            [[e.coeffs for e in row] for row in self.entries],
+            [[e.coeffs for e in row] for row in other.entries],
+            nout, f.p, f.k, f.modulus,
+        )
+        return SeriesMatrix(tuple(tuple(TruncSeries(f, var, tuple(c)) for c in row) for row in out))
 
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         if len(vec) != self.rank:
@@ -151,11 +160,12 @@ class SeriesMatrix:
                 raise SingularGauge("constant-term matrix is singular")
             rows[col], rows[piv] = rows[piv], rows[col]
             ipiv = rows[col][col].inverse()
-            rows[col] = [e * ipiv for e in rows[col]]
+            # a zero operand leaves its entry as it is: every entry has one precision
+            rows[col] = [e if e.is_zero() else e * ipiv for e in rows[col]]
             for r in range(n):
                 f = rows[r][col]
                 if r != col and not f.is_zero():
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+                    rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(rows[r], rows[col])]
         return SeriesMatrix(tuple(tuple(row[n:]) for row in rows))
 
     def conjugate_by(self, g: "SeriesMatrix") -> "SeriesMatrix":

@@ -5,10 +5,10 @@ else; N is the precision.  Precision is data, not padding: every operation
 returns the largest precision actually warranted by its inputs and nothing
 is ever silently zero-filled.
 
-    add, mul, dot   min(N_a, N_b, ...)
-    inverse         N_a           (unit constant term required)
-    derivative      N_a - 1
-    descend         ceil(N / p)   (see descend_pth_power)
+    add, sub, mul, dot   min(N_a, N_b, ...)
+    inverse              N_a           (unit constant term required)
+    derivative           N_a - 1
+    descend              ceil(N / p)   (see descend_pth_power)
 
 This arithmetic, with ``SeriesMatrix`` built on it, is the one place
 precision is met: operands of different precision combine at the smaller
@@ -30,9 +30,7 @@ projection sends z to z' and raises coefficients to the p-th power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
-from typing import Iterable, TypeVar
+from typing import Iterable
 
 from .backend import impl
 from .errors import (
@@ -128,10 +126,13 @@ class TruncSeries:
         return self.coeffs[m]
 
     def truncate(self, precision: int) -> "TruncSeries":
+        """The series at a precision no larger than its own; itself at its own."""
         if precision > self.precision:
             raise ZeroPrecision(
                 f"cannot raise precision {self.precision} to {precision}"
             )
+        if precision == self.precision:
+            return self
         return TruncSeries(self.field, self.var, self.coeffs[:precision])
 
     def _check_peer(self, other: "TruncSeries") -> None:
@@ -149,7 +150,10 @@ class TruncSeries:
         return TruncSeries(f, self.var, tuple(out))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
+        self._check_peer(other)
+        f = self.field
+        out = impl.series_sub(self.coeffs, other.coeffs, f.p, f.k, f.modulus)
+        return TruncSeries(f, self.var, tuple(out))
 
     def __neg__(self) -> "TruncSeries":
         f = self.field
@@ -259,14 +263,24 @@ class TruncSeries:
         return format_series(self)
 
 
-_R = TypeVar("_R")
+def dot(xs: Iterable[TruncSeries], ys: Iterable[TruncSeries]) -> TruncSeries:
+    """The sum of x * y over paired series, at the least precision among the terms.
 
-
-def dot(xs: Iterable[_R], ys: Iterable[_R]) -> _R:
-    """The sum of x * y over paired ring elements, at the least precision among the terms.
-
-    Works for any elements with ``+`` and ``*``: ``TruncSeries`` and
-    ``SpectralElement`` alike.  The pairing stops at the shorter input,
-    which must not be empty.
+    One ``series_sum_mul`` kernel call builds the one result series.  The
+    pairing stops at the shorter input, which must not be empty.  Operands
+    are checked in the order of the sum taken term by term: each x against
+    its y, then the first x against each later x.
     """
-    return reduce(add, map(mul, xs, ys))
+    pairs = list(zip(xs, ys))
+    if not pairs:
+        raise TypeError("dot of no terms")
+    x0, y0 = pairs[0]
+    x0._check_peer(y0)
+    for x, y in pairs[1:]:
+        x._check_peer(y)
+        x0._check_peer(x)
+    f = x0.field
+    cs = [(x.coeffs, y.coeffs) for x, y in pairs]
+    nout = min(min(len(a), len(b)) for a, b in cs)
+    out = impl.series_sum_mul(cs, nout, f.p, f.k, f.modulus)
+    return TruncSeries(f, x0.var, tuple(out))

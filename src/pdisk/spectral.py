@@ -108,9 +108,8 @@ class SpectralRing:
             coeffs = self._reduce(coeffs)
         prec = min([c.precision for c in coeffs] + [self.precision])
         padded = [c.truncate(prec) for c in coeffs]
-        zero = TruncSeries.zero(self.field, self.var, prec)
-        while len(padded) < n:
-            padded.append(zero)
+        if len(padded) < n:
+            padded += [TruncSeries.zero(self.field, self.var, prec)] * (n - len(padded))
         return SpectralElement(self, tuple(padded))
 
     def one(self) -> "SpectralElement":

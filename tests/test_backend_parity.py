@@ -5,7 +5,8 @@ the dot-product inversion against the scalar triangular recursion below, on
 both sides of the Kronecker crossover and for moduli beyond machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
 field's own arithmetic.  series_dot is checked over both kinds of field
-against a sum of FieldSpec products.
+against a sum of FieldSpec products, and series_sum_mul and series_matmul
+against sums of series_mul products taken one series_add at a time.
 """
 
 from __future__ import annotations
@@ -170,3 +171,95 @@ def test_series_dot_matches_field_loop(field: FieldSpec) -> None:
     want = field_dot(field, [(top, top), (top[:7], top), (top, top[:150])])
     pairs = [(top, top), (top[:7], reversed(top)), (top, top[:150])]
     assert impl.series_dot(pairs, p, k, mod) == want
+
+
+def sum_mul_oracle(pairs, nout: int, p: int, k: int, mod) -> list[int]:
+    """The sum of products one series_mul and one series_add at a time.
+
+    Over F_{p^k}, series_mul itself is checked against FieldSpec products above.
+    """
+    acc = [0] * nout
+    for a, b in pairs:
+        acc = impl.series_add(acc, impl.series_mul(a, b, nout, p, k, mod), p, k, mod)
+    return acc
+
+
+def split_length(total: int, most: int) -> list[int]:
+    """total as parts of at most ``most``, the largest first."""
+    return [min(most, total - i) for i in range(0, total, most)]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
+def test_series_sum_mul_matches_products(field: FieldSpec) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(690 + field.q % 1000)
+    assert impl.series_sum_mul([], 0, p, k, mod) == []
+    assert impl.series_sum_mul([], CROSS + 1, p, k, mod) == [0] * (CROSS + 1)
+    top = 2 * CROSS if k > 1 else 3 * CROSS
+    for trial in range(40 if k == 1 else 20):
+        # uneven lengths and empty operands; nout below, between and above them,
+        # and on both sides of the Kronecker crossover
+        pairs = [
+            (draw(rng, field.q, rng.below(top)), tuple(draw(rng, field.q, rng.below(top))))
+            for _ in range(rng.below(5))
+        ]
+        for nout in (rng.below(top), CROSS - 1, CROSS, CROSS + 1):
+            want = sum_mul_oracle(pairs, nout, p, k, mod)
+            assert impl.series_sum_mul(pairs, nout, p, k, mod) == want
+            assert impl.series_sum_mul(iter(pairs), nout, p, k, mod) == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_series_sum_mul_full_slots_at_width_boundaries(p: int) -> None:
+    # all coefficients p - 1 in up to four pairs: the top slot of the sum adds
+    # every product at its bound, and the total length puts it just below, at
+    # and above a byte boundary
+    for bits in (8, 16, 32, 64, 72):
+        terms = (1 << bits) // (p - 1) ** 2
+        for total in (terms - 1, terms, terms + 1):
+            if not 1 <= total <= 4100:
+                continue
+            lengths = split_length(total, -(-total // 4))
+            pairs = [([p - 1] * n, [p - 1] * n) for n in lengths]
+            nout = lengths[0]
+            want = sum_mul_oracle(pairs, nout, p, 1, None)
+            assert impl.series_sum_mul(pairs, nout, p, 1, None) == want
+
+
+def matmul_oracle(a, b, nout: int, p: int, k: int, mod) -> list[list[list[int]]]:
+    cols = list(zip(*b))
+    return [[sum_mul_oracle(zip(row, col), nout, p, k, mod) for col in cols] for row in a]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_series_matmul_matches_products(field: FieldSpec, rank: int) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(790 + 10 * rank + field.q % 1000)
+    nouts = (0, CROSS - 1, CROSS, CROSS + 1) + ((25,) if k == 1 else ())
+    for nout in nouts:
+        # entries as long as nout, longer, shorter or empty
+        def entry() -> tuple[int, ...]:
+            return tuple(draw(rng, field.q, rng.below(nout + 6) if rng.below(3) else nout))
+
+        a = [[entry() for _ in range(rank)] for _ in range(rank)]
+        b = [[entry() for _ in range(rank)] for _ in range(rank)]
+        assert impl.series_matmul(a, b, nout, p, k, mod) == matmul_oracle(a, b, nout, p, k, mod)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_series_matmul_full_slots_at_width_boundaries(p: int) -> None:
+    # all entries p - 1: the top slot of each output entry adds rank * nout
+    # products at their bound, just below, at and above a byte boundary
+    checked = 0
+    for rank in (1, 2, 3, 4):
+        for bits in (8, 16, 64, 72):
+            terms = (1 << bits) // (rank * (p - 1) ** 2)
+            for nout in (terms - 1, terms, terms + 1):
+                if not CROSS <= nout <= 512:
+                    continue
+                a = [[(p - 1,) * nout] * rank] * rank
+                want = matmul_oracle(a, a, nout, p, 1, None)
+                assert impl.series_matmul(a, a, nout, p, 1, None) == want
+                checked += 1
+    assert checked

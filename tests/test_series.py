@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +16,7 @@ from pdisk.errors import (
     ZeroPrecision,
 )
 from pdisk.field import FieldSpec
-from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
+from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST, dot
 
 from conftest import S
 
@@ -345,3 +348,93 @@ def test_pth_power_descends(a: TruncSeries) -> None:
     cube = a**3
     d = cube.descend_pth_power()
     assert d.precision == (cube.precision + 2) // 3
+
+
+# ==========================================================================
+# one sum of products, one subtraction, no copy at the same precision
+# ==========================================================================
+
+
+def term_by_term(xs: list[TruncSeries], ys: list[TruncSeries]) -> TruncSeries:
+    """The sum of products as series arithmetic takes it, one product and one sum at a time."""
+    return reduce(add, map(mul, xs, ys))
+
+
+@st.composite
+def dot_operands(draw, field: FieldSpec):
+    terms = draw(st.integers(1, 4))
+    short = draw(st.integers(0, 1))
+
+    def series():
+        n = draw(st.integers(0, 14))
+        cs = draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n))
+        return TruncSeries(field, VAR_DISK, tuple(cs))
+
+    # the pairing stops at the shorter input, as zip does
+    return [series() for _ in range(terms + short)], [series() for _ in range(terms)]
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dot_is_the_sum_of_products(field: FieldSpec, data) -> None:
+    xs, ys = data.draw(dot_operands(field))
+    got, want = dot(xs, ys), term_by_term(xs, ys)
+    assert got.coeffs == want.coeffs
+    assert got.precision == want.precision
+    assert (got.field, got.var) == (want.field, want.var)
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises((FieldMismatch, VarMismatch)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+STRANGERS = {"field": TruncSeries.one(F3, VAR_DISK, 5), "var": TruncSeries.one(F5, VAR_TWIST, 5)}
+
+
+@pytest.mark.parametrize("stranger", STRANGERS.values(), ids=STRANGERS.keys())
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("side", ["x", "y", "both"])
+def test_dot_refuses_mixed_operands_as_the_sum_does(
+    stranger: TruncSeries, position: int, side: str
+) -> None:
+    xs = [S(F5, "1 + z", 5), S(F5, "2 + z^2", 5), S(F5, "3*z", 5)]
+    ys = [S(F5, "4", 5), S(F5, "z + z^3", 5), S(F5, "1 + 2*z", 5)]
+    if side in ("x", "both"):
+        xs[position] = stranger
+    if side in ("y", "both"):
+        ys[position] = stranger
+    assert raised(dot, xs, ys) == raised(term_by_term, xs, ys)
+
+
+def test_dot_of_nothing_is_refused() -> None:
+    with pytest.raises(TypeError):
+        dot([], [])
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sub_is_add_of_neg(field: FieldSpec, data) -> None:
+    a = data.draw(series_strategy(field, data.draw(st.integers(0, 12))))
+    b = data.draw(series_strategy(field, data.draw(st.integers(0, 12))))
+    diff = a - b
+    assert diff.coeffs == (a + (-b)).coeffs
+    assert diff.precision == min(a.precision, b.precision)
+
+
+def test_sub_refuses_mixed_operands() -> None:
+    a = TruncSeries.one(F5, VAR_DISK, 3)
+    with pytest.raises(FieldMismatch):
+        a - TruncSeries.one(F3, VAR_DISK, 3)
+    with pytest.raises(VarMismatch):
+        a - TruncSeries.one(F5, VAR_TWIST, 3)
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=str)
+def test_truncate_to_own_precision_is_the_series(field: FieldSpec) -> None:
+    a = TruncSeries.make(field, VAR_DISK, [1, 2, 0, 3], 6)
+    assert a.truncate(a.precision) is a
+    assert a.truncate(3).coeffs == a.coeffs[:3]
