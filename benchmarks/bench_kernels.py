@@ -1,6 +1,6 @@
 """Compare the Kronecker product over F_p against the schoolbook loop.
 
-Feeds identical inputs to ``_kernels_py._kronecker_mul`` and
+Feeds identical inputs to ``_kernels_py._kronecker_sum_mul`` (one pair) and
 ``_kernels_py._schoolbook_mul``, checks the outputs agree, and reports
 per-call timings, the speedup, and which one ``series_mul`` picks at each
 length (``KRONECKER_MIN``).  Run from the repository root:
@@ -49,7 +49,7 @@ def main() -> None:
             a = [rng.below(p) for _ in range(n)]
             b = [rng.below(p) for _ in range(n)]
             t_school, out_school = clock(kernels._schoolbook_mul, a, b, n, p)
-            t_kron, out_kron = clock(kernels._kronecker_mul, a, b, n, p)
+            t_kron, out_kron = clock(kernels._kronecker_sum_mul, [(a, b)], n, p)
             if out_school != out_kron:
                 raise SystemExit(f"kernel mismatch: p={p} n={n}")
             used = "kronecker" if n >= kernels.KRONECKER_MIN else "schoolbook"

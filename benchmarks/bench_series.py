@@ -6,8 +6,9 @@ hundreds of thousands of times per verify sweep.  This reports per-call
 timings (best of five, as ``bench_kernels.py``) over F_5 and F_9 at the
 lengths the workloads use: 4 to 19 on the verify grid, 160 in the deep
 harmonic solve.  The last table times ``dot`` of two pairs and the matrix
-product ``@`` over F_5 at the shapes the workloads multiply.  Run from the
-repository root:
+product ``@`` over F_5: at rank 2, the largest rank the workloads
+multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no workload
+reaches, to show how the product scales.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """

@@ -8,23 +8,23 @@ extension fields (k > 1) the loops use the element arithmetic of
 ``pdisk.field``.
 
 Over prime fields (k = 1) the quadratic work runs inside CPython's C code.
-``series_mul`` multiplies by Kronecker substitution from ``KRONECKER_MIN``
-output coefficients on: both operands are packed into one integer, one slot
-of whole bytes per coefficient, the integers are multiplied once and each
-slot of the product is reduced mod p.  A slot holds any convolution sum
-exactly, so no carry crosses slots.  Shorter products use the schoolbook
-loop, which is as fast there.  ``series_sum_mul`` extends the substitution
-from one product to a sum of products: its slots are wide enough for the
-whole sum, the integer products are added, and the sum is unpacked and
-reduced mod p once; below ``KRONECKER_MIN`` it accumulates one schoolbook
-list and reduces once.  ``series_matmul`` is the matrix product on the same
-packing: each entry is packed once and each output entry is one integer
-sum of products, unpacked once.  ``series_dot`` sums the dot products of
-several coefficient sequences as integers and reduces mod p once; it gives
-one coefficient of a truncated product when one operand is reversed, which
-is how ``series_inv`` and the order-by-order recursion of ``pdisk.cartier``
-(``flat_matrix_section``, which ``kernel_unit`` runs through) compute their
-residuals.
+``series_sum_mul`` gives the first nout coefficients of a sum of products.
+From ``KRONECKER_MIN`` output coefficients on it multiplies by Kronecker
+substitution: every operand is packed into one integer, one slot of whole
+bytes per coefficient, wide enough for the whole sum; the integer products
+are added and each slot of the sum is reduced mod p once.  A slot holds its
+sum exactly, so no carry crosses slots.  Shorter sums accumulate one
+schoolbook list and reduce it once, which is as fast there.  ``series_mul``
+is ``series_sum_mul`` of one pair, so products, ``series.dot`` and each
+entry of a matrix product share one implementation; ``_schoolbook_mul``,
+one product at a time, is the reference that the tests and
+``benchmarks/bench_kernels.py`` compare it with.
+
+``series_dot`` sums the dot products of several coefficient sequences as
+integers and reduces mod p once; it gives one coefficient of a truncated
+product when one operand is reversed, which is how ``series_inv`` and the
+order-by-order recursion of ``pdisk.cartier`` (``flat_matrix_section``,
+which ``kernel_unit`` runs through) compute their residuals.
 
 BACKEND tells the benchmark and tests which implementation they got.
 """
@@ -114,22 +114,16 @@ def _slot_width(terms: int, p: int) -> int:
     return _SLOT_WIDTHS[need] if need < len(_SLOT_WIDTHS) else need
 
 
-def _kronecker_mul(a, b, nout: int, p: int) -> list[int]:
-    """The first nout coefficients of a * b over F_p by one integer product."""
-    a, b = a[:nout], b[:nout]
-    if not a or not b:
-        return [0] * nout
-    # A product slot sums at most min(len) terms, each at most (p-1)^2.
-    width = _slot_width(min(len(a), len(b)), p)
-    product = _pack(a, width) * _pack(b, width)
-    return _unpack_mod(product & ((1 << 8 * width * nout) - 1), width, nout, p)
+def _kronecker_sum_mul(pairs, nout: int, p: int) -> list[int]:
+    """The first nout coefficients of the sum of a * b over F_p by packed integers."""
+    pairs = [(a[:nout], b[:nout]) for a, b in pairs if len(a) and len(b)]
+    # A slot of the sum adds min(len) terms per product, each at most (p-1)^2.
+    width = _slot_width(sum([min(len(a), len(b)) for a, b in pairs]), p)
+    total = sum([_pack(a, width) * _pack(b, width) for a, b in pairs])
+    return _unpack_mod(total & ((1 << 8 * width * nout) - 1), width, nout, p)
 
 
 def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
-    if k == 1:
-        if nout < KRONECKER_MIN:
-            return _schoolbook_mul(a, b, nout, p)
-        return _kronecker_mul(a, b, nout, p)
     return series_sum_mul(((a, b),), nout, p, k, mod)
 
 
@@ -141,11 +135,7 @@ def series_sum_mul(pairs, nout: int, p: int, k: int, mod) -> list[int]:
     one schoolbook list.  Over F_{p^k} the list accumulates field products.
     """
     if k == 1 and nout >= KRONECKER_MIN:
-        pairs = [(a[:nout], b[:nout]) for a, b in pairs if len(a) and len(b)]
-        # A slot of the sum adds at most min(len) terms of each product.
-        width = _slot_width(sum(min(len(a), len(b)) for a, b in pairs), p)
-        total = sum(_pack(a, width) * _pack(b, width) for a, b in pairs)
-        return _unpack_mod(total & ((1 << 8 * width * nout) - 1), width, nout, p)
+        return _kronecker_sum_mul(pairs, nout, p)
     out = [0] * nout
     for a, b in pairs:
         nb = len(b)
@@ -160,27 +150,6 @@ def series_sum_mul(pairs, nout: int, p: int, k: int, mod) -> list[int]:
                 for j in range(min(nb, nout - i)):
                     out[i + j] = ext_add(out[i + j], ext_mul(ai, b[j], p, k, mod), p, k)
     return [c % p for c in out] if k == 1 else out
-
-
-def series_matmul(a, b, nout: int, p: int, k: int, mod) -> list[list[list[int]]]:
-    """The first nout coefficients of each entry of the product of square matrices a and b.
-
-    a and b are rows of coefficient sequences.  Over F_p from ``KRONECKER_MIN``
-    output coefficients on, each entry is packed once and each output entry
-    is one integer sum of products, unpacked once.
-    """
-    cols = list(zip(*b))
-    if k > 1 or nout < KRONECKER_MIN:
-        return [[series_sum_mul(zip(row, col), nout, p, k, mod) for col in cols] for row in a]
-    # A slot of an output entry adds at most nout terms of each of len(a) products.
-    width = _slot_width(len(a) * nout, p)
-    packed_rows = [[_pack(x[:nout], width) for x in row] for row in a]
-    packed_cols = [[_pack(y[:nout], width) for y in col] for col in cols]
-    mask = (1 << 8 * width * nout) - 1
-    return [
-        [_unpack_mod(sum(map(mul, row, col)) & mask, width, nout, p) for col in packed_cols]
-        for row in packed_rows
-    ]
 
 
 def series_dot(pairs, p: int, k: int, mod) -> int:

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .backend import impl
 from .errors import DimensionMismatch, SingularGauge
 from .field import FieldSpec
-from .series import TruncSeries
+from .series import TruncSeries, dot
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,10 @@ class SeriesMatrix:
         return self.map_entries(lambda e: -e)
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        """The product at the smaller precision: one ``series_matmul`` kernel call."""
+        """The product at the smaller precision: one ``dot`` per entry."""
         self._check_peer(other)
-        f, var = self.field, self.var
-        nout = min(self.precision, other.precision)
-        out = impl.series_matmul(
-            [[e.coeffs for e in row] for row in self.entries],
-            [[e.coeffs for e in row] for row in other.entries],
-            nout, f.p, f.k, f.modulus,
-        )
-        return SeriesMatrix(tuple(tuple(TruncSeries(f, var, tuple(c)) for c in row) for row in out))
+        cols = tuple(zip(*other.entries))
+        return SeriesMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.entries))
 
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         if len(vec) != self.rank:

@@ -1,12 +1,14 @@
 """The series kernels against slow oracles.
 
-Over F_p the Kronecker product is checked against the schoolbook loop and
-the dot-product inversion against the scalar triangular recursion below, on
-both sides of the Kronecker crossover and for moduli beyond machine words.
+Over F_p the Kronecker product (series_mul from the crossover on, and the
+packed sum _kronecker_sum_mul of one pair at every length) is checked
+against the schoolbook loop and the dot-product inversion against the
+scalar triangular recursion below, on both sides of the Kronecker
+crossover and for moduli beyond machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
 field's own arithmetic.  series_dot is checked over both kinds of field
-against a sum of FieldSpec products, and series_sum_mul and series_matmul
-against sums of series_mul products taken one series_add at a time.
+against a sum of FieldSpec products, and series_sum_mul against sums of
+series_mul products taken one series_add at a time.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def test_kronecker_matches_schoolbook(p: int) -> None:
         for _ in range(4):
             a, b = draw(rng, p, n), draw(rng, p, n)
             want = kernels._schoolbook_mul(a, b, n, p)
-            assert kernels._kronecker_mul(a, b, n, p) == want
+            assert kernels._kronecker_sum_mul([(a, b)], n, p) == want
             assert impl.series_mul(a, b, n, p, 1, None) == want
 
 
@@ -86,7 +88,7 @@ def test_uneven_lengths_and_short_outputs(p: int) -> None:
         nout = rng.below(3 * CROSS)
         a, b = draw(rng, p, na), draw(rng, p, nb)
         want = kernels._schoolbook_mul(a, b, nout, p)
-        assert kernels._kronecker_mul(a, b, nout, p) == want
+        assert kernels._kronecker_sum_mul([(a, b)], nout, p) == want
         assert impl.series_mul(a, b, nout, p, 1, None) == want
         assert impl.series_mul(tuple(a), tuple(b), nout, p, 1, None) == want
 
@@ -96,7 +98,7 @@ def test_empty_inputs(p: int) -> None:
     for nout in (0, CROSS - 1, CROSS, 2 * CROSS):
         assert impl.series_mul([], [1], nout, p, 1, None) == [0] * nout
         assert impl.series_mul([1, 2 % p], [], nout, p, 1, None) == [0] * nout
-        assert kernels._kronecker_mul([], [], nout, p) == [0] * nout
+        assert kernels._kronecker_sum_mul([([], [])], nout, p) == [0] * nout
     assert impl.series_add([], [], p, 1, None) == []
     assert impl.series_neg([], p, 1, None) == []
 
@@ -114,7 +116,8 @@ def test_full_slots_at_width_boundaries(p: int) -> None:
                 continue
             a = [p - 1] * m
             want = kernels._schoolbook_mul(a, a, m, p)
-            assert kernels._kronecker_mul(a, a, m, p) == want
+            assert kernels._kronecker_sum_mul([(a, a)], m, p) == want
+            assert impl.series_mul(a, a, m, p, 1, None) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -224,42 +227,3 @@ def test_series_sum_mul_full_slots_at_width_boundaries(p: int) -> None:
             nout = lengths[0]
             want = sum_mul_oracle(pairs, nout, p, 1, None)
             assert impl.series_sum_mul(pairs, nout, p, 1, None) == want
-
-
-def matmul_oracle(a, b, nout: int, p: int, k: int, mod) -> list[list[list[int]]]:
-    cols = list(zip(*b))
-    return [[sum_mul_oracle(zip(row, col), nout, p, k, mod) for col in cols] for row in a]
-
-
-@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_series_matmul_matches_products(field: FieldSpec, rank: int) -> None:
-    p, k, mod = field.p, field.k, field.modulus
-    rng = SplitMix64(790 + 10 * rank + field.q % 1000)
-    nouts = (0, CROSS - 1, CROSS, CROSS + 1) + ((25,) if k == 1 else ())
-    for nout in nouts:
-        # entries as long as nout, longer, shorter or empty
-        def entry() -> tuple[int, ...]:
-            return tuple(draw(rng, field.q, rng.below(nout + 6) if rng.below(3) else nout))
-
-        a = [[entry() for _ in range(rank)] for _ in range(rank)]
-        b = [[entry() for _ in range(rank)] for _ in range(rank)]
-        assert impl.series_matmul(a, b, nout, p, k, mod) == matmul_oracle(a, b, nout, p, k, mod)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
-def test_series_matmul_full_slots_at_width_boundaries(p: int) -> None:
-    # all entries p - 1: the top slot of each output entry adds rank * nout
-    # products at their bound, just below, at and above a byte boundary
-    checked = 0
-    for rank in (1, 2, 3, 4):
-        for bits in (8, 16, 64, 72):
-            terms = (1 << bits) // (rank * (p - 1) ** 2)
-            for nout in (terms - 1, terms, terms + 1):
-                if not CROSS <= nout <= 512:
-                    continue
-                a = [[(p - 1,) * nout] * rank] * rank
-                want = matmul_oracle(a, a, nout, p, 1, None)
-                assert impl.series_matmul(a, a, nout, p, 1, None) == want
-                checked += 1
-    assert checked
