@@ -1,4 +1,5 @@
-"""Time the series objects: construction, products, sums of products and matrix products.
+"""Time the series objects (construction, products, sums of products, matrix
+products) and the two p-curvature loops built on them.
 
 Every kernel result becomes a ``TruncSeries`` and every matrix result a
 ``SeriesMatrix``, so the per-object checks of their constructors are paid
@@ -8,7 +9,11 @@ lengths the workloads use: 4 to 19 on the verify grid, 160 in the deep
 harmonic solve.  The last table times ``dot`` of two pairs and the matrix
 product ``@`` over F_5: at rank 2, the largest rank the workloads
 multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no workload
-reaches, to show how the product scales.  Run from the repository root:
+reaches, to show how the product scales.  The p-curvature table times
+``pcurv`` and ``pcurv_in_ring`` over F_5 at rank 2, N = 19 and N = 160:
+``pcurv`` on a fresh ``Connection`` per call, so the value a connection
+keeps is never what is timed, and ``pcurv_in_ring`` on the theta that
+``solve_harmonic`` certifies.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """
@@ -17,7 +22,10 @@ from __future__ import annotations
 
 from bench_kernels import clock, fmt
 
+from pdisk.connection import Connection, pcurv
+from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
+from pdisk.harmonic import pcurv_in_ring, solve_harmonic
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
@@ -29,6 +37,8 @@ MATRIX_PRECISION = 19
 # (rank, precision) of the timed matrix products over F_5
 PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
 DOT_PRECISION = 19
+# precisions of the timed p-curvatures over F_5 at rank 2
+PCURV_PRECISIONS = [19, 160]
 
 
 def main() -> None:
@@ -71,6 +81,19 @@ def main() -> None:
         )
         t_matmul, _ = clock(a.__matmul__, b)
         print(f"{'F5':>5} {r:>5} {n:>5} {'a @ b':>12} {fmt(t_matmul):>12}")
+    print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>14} {'time':>12}")
+    for n in PCURV_PRECISIONS:
+        while True:
+            m = rng.matrix(f, VAR_DISK, 2, n)
+            try:
+                theta = solve_harmonic(Connection(m)).harmonic.theta
+                break
+            except (NonSplitResidue, RepeatedResidueRoot):
+                continue
+        t_pcurv, _ = clock(lambda: pcurv(Connection(m)))
+        t_ring, _ = clock(pcurv_in_ring, theta)
+        print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv':>14} {fmt(t_pcurv):>12}")
+        print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv_in_ring':>14} {fmt(t_ring):>12}")
 
 
 if __name__ == "__main__":

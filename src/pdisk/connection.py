@@ -5,20 +5,28 @@ sign is a global convention of the package.  Under it the p-curvature
 satisfies dPsi/dz = [Psi, A], equivalently dPsi/dz + A Psi - Psi A = 0,
 which check_horizontality asserts.
 
-pcurv has exactly one semantics: apply the operator p times to the
-identity matrix, whose columns are the constant basis vectors.  The rank-1
-closed form f^p + (d/dz)^(p-1) f exists in the test suite as an independent
-oracle and is deliberately not used here.
+pcurv has exactly one semantics: the operator applied p times to the
+identity matrix, whose columns are the constant basis vectors.  The first
+application gives A itself, so the loop starts there and applies the
+operator p - 1 more times.  Each connection computes its p-curvature once
+(Connection.p_curvature) and each p-curvature its invariants once
+(FHiggs.invariants).  The rank-1 closed form f^p + (d/dz)^(p-1) f and the
+identity-seeded p-fold loop exist in the test suite as independent oracles
+and are deliberately not used here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, InsufficientPrecision, VarMismatch
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK
+
+if TYPE_CHECKING:
+    from .hitchin import InvariantTuple
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,20 @@ class Connection:
         av = self.matrix.matvec(vec)
         return tuple(v.derivative() + w for v, w in zip(vec, av))
 
+    @cached_property
+    def p_curvature(self) -> "FHiggs":
+        """The p-curvature, computed on first read; pcurv is the checked entry.
+
+        The operator sends the identity to A exactly (dI/dz = 0, A I = A),
+        so the loop is seeded at A and applies X -> dX/dz + A X p - 1 times:
+        each application costs one order, leaving N - p + 1.
+        """
+        a = self.matrix
+        x = a
+        for _ in range(self.field.p - 1):
+            x = x.derivative() + a @ x
+        return FHiggs(x)
+
 
 @dataclass(frozen=True)
 class FHiggs:
@@ -65,6 +87,13 @@ class FHiggs:
     def twist_weight(self) -> int:
         return self.matrix.field.p
 
+    @cached_property
+    def invariants(self) -> InvariantTuple:
+        """char_invariants of the matrix, computed on first read."""
+        from .hitchin import char_invariants  # hitchin imports this module
+
+        return char_invariants(self.matrix)
+
 
 def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     """Change frame by the unit matrix g: A becomes g A g^(-1) + g d(g^(-1)).
@@ -72,17 +101,20 @@ def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     The defining property (checked in the tests, not here) is
     apply(gauge(g, conn), g v) = g apply(conn, v).
     """
-    g_inv = g.inverse()
-    a_new = (g @ conn.matrix @ g_inv) + (g @ g_inv.derivative())
-    return Connection(a_new)
+    return _gauge_pair(g, g.inverse(), conn)
+
+
+def _gauge_pair(g: SeriesMatrix, g_inv: SeriesMatrix, conn: Connection) -> Connection:
+    """gauge(g, conn) for a caller that already holds g_inv = g^(-1)."""
+    return Connection((g @ conn.matrix @ g_inv) + (g @ g_inv.derivative()))
 
 
 def pcurv(conn: Connection) -> FHiggs:
-    """The p-curvature, by p-fold application of X -> dX/dz + A X to the identity.
+    """The p-curvature: the p-fold composite of X -> dX/dz + A X, applied to I.
 
-    The identity is exactly known at every order, so it is seeded one order
-    above A, the first application costs no precision and the result holds
-    N - p + 1 orders.
+    Computed once per connection (Connection.p_curvature, seeded at A, the
+    first application) and returned from there on every later call.  The
+    result holds N - p + 1 orders.
     """
     p = conn.field.p
     nprec = conn.precision
@@ -90,10 +122,7 @@ def pcurv(conn: Connection) -> FHiggs:
         raise InsufficientPrecision(
             f"need precision >= p + 1 = {p + 1}, have {nprec}"
         )
-    x = SeriesMatrix.identity(conn.field, VAR_DISK, conn.rank, nprec + 1)
-    for _ in range(p):
-        x = x.derivative() + conn.matrix @ x
-    return FHiggs(x)
+    return conn.p_curvature
 
 
 def check_horizontality(conn: Connection, psi: FHiggs | None = None) -> SeriesMatrix:

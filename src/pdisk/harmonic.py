@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cartier import OneForm, flat_matrix_section, kernel_unit
-from .connection import Connection, dlog, gauge, pcurv
+from .connection import Connection, _gauge_pair, dlog, pcurv
 from .errors import (
     BaseMismatch,
     CurvatureNonzero,
@@ -58,14 +58,17 @@ def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
     """p-curvature of the scalar connection d + theta inside its ring.
 
     Computed the same way as the matrix p-curvature: p-fold application
-    of r -> dr + theta*r to 1, seeded one order above theta so the first
-    step loses nothing.  Output precision: theta's minus p - 1.
+    of r -> dr + theta*r to 1.  The first step gives theta exactly (d1 = 0,
+    theta*1 = theta), at the precision it would have had when 1 is taken at
+    the ring's precision, so the loop is seeded there and runs p - 1 times.
+    Output precision: theta's minus p - 1, or the ring's minus p if lower.
     """
     ring = theta.ring
-    p = ring.field.p
-    seed_prec = min(theta.precision + 1, ring.precision)
-    r = ring.one().truncate(seed_prec)
-    for _ in range(p):
+    if ring.rank > 1:
+        # the step from 1 differentiates first, so a ring without a derivation refuses first
+        ring.derivation()
+    r = theta.truncate(min(theta.precision, ring.precision - 1))
+    for _ in range(ring.field.p - 1):
         r = r.derivative() + theta * r
     return r
 
@@ -168,10 +171,11 @@ def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> Spectral
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     """Solve the chart Hitchin equations for a flat connection.
 
-    The invariants b of the p-curvature are computed once: at rank 1 for
-    the ring of theta, at higher rank by hensel_eigen, whose ring carries
-    them.  Rank 1: theta is the connection matrix itself.  Higher rank:
-    pass to the eigen frame of the p-curvature, where the connection
+    The invariants b of the p-curvature are psi.invariants, computed
+    once: at rank 1 they make the ring of theta, at higher rank the ring
+    hensel_eigen splits.  Rank 1: theta is the connection matrix itself.
+    Higher rank: pass to the eigen frame of the p-curvature (by the pair
+    of eigen gauges, so nothing is inverted twice), where the connection
     matrix is provably diagonal; theta is the Lagrange class of that
     diagonal in the ring hensel_eigen split, and the Higgs side is the
     descended eigenvalue diagonal.  Certificates checked before returning:
@@ -188,7 +192,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
 
     if n == 1:
         # no eigen split at rank 1, so polyring.roots is never reached
-        b = char_invariants(psi.matrix)
+        b = psi.invariants
         b_prime = descend_invariants(b)
         theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
         higgs = SeriesMatrix.diagonal([b_prime.entries[0]])
@@ -196,7 +200,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     else:
         eigen = hensel_eigen(psi)
         b_prime = descend_invariants(eigen.ring.b)
-        in_frame = gauge(eigen.gauge_inv, conn)
+        in_frame = _gauge_pair(eigen.gauge_inv, eigen.gauge, conn)
         a_eig = in_frame.matrix
         diag = []
         for i in range(n):
@@ -263,8 +267,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
     if conn.rank != inverse_harmonic.rank:
         raise DimensionMismatch("connection rank does not match the harmonic base")
     psi = pcurv(conn)
-    b = char_invariants(psi.matrix)
-    if not descend_invariants(b).agrees_with(inverse_harmonic.b_prime):
+    if not descend_invariants(psi.invariants).agrees_with(inverse_harmonic.b_prime):
         raise BaseMismatch("connection's p-Hitchin image differs from the datum base")
     twisted = Connection(conn.matrix + inverse_harmonic.endomorphism(psi.matrix))
     try:

@@ -179,8 +179,7 @@ def phitchin(conn: Connection) -> InvariantTuple:
         raise InsufficientPrecision(
             f"need precision >= p + 2 = {p + 2}, have {conn.precision}"
         )
-    psi = pcurv(conn)
-    return descend_invariants(char_invariants(psi.matrix))
+    return descend_invariants(pcurv(conn).invariants)
 
 
 def frobenius_base_pullback(b_twist: InvariantTuple) -> InvariantTuple:

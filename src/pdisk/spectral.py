@@ -41,7 +41,7 @@ from .errors import (
     NonUnit,
     RepeatedResidueRoot,
 )
-from .hitchin import InvariantTuple, char_invariants, poly_mul
+from .hitchin import InvariantTuple, poly_mul
 from .matrix import SeriesMatrix
 from .series import TruncSeries
 
@@ -354,12 +354,12 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
 def hensel_eigen(psi: FHiggs) -> EigenData:
     """Split eigen structure of a p-curvature matrix.
 
-    The ring is SpectralRing(char_invariants(psi.matrix)); the eigenvalues
-    are its eigenvalues, ascending by the field encoding of their
-    residues.  The projectors are the ring's Lagrange basis evaluated at
-    the matrix, and a unit column of each projector makes the eigenbasis.
-    The returned EigenData carries that ring, so its invariants,
-    eigenvalues and Lagrange basis are not computed again.
+    The ring is SpectralRing(psi.invariants), the invariants psi computes
+    once; the eigenvalues are the ring's eigenvalues, ascending by the
+    field encoding of their residues.  The projectors are the ring's
+    Lagrange basis evaluated at the matrix, and a unit column of each
+    projector makes the eigenbasis.  The returned EigenData carries that
+    ring, so its eigenvalues and Lagrange basis are not computed again.
 
     NonSplitResidue suggests the extension degree (over the current
     coefficient field) that would make the whole residue spectrum
@@ -367,7 +367,7 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
     """
     m = psi.matrix
     n = m.rank
-    ring = SpectralRing(char_invariants(m))
+    ring = SpectralRing(psi.invariants)
     projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis]
 
     cols = []

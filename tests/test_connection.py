@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdisk import hitchin
 from pdisk.connection import Connection, check_horizontality, dlog, gauge, pcurv
 from pdisk.errors import InsufficientPrecision, NonUnit, SingularGauge
 from pdisk.field import FieldSpec
@@ -153,6 +154,59 @@ def test_closed_form_oracle(p: int) -> None:
         a = rng.series(f, VAR_DISK, 3 * p + 4)
         psi = pcurv(Connection(SeriesMatrix.from_rows([[a]])))
         assert psi.matrix.entry(0, 0).agrees_with(_closed_form_rank1(a, p))
+
+
+def _pcurv_from_identity(conn: Connection) -> SeriesMatrix:
+    """The p-fold composite applied to I, taken one order above A."""
+    x = SeriesMatrix.identity(conn.field, VAR_DISK, conn.rank, conn.precision + 1)
+    for _ in range(conn.field.p):
+        x = x.derivative() + conn.matrix @ x
+    return x
+
+
+F4 = FieldSpec(2, 2, (1, 1, 1))
+F9 = FieldSpec(3, 2, (1, 0, 1))
+ORACLE_FIELDS = [F2, F3, F5, FieldSpec(7), F4, F9]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_seeded_pcurv_matches_identity_loop(field: FieldSpec, n: int) -> None:
+    # pcurv starts at A, the first application to I; the identity-seeded
+    # loop is the definition, so both agree in every entry and in precision
+    p = field.p
+    rng = SplitMix64(10 * field.q + n)
+    for prec in range(p + 1, 3 * p + 5):
+        conn = Connection(rng.matrix(field, VAR_DISK, n, prec))
+        psi = pcurv(conn).matrix
+        assert psi == _pcurv_from_identity(conn)
+        assert psi.precision == prec - p + 1
+    with pytest.raises(InsufficientPrecision):
+        pcurv(Connection(rng.matrix(field, VAR_DISK, n, p)))
+
+
+class TestPcurvOncePerConnection:
+    def test_same_object(self) -> None:
+        conn = Connection(SplitMix64(3).matrix(F5, VAR_DISK, 2, 19))
+        assert pcurv(conn) is pcurv(conn)
+
+    def test_invariants_computed_once(self, monkeypatch) -> None:
+        calls = []
+        original = hitchin.char_invariants
+        monkeypatch.setattr(hitchin, "char_invariants", lambda m: calls.append(m) or original(m))
+        psi = pcurv(Connection(SplitMix64(4).matrix(F3, VAR_DISK, 2, 13)))
+        first = psi.invariants
+        assert psi.invariants is first
+        assert calls == [psi.matrix]
+        assert first == original(psi.matrix)
+
+    def test_cache_is_not_part_of_the_value(self) -> None:
+        m = SplitMix64(5).matrix(F5, VAR_DISK, 2, 19)
+        read, fresh = Connection(m), Connection(m)
+        pcurv(read).invariants
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert pcurv(read) == pcurv(fresh) and hash(pcurv(read)) == hash(pcurv(fresh))
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])

@@ -39,7 +39,7 @@ from pdisk.jsonio import harmonic_from_json, harmonic_to_json
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import SpectralRing
+from pdisk.spectral import SpectralRing, hensel_eigen
 
 from conftest import M, S
 
@@ -167,6 +167,34 @@ class TestDatumValidation:
         theta = ring.from_series(S(F2, "1", 8))
         with pytest.raises(CurvatureNonzero):
             HarmonicDatum(zero_b, theta)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_precision_too_small_to_certify(self, p: int) -> None:
+        # the zero datum over the zero base: the p - 1 derivatives after the
+        # first step need min(theta's precision, the ring's - 1) >= p - 1
+        f = FieldSpec(p)
+        for k in range(4):
+            b_prime = InvariantTuple((TruncSeries.zero(f, VAR_TWIST, k),))
+            ring = SpectralRing(frobenius_base_pullback(b_prime))
+            for tp in range(ring.precision + 1):
+                theta = ring.from_series(TruncSeries.zero(f, VAR_DISK, tp))
+                if min(tp, ring.precision - 1) >= p - 1:
+                    assert HarmonicDatum(b_prime, theta).theta == theta
+                else:
+                    with pytest.raises(InsufficientPrecision):
+                        HarmonicDatum(b_prime, theta)
+
+    def test_ring_without_derivation_refuses_first(self) -> None:
+        # rank 2 over the zero base: char = t^2, whose t-derivative is no unit;
+        # only a ring of precision 0 fails on precision instead
+        for k in range(3):
+            b_prime = InvariantTuple((TruncSeries.zero(F3, VAR_TWIST, k),) * 2)
+            ring = SpectralRing(frobenius_base_pullback(b_prime))
+            for tp in range(ring.precision + 1):
+                theta = ring.element([TruncSeries.zero(F3, VAR_DISK, tp)] * 2)
+                error = DerivationUnavailable if ring.precision else InsufficientPrecision
+                with pytest.raises(error):
+                    HarmonicDatum(b_prime, theta)
 
     def test_in_ring_curvature_matches_scalar(self) -> None:
         # rank 1: the in-ring computation is the scalar closed form
@@ -370,6 +398,48 @@ class TestInverseAndTorsor:
             assert backward.precision == forward.precision
             assert backward.agrees_with(-forward)
             checked += 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("field", [F2, F3, F5, F9], ids=["F2", "F3", "F5", "F9"])
+    def test_seeded_pcurv_in_ring_matches_loop_from_one(self, field: FieldSpec, n: int) -> None:
+        # pcurv_in_ring starts at theta, the first step from 1; the loop from
+        # 1, taken one order above theta, is the definition
+        def from_one(theta):
+            ring = theta.ring
+            r = ring.one().truncate(min(theta.precision + 1, ring.precision))
+            for _ in range(field.p):
+                r = r.derivative() + theta * r
+            return r
+
+        def outcome(compute, theta):
+            try:
+                return compute(theta)
+            except PdiskError as exc:
+                return type(exc)
+
+        rng = SplitMix64(7 * field.q + n)
+        checked = 0
+        while checked < 4:
+            precision = rng.below(3 * field.p + 4) + 1
+            ring = SpectralRing(
+                InvariantTuple(tuple(rng.series(field, VAR_DISK, precision) for _ in range(n)))
+            )
+            for cut in (0, 1, 3):
+                theta_prec = max(0, precision - cut)
+                theta = ring.element(
+                    [rng.series(field, VAR_DISK, theta_prec) for _ in range(n)]
+                )
+                want = outcome(from_one, theta)
+                assert outcome(pcurv_in_ring, theta) == want
+            checked += want is not DerivationUnavailable
+
+    def test_eigen_gauge_is_the_exact_inverse(self) -> None:
+        # solve_harmonic moves to the eigen frame with the pair (gauge_inv, gauge)
+        for field in (F3, F5, F9):
+            rng = SplitMix64(field.q + 20)
+            conn, _ = accepted(rng, field, 2, 2 * field.p + 3)
+            eigen = hensel_eigen(pcurv(conn))
+            assert eigen.gauge_inv.inverse() == eigen.gauge
 
     def test_identical_data(self) -> None:
         h = rank1_datum(F2, "1", 8)
