@@ -9,24 +9,25 @@ pcurv has exactly one semantics: the operator applied p times to the
 identity matrix, whose columns are the constant basis vectors.  The first
 application gives A itself, so the loop starts there and applies the
 operator p - 1 more times.  Each connection computes its p-curvature once
-(Connection.p_curvature) and each p-curvature its invariants once
-(FHiggs.invariants).  The rank-1 closed form f^p + (d/dz)^(p-1) f and the
-identity-seeded p-fold loop exist in the test suite as independent oracles
-and are deliberately not used here.
+(Connection.p_curvature); its invariants are those of its matrix
+(SeriesMatrix.invariants), also computed once.  The rank-1 closed form
+f^p + (d/dz)^(p-1) f and the identity-seeded p-fold loop exist in the test
+suite as independent oracles and are deliberately not used here.
+
+gauge is the one frame change.  Moving by the inverse of a matrix h,
+gauge(h.inverse(), conn), eliminates once: the inverse keeps h as its own
+inverse (SeriesMatrix.inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InsufficientPrecision, VarMismatch
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK
-
-if TYPE_CHECKING:
-    from .hitchin import InvariantTuple
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,6 @@ class FHiggs:
     def twist_weight(self) -> int:
         return self.matrix.field.p
 
-    @cached_property
-    def invariants(self) -> InvariantTuple:
-        """char_invariants of the matrix, computed on first read."""
-        from .hitchin import char_invariants  # hitchin imports this module
-
-        return char_invariants(self.matrix)
-
 
 def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     """Change frame by the unit matrix g: A becomes g A g^(-1) + g d(g^(-1)).
@@ -101,11 +95,7 @@ def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     The defining property (checked in the tests, not here) is
     apply(gauge(g, conn), g v) = g apply(conn, v).
     """
-    return _gauge_pair(g, g.inverse(), conn)
-
-
-def _gauge_pair(g: SeriesMatrix, g_inv: SeriesMatrix, conn: Connection) -> Connection:
-    """gauge(g, conn) for a caller that already holds g_inv = g^(-1)."""
+    g_inv = g.inverse()
     return Connection((g @ conn.matrix @ g_inv) + (g @ g_inv.derivative()))
 
 

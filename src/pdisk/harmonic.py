@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cartier import OneForm, flat_matrix_section, kernel_unit
-from .connection import Connection, _gauge_pair, dlog, pcurv
+from .connection import Connection, dlog, gauge, pcurv
 from .errors import (
     BaseMismatch,
     CurvatureNonzero,
@@ -37,15 +37,8 @@ from .errors import (
     VarMismatch,
     ZeroPrecision,
 )
-from .hitchin import (
-    InvariantTuple,
-    char_invariants,
-    descend_certified,
-    descend_invariants,
-    frobenius_base_pullback,
-    phitchin,
-)
-from .matrix import SeriesMatrix
+from .hitchin import descend_certified, descend_invariants, frobenius_base_pullback, phitchin
+from .matrix import InvariantTuple, SeriesMatrix
 from .series import TruncSeries, VAR_TWIST, dot
 from .spectral import SpectralElement, SpectralRing, check_residue_split, hensel_eigen
 
@@ -67,7 +60,7 @@ def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
     if ring.rank > 1:
         # the step from 1 differentiates first, so a ring without a derivation refuses first
         ring.derivation()
-    r = theta.truncate(min(theta.precision, ring.precision - 1))
+    r = theta.truncate(max(0, min(theta.precision, ring.precision - 1)))
     for _ in range(ring.field.p - 1):
         r = r.derivative() + theta * r
     return r
@@ -154,7 +147,7 @@ class CorrespondencePackage:
     def __post_init__(self) -> None:
         if self.higgs.var != VAR_TWIST:
             raise VarMismatch("the Higgs side lives in the twist coordinate")
-        if not char_invariants(self.higgs).agrees_with(self.harmonic.b_prime):
+        if not self.higgs.invariants.agrees_with(self.harmonic.b_prime):
             raise InternalInconsistency("Higgs invariants disagree with the harmonic base")
 
     @property
@@ -171,16 +164,16 @@ def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> Spectral
 def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     """Solve the chart Hitchin equations for a flat connection.
 
-    The invariants b of the p-curvature are psi.invariants, computed
+    The invariants b of the p-curvature are psi.matrix.invariants, computed
     once: at rank 1 they make the ring of theta, at higher rank the ring
     hensel_eigen splits.  Rank 1: theta is the connection matrix itself.
-    Higher rank: pass to the eigen frame of the p-curvature (by the pair
-    of eigen gauges, so nothing is inverted twice), where the connection
-    matrix is provably diagonal; theta is the Lagrange class of that
-    diagonal in the ring hensel_eigen split, and the Higgs side is the
-    descended eigenvalue diagonal.  Certificates checked before returning:
-    theta's in-ring p-curvature is lambda, and the theta-twisted
-    connection admits a full flat frame.
+    Higher rank: gauge by the inverse of the eigen gauge (one elimination,
+    as that inverse keeps the eigen gauge as its own) to the eigen frame of
+    the p-curvature, where the connection matrix is provably diagonal;
+    theta is the Lagrange class of that diagonal in the ring hensel_eigen
+    split, and the Higgs side is the descended eigenvalue diagonal.
+    Certificates checked before returning: theta's in-ring p-curvature is
+    lambda, and the theta-twisted connection admits a full flat frame.
     """
     p = conn.field.p
     n = conn.rank
@@ -192,7 +185,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
 
     if n == 1:
         # no eigen split at rank 1, so polyring.roots is never reached
-        b = psi.invariants
+        b = psi.matrix.invariants
         b_prime = descend_invariants(b)
         theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
         higgs = SeriesMatrix.diagonal([b_prime.entries[0]])
@@ -200,7 +193,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     else:
         eigen = hensel_eigen(psi)
         b_prime = descend_invariants(eigen.ring.b)
-        in_frame = _gauge_pair(eigen.gauge_inv, eigen.gauge, conn)
+        in_frame = gauge(eigen.gauge.inverse(), conn)
         a_eig = in_frame.matrix
         diag = []
         for i in range(n):
@@ -243,7 +236,7 @@ def cmap(harmonic: HarmonicDatum, higgs: SeriesMatrix) -> Connection:
     n = higgs.rank
     if n != harmonic.rank:
         raise DimensionMismatch("Higgs rank does not match the harmonic base")
-    if not char_invariants(higgs).agrees_with(harmonic.b_prime):
+    if not higgs.invariants.agrees_with(harmonic.b_prime):
         raise BaseMismatch("Higgs invariants differ from the harmonic base")
     if n > 1:
         check_residue_split(higgs.field, harmonic.ring.residue_char())
@@ -267,7 +260,7 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
     if conn.rank != inverse_harmonic.rank:
         raise DimensionMismatch("connection rank does not match the harmonic base")
     psi = pcurv(conn)
-    if not descend_invariants(psi.invariants).agrees_with(inverse_harmonic.b_prime):
+    if not descend_invariants(psi.matrix.invariants).agrees_with(inverse_harmonic.b_prime):
         raise BaseMismatch("connection's p-Hitchin image differs from the datum base")
     twisted = Connection(conn.matrix + inverse_harmonic.endomorphism(psi.matrix))
     try:

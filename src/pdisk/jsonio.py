@@ -28,7 +28,7 @@ from .field import FieldSpec
 from .harmonic import CorrespondencePackage, HarmonicDatum, frame_for_rank
 from .hitchin import InvariantTuple
 from .matrix import SeriesMatrix
-from .series import TruncSeries, VAR_DISK, VAR_TWIST
+from .series import TruncSeries, VAR_DISK, VAR_TWIST, format_element, format_series
 from .spectral import SpectralElement, SpectralRing
 
 # The largest precision a document (or `pdisk verify`) may state.  Parsing
@@ -42,12 +42,6 @@ _TERM_RE = re.compile(
 
 
 # -- element and series text ------------------------------------------------
-
-
-def format_element(field: FieldSpec, a: int) -> str:
-    if field.k == 1:
-        return str(a)
-    return "[" + ",".join(str(d) for d in field.decode(a)) + "]"
 
 
 def parse_element(field: FieldSpec, text: str, path: str) -> int:
@@ -75,25 +69,6 @@ def parse_element(field: FieldSpec, text: str, path: str) -> int:
     except ValueError:
         raise SchemaError(f"bad coefficient {text!r}", path)
     return value % field.p
-
-
-def format_series(s: TruncSeries) -> str:
-    field = s.field
-    terms = []
-    for m, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        if m == 0:
-            terms.append(format_element(field, c))
-            continue
-        zpart = "z" if m == 1 else f"z^{m}"
-        if c == 1:
-            terms.append(zpart)
-        else:
-            terms.append(f"{format_element(field, c)}*{zpart}")
-    if not terms:
-        return "0"
-    return " + ".join(terms)
 
 
 def parse_series(

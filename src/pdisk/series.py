@@ -21,10 +21,10 @@ for the first offender.  Field comparisons between operands test identity
 first, since the operands of one computation share one ``FieldSpec``.
 
 Two coordinates exist: "z" on the disk and "z'" on its Frobenius twist.
-Term strings in JSON always spell the letter z; the ``var`` tag names the
-coordinate.  Coordinate conventions, fixed globally: the relative
-Frobenius pulls back z' to z^p and fixes coefficients; the twist
-projection sends z to z' and raises coefficients to the p-th power.
+Term strings (format_series, also str) always spell the letter z; the
+``var`` tag names the coordinate.  Coordinate conventions, fixed globally:
+the relative Frobenius pulls back z' to z^p and fixes coefficients; the
+twist projection sends z to z' and raises coefficients to the p-th power.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ class TruncSeries:
             raise ZeroPrecision(
                 f"cannot raise precision {self.precision} to {precision}"
             )
+        if precision < 0:
+            raise ZeroPrecision(f"cannot truncate to negative precision {precision}")
         if precision == self.precision:
             return self
         return TruncSeries(self.field, self.var, self.coeffs[:precision])
@@ -258,8 +260,6 @@ class TruncSeries:
         return self.coeffs[:n] == other.coeffs[:n]
 
     def __str__(self) -> str:
-        from .jsonio import format_series
-
         return format_series(self)
 
 
@@ -284,3 +284,28 @@ def dot(xs: Iterable[TruncSeries], ys: Iterable[TruncSeries]) -> TruncSeries:
     nout = min(min(len(a), len(b)) for a, b in cs)
     out = impl.series_sum_mul(cs, nout, f.p, f.k, f.modulus)
     return TruncSeries(f, x0.var, tuple(out))
+
+
+def format_element(field: FieldSpec, a: int) -> str:
+    if field.k == 1:
+        return str(a)
+    return "[" + ",".join(str(d) for d in field.decode(a)) + "]"
+
+
+def format_series(s: TruncSeries) -> str:
+    field = s.field
+    terms = []
+    for m, c in enumerate(s.coeffs):
+        if c == 0:
+            continue
+        if m == 0:
+            terms.append(format_element(field, c))
+            continue
+        zpart = "z" if m == 1 else f"z^{m}"
+        if c == 1:
+            terms.append(zpart)
+        else:
+            terms.append(f"{format_element(field, c)}*{zpart}")
+    if not terms:
+        return "0"
+    return " + ".join(terms)

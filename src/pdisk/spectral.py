@@ -41,8 +41,7 @@ from .errors import (
     NonUnit,
     RepeatedResidueRoot,
 )
-from .hitchin import InvariantTuple, poly_mul
-from .matrix import SeriesMatrix
+from .matrix import InvariantTuple, SeriesMatrix, poly_mul
 from .series import TruncSeries
 
 
@@ -298,7 +297,6 @@ class EigenData:
     ring: SpectralRing
     projectors: tuple[SeriesMatrix, ...]
     gauge: SeriesMatrix
-    gauge_inv: SeriesMatrix
 
     @property
     def mus(self) -> tuple[TruncSeries, ...]:
@@ -348,15 +346,15 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
     if eigen.rank != n:
         raise DimensionMismatch("eigen data rank does not match the ring")
     diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
-    return eigen.gauge @ diag @ eigen.gauge_inv
+    return eigen.gauge @ diag @ eigen.gauge.inverse()
 
 
 def hensel_eigen(psi: FHiggs) -> EigenData:
     """Split eigen structure of a p-curvature matrix.
 
-    The ring is SpectralRing(psi.invariants), the invariants psi computes
-    once; the eigenvalues are the ring's eigenvalues, ascending by the
-    field encoding of their residues.  The projectors are the ring's
+    The ring is SpectralRing(psi.matrix.invariants), the invariants the
+    matrix computes once; the eigenvalues are the ring's eigenvalues,
+    ascending by the field encoding of their residues.  The projectors are the ring's
     Lagrange basis evaluated at the matrix, and a unit column of each
     projector makes the eigenbasis.  The returned EigenData carries that
     ring, so its eigenvalues and Lagrange basis are not computed again.
@@ -367,7 +365,7 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
     """
     m = psi.matrix
     n = m.rank
-    ring = SpectralRing(psi.invariants)
+    ring = SpectralRing(m.invariants)
     projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis]
 
     cols = []
@@ -382,5 +380,4 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
             raise InternalInconsistency("projector has no unit column")
         cols.append(chosen)
     g = SeriesMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    g_inv = g.inverse()
-    return EigenData(ring, tuple(projectors), g, g_inv)
+    return EigenData(ring, tuple(projectors), g)

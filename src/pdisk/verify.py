@@ -100,7 +100,7 @@ def _suite_pcurv(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec:
         connection=conn_json,
         residual=lambda: jsonio.matrix_to_json(resid),
     )
-    b = psi.invariants
+    b = psi.matrix.invariants
     tally.check("invariant_descent", lambda: descend_invariants(b).rank == n, connection=conn_json)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdisk import hitchin
+from pdisk import matrix
 from pdisk.connection import Connection, check_horizontality, dlog, gauge, pcurv
 from pdisk.errors import InsufficientPrecision, NonUnit, SingularGauge
 from pdisk.field import FieldSpec
@@ -192,21 +192,29 @@ class TestPcurvOncePerConnection:
 
     def test_invariants_computed_once(self, monkeypatch) -> None:
         calls = []
-        original = hitchin.char_invariants
-        monkeypatch.setattr(hitchin, "char_invariants", lambda m: calls.append(m) or original(m))
+        original = matrix.char_invariants
+        monkeypatch.setattr(matrix, "char_invariants", lambda m: calls.append(m) or original(m))
         psi = pcurv(Connection(SplitMix64(4).matrix(F3, VAR_DISK, 2, 13)))
-        first = psi.invariants
-        assert psi.invariants is first
+        first = psi.matrix.invariants
+        assert psi.matrix.invariants is first
         assert calls == [psi.matrix]
         assert first == original(psi.matrix)
 
     def test_cache_is_not_part_of_the_value(self) -> None:
         m = SplitMix64(5).matrix(F5, VAR_DISK, 2, 19)
         read, fresh = Connection(m), Connection(m)
-        pcurv(read).invariants
+        pcurv(read).matrix.invariants
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         assert pcurv(read) == pcurv(fresh) and hash(pcurv(read)) == hash(pcurv(fresh))
+        # a matrix whose inverse and invariants were read is the same value as a fresh one
+        g = SplitMix64(6).unit_matrix(F5, VAR_DISK, 2, 19)
+        kept, new = SeriesMatrix(g.entries), SeriesMatrix(g.entries)
+        kept.inverse().inverse()
+        kept.invariants
+        assert kept == new and hash(kept) == hash(new)
+        assert repr(kept) == repr(new)
+        assert kept.inverse() == new.inverse() and hash(kept.inverse()) == hash(new.inverse())
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])

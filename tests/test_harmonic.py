@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from pdisk import matrix
 from pdisk.connection import Connection, dlog, gauge, pcurv
 from pdisk.errors import (
     BaseMismatch,
@@ -16,6 +17,7 @@ from pdisk.errors import (
     PdiskError,
     RepeatedResidueRoot,
     VarMismatch,
+    ZeroPrecision,
 )
 from pdisk.field import FieldSpec
 from pdisk.harmonic import (
@@ -94,6 +96,17 @@ class TestSolveHarmonic:
         assert [str(c) for c in pkg.harmonic.theta.coeffs] == ["0", "1"]
         assert [str(pkg.higgs.entry(i, i)) for i in range(2)] == ["0", "1"]
         assert pkg.higgs.entry(0, 1).is_zero() and pkg.higgs.entry(1, 0).is_zero()
+
+    def test_rank_two_runs_one_elimination(self, monkeypatch) -> None:
+        # the eigen gauge is inverted once; gauge reads the inverse's own inverse back
+        for field in (F3, F5, F9):
+            conn, _ = accepted(SplitMix64(field.q + 30), field, 2, 2 * field.p + 3)
+            runs = []
+            eliminate = SeriesMatrix._eliminate
+            monkeypatch.setattr(SeriesMatrix, "_eliminate", lambda m: runs.append(m) or eliminate(m))
+            pkg = solve_harmonic(Connection(SeriesMatrix(conn.matrix.entries)))
+            monkeypatch.undo()
+            assert len(runs) == 1 and runs[0] is pkg.gauge
 
     def test_insufficient_precision(self) -> None:
         with pytest.raises(InsufficientPrecision):
@@ -184,6 +197,14 @@ class TestDatumValidation:
                     with pytest.raises(InsufficientPrecision):
                         HarmonicDatum(b_prime, theta)
 
+    def test_ring_of_precision_zero_refuses_to_differentiate(self) -> None:
+        # the seed's cut stays at 0, so the first derivative refuses, not the cut
+        for n in (1, 2):
+            ring = SpectralRing(InvariantTuple((TruncSeries.zero(F3, VAR_DISK, 0),) * n))
+            theta = ring.element([TruncSeries.zero(F3, VAR_DISK, 0)] * n)
+            with pytest.raises(ZeroPrecision, match="cannot differentiate a precision-0 series"):
+                pcurv_in_ring(theta)
+
     def test_ring_without_derivation_refuses_first(self) -> None:
         # rank 2 over the zero base: char = t^2, whose t-derivative is no unit;
         # only a ring of precision 0 fails on precision instead
@@ -238,6 +259,18 @@ class TestCmap:
             conn, pkg = accepted(rng.split(), field, n, 3 * field.p + 4)
             rebuilt = cmap(pkg.harmonic, pkg.higgs)
             assert phitchin(rebuilt).agrees_with(pkg.b_prime)
+
+    def test_package_higgs_invariants_not_recomputed(self, monkeypatch) -> None:
+        # the package computed the Higgs invariants; cmap reads them and computes
+        # only those of its rebuilt connection's p-curvature, for the postcondition
+        for n in (1, 2):
+            _, pkg = accepted(SplitMix64(40 + n), F5, n, 19)
+            calls = []
+            original = matrix.char_invariants
+            monkeypatch.setattr(matrix, "char_invariants", lambda m: calls.append(m) or original(m))
+            conn = cmap(pkg.harmonic, pkg.higgs)
+            monkeypatch.undo()
+            assert len(calls) == 1 and calls[0] is pcurv(conn).matrix
 
     def test_inverse_datum_refused(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
@@ -434,12 +467,15 @@ class TestInverseAndTorsor:
             checked += want is not DerivationUnavailable
 
     def test_eigen_gauge_is_the_exact_inverse(self) -> None:
-        # solve_harmonic moves to the eigen frame with the pair (gauge_inv, gauge)
+        # solve_harmonic moves to the eigen frame by gauge(eigen.gauge.inverse(), conn)
         for field in (F3, F5, F9):
             rng = SplitMix64(field.q + 20)
             conn, _ = accepted(rng, field, 2, 2 * field.p + 3)
             eigen = hensel_eigen(pcurv(conn))
-            assert eigen.gauge_inv.inverse() == eigen.gauge
+            inv = eigen.gauge.inverse()
+            assert inv.inverse() is eigen.gauge
+            # a fresh matrix of the same entries keeps nothing, so it eliminates again
+            assert SeriesMatrix(inv.entries).inverse() == eigen.gauge
 
     def test_identical_data(self) -> None:
         h = rank1_datum(F2, "1", 8)

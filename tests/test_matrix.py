@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdisk.errors import DimensionMismatch, SingularGauge, VarMismatch
 from pdisk.field import FieldSpec
-from pdisk.matrix import SeriesMatrix
+from pdisk.matrix import SeriesMatrix, char_invariants
 from pdisk.series import TruncSeries, VAR_DISK
 
 from conftest import M, S
@@ -114,6 +117,50 @@ class TestArithmetic:
         a = M(F3, [["1 + z", "z"], ["2", "z^2"]], 4)
         r = a.residue()
         assert r == ((1, 0), (2, 0))
+
+
+class TestKeptFacts:
+    """The inverse and the invariants are computed once per matrix and kept."""
+
+    def test_inverse_kept(self) -> None:
+        g = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+        assert g.inverse() is g.inverse()
+        assert g.inverse().inverse() is g
+
+    def test_inverse_counts_one_elimination(self, monkeypatch) -> None:
+        runs = []
+        eliminate = SeriesMatrix._eliminate
+        monkeypatch.setattr(SeriesMatrix, "_eliminate", lambda m: runs.append(m) or eliminate(m))
+        g = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+        g.inverse().inverse().inverse()
+        g.conjugate_by(g.inverse())
+        assert runs == [g]
+
+    def test_singular_raises_on_every_call(self) -> None:
+        g = M(F3, [["z", "0"], ["0", "1"]], 4)
+        for _ in range(3):
+            with pytest.raises(SingularGauge):
+                g.inverse()
+
+    def test_no_reference_cycle(self) -> None:
+        # the inverse holds its matrix weakly, so reference counting alone frees it
+        gc.disable()
+        try:
+            g = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+            alive = weakref.ref(g)
+            inv = g.inverse()
+            del g
+            assert alive() is None
+            again = inv.inverse()
+            assert again == M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+            assert inv.inverse() is again and again.inverse() is inv
+        finally:
+            gc.enable()
+
+    def test_invariants_kept(self) -> None:
+        m = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+        assert m.invariants is m.invariants
+        assert m.invariants == char_invariants(M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6))
 
 
 class TestDescentMaps:

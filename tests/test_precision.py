@@ -9,10 +9,11 @@ precision against the formula its docstring documents.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pdisk.connection import Connection, pcurv
-from pdisk.errors import DerivationUnavailable
+from pdisk.errors import DerivationUnavailable, ZeroPrecision
 from pdisk.field import FieldSpec
 from pdisk.hitchin import InvariantTuple, char_invariants
 from pdisk.matrix import SeriesMatrix
@@ -237,3 +238,14 @@ def test_char_invariants(data, field: FieldSpec, n: int, prec: int) -> None:
     out = char_invariants(m)
     assert out.precision == prec
     assert_sound(out, char_invariants(m_ext))
+
+
+def test_negative_truncation_refused() -> None:
+    """A cut below zero is refused at every layer, never sliced from the end."""
+    field = FieldSpec(5)
+    s = TruncSeries.make(field, VAR_DISK, [1, 2, 3])
+    b = InvariantTuple((s, s))
+    for x in (s, SeriesMatrix.diagonal([s, s]), b, SpectralRing(b).element([s, s])):
+        with pytest.raises(ZeroPrecision):
+            x.truncate(-1)
+        assert x.truncate(0).precision == 0

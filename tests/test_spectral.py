@@ -218,7 +218,7 @@ class TestHenselEigen:
         psi = as_psi(companion_section(bp))
         eigen = hensel_eigen(psi)
         prec = eigen.gauge.precision
-        moved = eigen.gauge_inv @ psi.matrix.truncate(prec) @ eigen.gauge
+        moved = eigen.gauge.inverse() @ psi.matrix.truncate(prec) @ eigen.gauge
         for i in range(2):
             for j in range(2):
                 entry = moved.entry(i, j)
