@@ -11,16 +11,7 @@ carries a structured certificate.
 """
 
 from .backend import BACKEND
-from .cartier import (
-    OneForm,
-    TwistOneForm,
-    cartier_op,
-    flat_matrix_section,
-    hp_map,
-    kernel_unit,
-    pi_star_form,
-    solve_hp,
-)
+from .cartier import cartier_op, flat_matrix_section, hp_map, kernel_unit, solve_hp
 from .connection import Connection, FHiggs, check_horizontality, dlog, gauge, pcurv
 from .errors import (
     BaseMismatch,
@@ -92,7 +83,6 @@ __all__ = [
     "NonUnitConstantTerm",
     "NonzeroPCurvature",
     "NotAPthPower",
-    "OneForm",
     "PdiskError",
     "RankTooLarge",
     "RepeatedResidueRoot",
@@ -103,7 +93,6 @@ __all__ = [
     "SpectralRing",
     "SplitMix64",
     "TruncSeries",
-    "TwistOneForm",
     "VAR_DISK",
     "VAR_TWIST",
     "VarMismatch",
@@ -125,7 +114,6 @@ __all__ = [
     "pcurv",
     "pcurv_in_ring",
     "phitchin",
-    "pi_star_form",
     "run_suite",
     "solve_harmonic",
     "solve_hp",

@@ -7,6 +7,11 @@ to the p-th power):
     cartier_op:  sum c_m z^m dz  ->  sum over m = jp+p-1 of c_m z'^j dz'
     hp_map(zeta, w) = zeta^[p] (x) pi_star(w)  -  zeta (x) cartier_op(w)
 
+A one-form c dz (or c dz') is passed as its coefficient series c, whose
+var names the chart.  Each map checks the chart of the form it consumes
+when called and raises VarMismatch for the other one: cartier_op, hp_map
+and kernel_unit consume z-series, solve_hp a z'-series.
+
 For a scalar Lie coefficient zeta = 1 the map computes exactly the
 descended p-curvature of d/dz + f, which the test suite checks against
 the independent closed form f^p + (d/dz)^(p-1) f.
@@ -22,9 +27,6 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from .backend import impl
 from .connection import Connection
 from .errors import NonzeroPCurvature, VarMismatch, ZeroPrecision
@@ -32,97 +34,34 @@ from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
 
 
-@dataclass(frozen=True)
-class _CoefficientForm:
-    """c dx with c a series in the coordinate x; precision is that of c.
-
-    Subclasses name the coordinate and the message for a mismatch.
-    """
-
-    var: ClassVar[str]
-    var_mismatch: ClassVar[str]
-    coefficient: TruncSeries
-
-    def __post_init__(self) -> None:
-        if self.coefficient.var != self.var:
-            raise VarMismatch(self.var_mismatch)
-
-    @property
-    def precision(self) -> int:
-        return self.coefficient.precision
-
-    @property
-    def field(self):
-        return self.coefficient.field
-
-    def __add__(self, other: "_CoefficientForm") -> "_CoefficientForm":
-        return type(self)(self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "_CoefficientForm") -> "_CoefficientForm":
-        return type(self)(self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "_CoefficientForm":
-        return type(self)(-self.coefficient)
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def agrees_with(self, other: "_CoefficientForm") -> bool:
-        return self.coefficient.agrees_with(other.coefficient)
-
-
-class OneForm(_CoefficientForm):
-    """f dz with f a z-series; precision is that of f."""
-
-    var = VAR_DISK
-    var_mismatch = "a one-form on the disk needs a z-series coefficient"
-
-
-class TwistOneForm(_CoefficientForm):
-    """g dz' with g a z'-series."""
-
-    var = VAR_TWIST
-    var_mismatch = "a one-form on the twist needs a z'-series coefficient"
-
-
-def cartier_op(w: OneForm) -> TwistOneForm:
+def cartier_op(w: TruncSeries) -> TruncSeries:
     """The Cartier operator in the chart.
 
     Keeps the coefficients c_m with m = p-1 mod p, relabelled to exponent
     (m-p+1)/p on the twist.  Input precision N determines which of those
     are known: the output precision is ceil((N-p+1)/p), floored at 0.
     """
-    s = w.coefficient
-    p = s.field.p
-    n = s.precision
-    nout = max(0, -(-(n - p + 1) // p))
-    out = []
-    for j in range(nout):
-        out.append(s.coeffs[j * p + p - 1])
-    return TwistOneForm(TruncSeries(s.field, VAR_TWIST, tuple(out)))
+    if w.var != VAR_DISK:
+        raise VarMismatch("cartier_op consumes a z-series")
+    p = w.field.p
+    return TruncSeries(w.field, VAR_TWIST, w.coeffs[p - 1 :: p])
 
 
-def pi_star_form(w: OneForm) -> TwistOneForm:
-    """Coefficientwise twist projection of a one-form; precision preserved."""
-    return TwistOneForm(w.coefficient.pi_star())
-
-
-def hp_map(zeta: int, w: OneForm) -> TwistOneForm:
+def hp_map(zeta: int, w: TruncSeries) -> TruncSeries:
     """The additive curvature map with a scalar Lie coefficient.
 
     zeta^[p] is the field p-th power.  Spectral-ring Lie coefficients are
     handled componentwise by the harmonic module, which reduces them to
     this scalar case in an eigen frame.
     """
+    if w.var != VAR_DISK:
+        raise VarMismatch("hp_map consumes a z-series")
     field = w.field
     zeta = field.validate(zeta)
-    zp = field.frobenius(zeta)
-    left = pi_star_form(w).coefficient.scale(zp)
-    right = cartier_op(w).coefficient.scale(zeta)
-    return TwistOneForm(left - right)
+    return w.pi_star().scale(field.frobenius(zeta)) - cartier_op(w).scale(zeta)
 
 
-def solve_hp(target: TwistOneForm) -> OneForm:
+def solve_hp(target: TruncSeries) -> TruncSeries:
     """A preimage of the target under hp_map(1, .), built triangularly.
 
     Writing the unknown as sum u_m z^m dz, the equation at z'^j reads
@@ -131,21 +70,20 @@ def solve_hp(target: TwistOneForm) -> OneForm:
     are set to zero, so the output is deterministic.  The result carries
     precision p * N' and maps back onto the target exactly.
     """
-    eta = target.coefficient
-    field = eta.field
+    if target.var != VAR_TWIST:
+        raise VarMismatch("solve_hp consumes a z'-series")
+    field = target.field
     p = field.p
-    nprime = eta.precision
+    nprime = target.precision
     if nprime == 0:
         raise ZeroPrecision("cannot solve against a precision-0 target")
-    nout = p * nprime
-    u = [0] * nout
+    u = [0] * (p * nprime)
     for j in range(nprime):
-        m = j * p + p - 1
-        u[m] = field.sub(field.frobenius(u[j]), eta.coeffs[j])
-    return OneForm(TruncSeries(field, VAR_DISK, tuple(u)))
+        u[j * p + p - 1] = field.sub(field.frobenius(u[j]), target.coeffs[j])
+    return TruncSeries(field, VAR_DISK, tuple(u))
 
 
-def kernel_unit(w: OneForm) -> TruncSeries:
+def kernel_unit(w: TruncSeries) -> TruncSeries:
     """A unit g with dlog g = w, for w in the kernel of hp_map(1, .).
 
     g is the flat section with g(0) = 1 of the rank-1 connection d/dz - w,
@@ -154,12 +92,13 @@ def kernel_unit(w: OneForm) -> TruncSeries:
     vanishes when hp_map(1, w) = 0.  Raises NonzeroPCurvature otherwise,
     whose residual is the coefficient of w g at the obstructed order.
     """
-    s = w.coefficient
+    if w.var != VAR_DISK:
+        raise VarMismatch("kernel_unit consumes a z-series")
     try:
-        h = flat_matrix_section(Connection(SeriesMatrix.diagonal([-s])))
+        h = flat_matrix_section(Connection(SeriesMatrix.diagonal([-w])))
     except NonzeroPCurvature as exc:
         # the recursion's residual is the coefficient of -w g
-        raise NonzeroPCurvature(exc.order, s.field.neg(exc.residual)) from None
+        raise NonzeroPCurvature(exc.order, w.field.neg(exc.residual)) from None
     return h.entry(0, 0)
 
 

@@ -19,12 +19,13 @@ import sys
 from typing import Any
 
 from . import jsonio, verify
-from .cartier import OneForm, TwistOneForm, cartier_op, hp_map, solve_hp
+from .cartier import cartier_op, hp_map, solve_hp
 from .connection import dlog, pcurv
 from .errors import PdiskError, SchemaError
 from .field import FieldSpec
 from .harmonic import cinv, cmap, solve_harmonic
 from .hitchin import MAX_RANK, char_invariants, phitchin
+from .series import VAR_DISK, VAR_TWIST
 
 _PROG = "pdisk"
 
@@ -102,7 +103,7 @@ def cmd_phitchin(args) -> tuple[Any, int]:
 def cmd_cartier(args) -> tuple[Any, int]:
     (doc,) = _inputs(args, 1, 1)
     form = jsonio.oneform_from_json(doc, fallback_p=args.p)
-    if not isinstance(form, OneForm):
+    if form.var != VAR_DISK:
         raise SchemaError('the descent operator expects a form in the disk variable "z"', "$.var")
     return jsonio.oneform_to_json(cartier_op(form)), 0
 
@@ -117,7 +118,7 @@ def cmd_hp(args) -> tuple[Any, int]:
     else:
         form = jsonio.oneform_from_json(docs[0], fallback_p=args.p)
         zeta = 1
-    if not isinstance(form, OneForm):
+    if form.var != VAR_DISK:
         raise SchemaError('this map expects a form in the disk variable "z"', "$.var")
     return jsonio.oneform_to_json(hp_map(zeta, form)), 0
 
@@ -125,7 +126,7 @@ def cmd_hp(args) -> tuple[Any, int]:
 def cmd_solve_hp(args) -> tuple[Any, int]:
     (doc,) = _inputs(args, 1, 1)
     form = jsonio.oneform_from_json(doc, fallback_p=args.p)
-    if not isinstance(form, TwistOneForm):
+    if form.var != VAR_TWIST:
         raise SchemaError(
             'the section solves for a target in the descended variable "z\'"', "$.var"
         )
@@ -135,9 +136,7 @@ def cmd_solve_hp(args) -> tuple[Any, int]:
 def cmd_dlog(args) -> tuple[Any, int]:
     (doc,) = _inputs(args, 1, 1)
     u = jsonio.series_from_json(doc, fallback_p=args.p)
-    w = dlog(u)
-    wrapped = OneForm(w) if u.var == "z" else TwistOneForm(w)
-    return jsonio.oneform_to_json(wrapped), 0
+    return jsonio.oneform_to_json(dlog(u)), 0
 
 
 def cmd_descend(args) -> tuple[Any, int]:

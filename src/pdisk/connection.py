@@ -96,7 +96,7 @@ def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     apply(gauge(g, conn), g v) = g apply(conn, v).
     """
     g_inv = g.inverse()
-    return Connection((g @ conn.matrix @ g_inv) + (g @ g_inv.derivative()))
+    return Connection(g @ (conn.matrix @ g_inv + g_inv.derivative()))
 
 
 def pcurv(conn: Connection) -> FHiggs:

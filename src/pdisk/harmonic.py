@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .cartier import OneForm, flat_matrix_section, kernel_unit
+from .cartier import flat_matrix_section, kernel_unit
 from .connection import Connection, dlog, gauge, pcurv
 from .errors import (
     BaseMismatch,
@@ -315,13 +315,13 @@ def torsor_difference(
     ring = delta.ring
     n = ring.rank
     if n == 1:
-        u = ring.from_series(kernel_unit(OneForm(delta.coeffs[0])))
+        u = ring.from_series(kernel_unit(delta.coeffs[0]))
     else:
         try:
             mus = ring.eigenvalues
         except (NonSplitResidue, RepeatedResidueRoot):
             return delta, None
-        units = [kernel_unit(OneForm(delta.eval_series(mu))) for mu in mus]
+        units = [kernel_unit(delta.eval_series(mu)) for mu in mus]
         u = _lagrange_element(ring, units)
     if not dlog(u).agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")

@@ -21,7 +21,6 @@ import json
 import re
 from typing import Any
 
-from .cartier import OneForm, TwistOneForm
 from .connection import Connection, FHiggs
 from .errors import SchemaError
 from .field import FieldSpec
@@ -240,19 +239,18 @@ def series_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
 # -- one-forms --------------------------------------------------------------
 
 
-def oneform_to_json(w) -> dict[str, Any]:
-    s = w.coefficient
-    obj = _header_to_obj(s.field, s.var, s.precision)
-    obj["coefficient"] = format_series(s)
+def oneform_to_json(w: TruncSeries) -> dict[str, Any]:
+    """The one-form w dz (or w dz'), written as its coefficient series."""
+    obj = _header_to_obj(w.field, w.var, w.precision)
+    obj["coefficient"] = format_series(w)
     return obj
 
 
-def oneform_from_json(obj: Any, path: str = "$", fallback_p: int | None = None):
+def oneform_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -> TruncSeries:
     field, var, precision = _header_from_obj(obj, path, fallback_p)
-    coeff = parse_series(
+    return parse_series(
         field, _need(obj, "coefficient", path), var, precision, f"{path}.coefficient"
     )
-    return OneForm(coeff) if var == VAR_DISK else TwistOneForm(coeff)
 
 
 # -- matrices, connections, F-Higgs fields ----------------------------------

@@ -1,9 +1,9 @@
 """Dense square matrices of truncated series, all entries at one precision.
 
 A matrix's inverse and characteristic invariants are computed once and
-kept, outside its value (equality, hash and repr see the entries only).
-The inverse holds the matrix as its own inverse by a weak reference, so
-no reference cycle forms.
+kept, outside its value (equality, hash, repr and pickle see the entries
+only).  The inverse holds the matrix as its own inverse by a weak
+reference, so no reference cycle forms.
 
 Sign convention, fixed package-wide: for an n x n matrix M over the series
 ring, write det(t I - M) = t^n + sum_{i=1..n} (-1)^i b_i t^(n-i).  The
@@ -36,6 +36,10 @@ class SeriesMatrix:
     """An n x n matrix over the truncated series ring."""
 
     entries: tuple[tuple[TruncSeries, ...], ...]
+
+    def __getstate__(self) -> dict:
+        """Pickle the entries alone: the kept inverse and invariants are not the value."""
+        return {"entries": self.entries}
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -138,13 +142,7 @@ class SeriesMatrix:
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         if len(vec) != self.rank:
             raise DimensionMismatch("vector length does not match rank")
-        out = []
-        for i in range(self.rank):
-            acc = self.entries[i][0] * vec[0]
-            for t in range(1, self.rank):
-                acc = acc + self.entries[i][t] * vec[t]
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(row, vec) for row in self.entries)
 
     def scale(self, s: TruncSeries) -> "SeriesMatrix":
         return self.map_entries(lambda e: e * s)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from . import jsonio
-from .cartier import OneForm, TwistOneForm, flat_matrix_section, hp_map, kernel_unit, solve_hp
+from .cartier import flat_matrix_section, hp_map, kernel_unit, solve_hp
 from .connection import Connection, check_horizontality, dlog, gauge, pcurv
 from .errors import NonSplitResidue, NonzeroPCurvature, PdiskError, RepeatedResidueRoot
 from .field import FieldSpec
@@ -160,26 +160,24 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
 
 def _suite_exactness(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, prec: int) -> None:
     u = rng.unit_series(field, VAR_DISK, prec)
-    w = OneForm(dlog(u))
+    w = dlog(u)
     img = hp_map(1, w)
-    tally.record(
-        "dlog_in_kernel", img.is_zero(), unit=lambda: str(u), image=lambda: str(img.coefficient)
-    )
+    tally.record("dlog_in_kernel", img.is_zero(), unit=lambda: str(u), image=lambda: str(img))
     back = kernel_unit(w)
     tally.record(
         "kernel_constructive",
-        dlog(back).agrees_with(w.coefficient),
+        dlog(back).agrees_with(w),
         unit=lambda: str(u),
         recovered=lambda: str(back),
     )
-    eta = TwistOneForm(rng.series(field, VAR_TWIST, prec))
+    eta = rng.series(field, VAR_TWIST, prec)
     w2 = solve_hp(eta)
     again = hp_map(1, w2)
     tally.record(
         "section_identity",
         again.agrees_with(eta),
-        target=lambda: str(eta.coefficient),
-        image=lambda: str(again.coefficient),
+        target=lambda: str(eta),
+        image=lambda: str(again),
     )
 
 

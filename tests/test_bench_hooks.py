@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from pdisk import cartier, verify
-from pdisk.cartier import OneForm
 from pdisk.connection import dlog
 from pdisk.field import FieldSpec
 from pdisk.series import TruncSeries, VAR_DISK
@@ -32,7 +31,7 @@ def test_spans_install_and_restore(monkeypatch) -> None:
     patches = spans.install(tracer)
     try:
         u = TruncSeries.make(FieldSpec(3), VAR_DISK, [1, 1, 2, 0, 1, 1, 2], 7)
-        cartier.kernel_unit(OneForm(dlog(u)))
+        cartier.kernel_unit(dlog(u))
     finally:
         patches.restore()
     assert cartier.kernel_unit is original

@@ -5,16 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdisk.cartier import (
-    OneForm,
-    TwistOneForm,
-    cartier_op,
-    flat_matrix_section,
-    hp_map,
-    kernel_unit,
-    pi_star_form,
-    solve_hp,
-)
+from pdisk.cartier import cartier_op, flat_matrix_section, hp_map, kernel_unit, solve_hp
 from pdisk.connection import Connection, FHiggs, dlog, gauge, pcurv
 from pdisk.errors import NonzeroPCurvature, VarMismatch, ZeroPrecision
 from pdisk.field import FieldSpec
@@ -39,12 +30,8 @@ def verify_flat_iff_curvature_zero(conn: Connection, psi: FHiggs) -> bool:
         return not psi.matrix.is_zero()
 
 
-def form(field: FieldSpec, text: str, precision: int) -> OneForm:
-    return OneForm(S(field, text, precision))
-
-
-def twist(field: FieldSpec, text: str, precision: int) -> TwistOneForm:
-    return TwistOneForm(S(field, text, precision, var="z'"))
+def twist(field: FieldSpec, text: str, precision: int) -> TruncSeries:
+    return S(field, text, precision, var="z'")
 
 
 # ==========================================================================
@@ -56,40 +43,34 @@ class TestCartierOp:
     def test_exact_form_dies(self) -> None:
         # dz = d(z) has no z^{p-1} part for p > 1
         for field in (F2, F3, F5):
-            out = cartier_op(form(field, "1", 9))
-            assert out.coefficient.is_zero()
+            out = cartier_op(S(field, "1", 9))
+            assert out.is_zero()
 
     def test_logarithmic_generator(self) -> None:
         for field in (F2, F3, F5):
             p = field.p
-            w = OneForm(TruncSeries.monomial(field, VAR_DISK, p - 1, 3 * p))
+            w = TruncSeries.monomial(field, VAR_DISK, p - 1, 3 * p)
             out = cartier_op(w)
-            assert out.coefficient.coeff(0) == 1
-            assert all(out.coefficient.coeff(j) == 0 for j in range(1, out.precision))
+            assert out.coeff(0) == 1
+            assert all(out.coeff(j) == 0 for j in range(1, out.precision))
 
     def test_pinned_p3(self) -> None:
         # keeps exponents 2 and 5, relabelled to 0 and 1 on the twist
-        out = cartier_op(form(F3, "1 + z^2 + z^5", 6))
-        assert out.coefficient == S(F3, "1 + z", 2, var="z'")
+        out = cartier_op(S(F3, "1 + z^2 + z^5", 6))
+        assert out == S(F3, "1 + z", 2, var="z'")
 
     def test_precision_contraction(self) -> None:
         # N = 6, p = 3 keeps exponents 2 and 5: two twist coefficients
-        out = cartier_op(form(F3, "z^2", 6))
+        out = cartier_op(S(F3, "z^2", 6))
         assert out.precision == 2
-        assert cartier_op(form(F3, "0", 2)).precision == 0
-
-    def test_wrong_chart_rejected(self) -> None:
-        with pytest.raises(VarMismatch):
-            OneForm(S(F3, "z'", 4, var="z'"))
-        with pytest.raises(VarMismatch):
-            TwistOneForm(S(F3, "z", 4))
+        assert cartier_op(S(F3, "0", 2)).precision == 0
 
     def test_kills_derivatives(self) -> None:
         rng = SplitMix64(31)
         for field in (F2, F3, F5):
             for _ in range(20):
                 f = rng.series(field, VAR_DISK, 4 * field.p)
-                assert cartier_op(OneForm(f.derivative())).coefficient.is_zero()
+                assert cartier_op(f.derivative()).is_zero()
 
     def test_semilinearity_over_the_twist(self) -> None:
         # C((F*t) w) = t C(w): Frobenius pullbacks of functions slide out
@@ -98,18 +79,32 @@ class TestCartierOp:
             for _ in range(20):
                 t = rng.series(field, VAR_TWIST, 4)
                 w = rng.series(field, VAR_DISK, 4 * field.p)
-                lhs = cartier_op(OneForm(t.expand_pth_power() * w))
-                rhs = TwistOneForm(t * cartier_op(OneForm(w)).coefficient)
+                lhs = cartier_op(t.expand_pth_power() * w)
+                rhs = t * cartier_op(w)
                 assert lhs.agrees_with(rhs)
 
     def test_additive(self) -> None:
         rng = SplitMix64(33)
         for _ in range(20):
-            a = OneForm(rng.series(F5, VAR_DISK, 17))
-            b = OneForm(rng.series(F5, VAR_DISK, 17))
-            assert cartier_op(a + b).agrees_with(
-                TwistOneForm(cartier_op(a).coefficient + cartier_op(b).coefficient)
-            )
+            a = rng.series(F5, VAR_DISK, 17)
+            b = rng.series(F5, VAR_DISK, 17)
+            assert cartier_op(a + b).agrees_with(cartier_op(a) + cartier_op(b))
+
+
+@pytest.mark.parametrize(
+    ("consume", "var"),
+    [
+        pytest.param(cartier_op, VAR_TWIST, id="cartier_op"),
+        pytest.param(lambda w: hp_map(1, w), VAR_TWIST, id="hp_map"),
+        pytest.param(kernel_unit, VAR_TWIST, id="kernel_unit"),
+        pytest.param(solve_hp, VAR_DISK, id="solve_hp"),
+    ],
+)
+def test_wrong_chart_rejected(consume, var: str) -> None:
+    # a one-form is its coefficient series, and each map checks its chart
+    # when called instead of relabelling the other chart's coefficients
+    with pytest.raises(VarMismatch, match="consumes a"):
+        consume(TruncSeries(F3, var, (1, 2, 0, 1, 1, 2)))
 
 
 # ==========================================================================
@@ -120,45 +115,45 @@ class TestCartierOp:
 class TestHpMap:
     def test_pinned_p2(self) -> None:
         # pi*(z dz) = z' dz', C(z dz) = dz'; the difference is (z' + 1) dz'
-        out = hp_map(1, form(F2, "z", 5))
-        assert out.coefficient == S(F2, "1 + z", 2, var="z'")
+        out = hp_map(1, S(F2, "z", 5))
+        assert out == S(F2, "1 + z", 2, var="z'")
 
     def test_dlog_lands_in_kernel(self) -> None:
         u = S(F2, "1 + z", 8)
-        out = hp_map(1, OneForm(dlog(u)))
-        assert out.coefficient.is_zero()
+        out = hp_map(1, dlog(u))
+        assert out.is_zero()
 
     def test_zeta_zero_kills(self) -> None:
-        out = hp_map(0, form(F5, "1 + z + z^4", 11))
-        assert out.coefficient.is_zero()
+        out = hp_map(0, S(F5, "1 + z + z^4", 11))
+        assert out.is_zero()
 
     def test_zeta_linear_over_prime_field(self) -> None:
         # Fermat makes zeta^[p] = zeta, so scaling commutes over F_p
-        w = form(F3, "1 + z^2", 7)
+        w = S(F3, "1 + z^2", 7)
         one = hp_map(1, w)
         two = hp_map(2, w)
-        assert two.agrees_with(TwistOneForm(one.coefficient.scale(2)))
+        assert two.agrees_with(one.scale(2))
 
     def test_zeta_semilinear_over_extension(self) -> None:
         # x^[3] = -x in F_9 twists the pi* term against the C term
         x = 3
-        w = OneForm(S(F9, "1 + z^2", 7))
+        w = S(F9, "1 + z^2", 7)
         got = hp_map(x, w)
-        linear = TwistOneForm(hp_map(1, w).coefficient.scale(x))
+        linear = hp_map(1, w).scale(x)
         assert not got.agrees_with(linear)
         # x^3 * 1 - x * 1 = -2x = x at the constant term
-        assert got.coefficient.coeff(0) == x
+        assert got.coeff(0) == x
 
     def test_nonprime_zeta_over_f9(self) -> None:
         # x in F_9 satisfies x^2 = -1, so x^[3] = -x
         x = 3
-        w = form(F9, "z^2", 7)
+        w = S(F9, "z^2", 7)
         out = hp_map(x, w)
         # x^3 pi*(z^2 dz) - x C(z^2 dz) = -x z'^... with pi* part zero here
-        pi_part = pi_star_form(w).coefficient.scale(F9.frobenius(x))
-        c_part = cartier_op(w).coefficient.scale(x)
-        assert out.agrees_with(TwistOneForm(pi_part - c_part))
-        assert out.coefficient.coeff(0) == F9.neg(x)
+        pi_part = w.pi_star().scale(F9.frobenius(x))
+        c_part = cartier_op(w).scale(x)
+        assert out.agrees_with(pi_part - c_part)
+        assert out.coeff(0) == F9.neg(x)
 
     def test_rank_one_pcurv_descends_to_hp(self) -> None:
         # for d/dz + f the p-curvature is f^p + d^{p-1}f; its descent
@@ -170,9 +165,7 @@ class TestHpMap:
                 f = rng.series(field, VAR_DISK, 3 * p + 4)
                 conn = Connection(SeriesMatrix.from_rows([[f]]))
                 psi = pcurv(conn).matrix.entry(0, 0)
-                assert psi.descend_pth_power().agrees_with(
-                    hp_map(1, OneForm(f)).coefficient
-                )
+                assert psi.descend_pth_power().agrees_with(hp_map(1, f))
 
 
 # ==========================================================================
@@ -183,47 +176,46 @@ class TestHpMap:
 class TestSolveHp:
     def test_pinned_constant_target(self) -> None:
         out = solve_hp(twist(F2, "1", 8))
-        assert str(out.coefficient) == "z + z^3 + z^7 + z^15"
+        assert str(out) == "z + z^3 + z^7 + z^15"
         assert out.precision == 16
 
     def test_pinned_linear_target(self) -> None:
         out = solve_hp(twist(F2, "z'", 8))
-        assert str(out.coefficient) == "z^3 + z^7 + z^15"
+        assert str(out) == "z^3 + z^7 + z^15"
 
     def test_section_identity(self) -> None:
         rng = SplitMix64(35)
         for field in (F2, F3, F5, F9):
             for _ in range(25):
-                eta = TwistOneForm(rng.series(field, VAR_TWIST, 6))
+                eta = rng.series(field, VAR_TWIST, 6)
                 omega = solve_hp(eta)
                 back = hp_map(1, omega)
                 assert back.precision == eta.precision
-                assert back.coefficient == eta.coefficient
+                assert back == eta
 
     def test_unconstrained_slots_zero(self) -> None:
         out = solve_hp(twist(F5, "2 + z'^2", 3))
-        f = out.coefficient
-        for m in range(f.precision):
+        for m in range(out.precision):
             if m % 5 != 4:
-                assert f.coeff(m) == 0
+                assert out.coeff(m) == 0
 
     def test_zero_precision_target_rejected(self) -> None:
         with pytest.raises(ZeroPrecision):
-            solve_hp(TwistOneForm(TruncSeries(F3, VAR_TWIST, ())))
+            solve_hp(TruncSeries(F3, VAR_TWIST, ()))
 
     def test_solutions_differ_by_dlog_unit(self) -> None:
         # modify a solution by dlog of a unit: still a solution, and the
         # kernel element is integrated back by kernel_unit
         rng = SplitMix64(36)
         for _ in range(10):
-            eta = TwistOneForm(rng.series(F3, VAR_TWIST, 4))
+            eta = rng.series(F3, VAR_TWIST, 4)
             omega = solve_hp(eta)
             u = rng.unit_series(F3, VAR_DISK, omega.precision + 1)
-            other = omega + OneForm(dlog(u))
-            assert hp_map(1, other).coefficient.agrees_with(eta.coefficient)
+            other = omega + dlog(u)
+            assert hp_map(1, other).agrees_with(eta)
             diff = other - omega
             g = kernel_unit(diff)
-            assert dlog(g).agrees_with(diff.coefficient)
+            assert dlog(g).agrees_with(diff)
 
 
 # ==========================================================================
@@ -233,7 +225,7 @@ class TestSolveHp:
 
 class TestKernelUnit:
     def test_logarithmic_differential(self) -> None:
-        g = kernel_unit(OneForm(dlog(S(F2, "1 + z", 6))))
+        g = kernel_unit(dlog(S(F2, "1 + z", 6)))
         assert str(g) == "1 + z"
 
     def test_recovers_up_to_frobenius_pullback(self) -> None:
@@ -243,7 +235,7 @@ class TestKernelUnit:
         for field in (F2, F3, F5):
             for _ in range(20):
                 u = rng.unit_series(field, VAR_DISK, 3 * field.p)
-                g = kernel_unit(OneForm(dlog(u)))
+                g = kernel_unit(dlog(u))
                 assert g.coeff(0) == 1
                 assert dlog(g).agrees_with(dlog(u))
                 ratio = u * g.inverse()
@@ -251,7 +243,7 @@ class TestKernelUnit:
 
     def test_obstruction_reported(self) -> None:
         with pytest.raises(NonzeroPCurvature) as exc:
-            kernel_unit(form(F2, "z", 5))
+            kernel_unit(S(F2, "z", 5))
         assert exc.value.order == 1
         assert exc.value.residual == 1
 
@@ -332,9 +324,8 @@ class TestFlatSections:
 # ==========================================================================
 
 
-def scalar_kernel_unit(w: OneForm) -> TruncSeries:
+def scalar_kernel_unit(f: TruncSeries) -> TruncSeries:
     """kernel_unit with every coefficient product a field call."""
-    f = w.coefficient
     field = f.field
     p = field.p
     n = f.precision
@@ -430,7 +421,7 @@ class TestAgainstScalarLoops:
             prec = 4 * field.p + 3
             for _ in range(8):
                 u = rng.unit_series(field, VAR_DISK, prec + 1)
-                for w in (OneForm(dlog(u)), OneForm(rng.series(field, VAR_DISK, prec))):
+                for w in (dlog(u), rng.series(field, VAR_DISK, prec)):
                     got = outcome(kernel_unit, w)
                     assert got == outcome(scalar_kernel_unit, w)
                     obstructed += isinstance(got, tuple)
@@ -448,12 +439,10 @@ coeff3 = st.lists(st.integers(0, 2), min_size=9, max_size=9)
 @given(coeff3)
 @settings(max_examples=40, deadline=None)
 def test_cartier_pi_star_difference_is_hp(cs: list[int]) -> None:
-    w = OneForm(TruncSeries(F3, VAR_DISK, tuple(cs)))
+    w = TruncSeries(F3, VAR_DISK, tuple(cs))
     got = hp_map(1, w)
-    expect = pi_star_form(w).coefficient - cartier_op(w).coefficient.truncate(
-        cartier_op(w).precision
-    )
-    assert got.coefficient == expect.truncate(got.precision)
+    expect = w.pi_star() - cartier_op(w).truncate(cartier_op(w).precision)
+    assert got == expect.truncate(got.precision)
 
 
 @given(coeff3, coeff3)

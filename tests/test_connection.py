@@ -185,6 +185,21 @@ def test_seeded_pcurv_matches_identity_loop(field: FieldSpec, n: int) -> None:
         pcurv(Connection(rng.matrix(field, VAR_DISK, n, p)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_gauge_matches_written_out_formula(field: FieldSpec, n: int) -> None:
+    # gauge forms g (A g^(-1) + d(g^(-1))), two products; the written-out
+    # g A g^(-1) + g d(g^(-1)) is the same matrix at the same precision,
+    # with A and g at equal and at unequal precisions
+    rng = SplitMix64(20 * field.q + n)
+    for prec_a, prec_g in [(7, 7)] * 10 + [(5, 9), (9, 5)] * 5:
+        a = rng.matrix(field, VAR_DISK, n, prec_a)
+        g = rng.unit_matrix(field, VAR_DISK, n, prec_g)
+        g_inv = g.inverse()
+        expect = g @ a @ g_inv + g @ g_inv.derivative()
+        assert gauge(g, Connection(a)).matrix == expect
+
+
 class TestPcurvOncePerConnection:
     def test_same_object(self) -> None:
         conn = Connection(SplitMix64(3).matrix(F5, VAR_DISK, 2, 19))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from pdisk import matrix
@@ -107,6 +109,16 @@ class TestSolveHarmonic:
             pkg = solve_harmonic(Connection(SeriesMatrix(conn.matrix.entries)))
             monkeypatch.undo()
             assert len(runs) == 1 and runs[0] is pkg.gauge
+
+    def test_package_pickles(self) -> None:
+        # the eigen gauge keeps its inverse, which holds it back weakly
+        for field, n, precision in ((F5, 2, 16), (F3, 1, 10), (F9, 2, 9)):
+            _, pkg = accepted(SplitMix64(field.q + 40), field, n, precision)
+            pkg.gauge.inverse()
+            back = pickle.loads(pickle.dumps(pkg))
+            assert back == pkg
+            assert back.flat_frame == pkg.flat_frame
+            assert back.gauge.inverse() == pkg.gauge.inverse()
 
     def test_insufficient_precision(self) -> None:
         with pytest.raises(InsufficientPrecision):

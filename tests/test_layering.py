@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import pdisk
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "pdisk"
 ALLOWED = {("field.py", "polyring")}
 
@@ -63,6 +65,14 @@ def test_imports_at_top_level(path: Path) -> None:
 def test_the_exception_is_still_needed() -> None:
     tree = ast.parse((SRC / "field.py").read_text())
     assert [name for _, name in deferred_imports(tree)] == [".polyring"]
+
+
+def test_every_export_resolves() -> None:
+    # ``from pdisk import *`` fails on a name that ``__all__`` keeps after
+    # its object is gone
+    missing = [name for name in pdisk.__all__ if not hasattr(pdisk, name)]
+    assert not missing
+    assert len(set(pdisk.__all__)) == len(pdisk.__all__)
 
 
 def test_detects_both_forms() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -161,6 +162,17 @@ class TestKeptFacts:
         m = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
         assert m.invariants is m.invariants
         assert m.invariants == char_invariants(M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6))
+
+    def test_pickles_by_entries(self) -> None:
+        # the kept inverse (held back weakly) and invariants are not pickled
+        g = M(F5, [["1 + z", "z^2"], ["2", "3 + 4*z"]], 6)
+        inv, invariants = g.inverse(), g.invariants
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and "_inverse" not in back.__dict__
+        assert back.inverse() == inv and back.inverse().inverse() is back
+        assert back.invariants == invariants
+        inv_back = pickle.loads(pickle.dumps(inv))
+        assert inv_back == inv and inv_back.inverse() == g
 
 
 class TestDescentMaps:

@@ -22,7 +22,7 @@ import dataclasses
 import pytest
 
 from pdisk import cartier, field as field_mod, harmonic, spectral, verify
-from pdisk.cartier import TwistOneForm, flat_matrix_section, kernel_unit, solve_hp
+from pdisk.cartier import flat_matrix_section, kernel_unit, solve_hp
 from pdisk.connection import Connection, FHiggs
 from pdisk.errors import CurvatureNonzero, NonzeroPCurvature
 from pdisk.field import FieldSpec
@@ -173,11 +173,10 @@ def _obstruction_one_order_late(monkeypatch) -> None:
 
 def _cartier_op_slot_early(monkeypatch) -> None:
     def cartier_op(w):
-        s = w.coefficient
-        p = s.field.p
-        nout = max(0, -(-(s.precision - p + 1) // p))
-        out = tuple(s.coeffs[j * p + p - 2] for j in range(nout))
-        return TwistOneForm(TruncSeries(s.field, VAR_TWIST, out))
+        p = w.field.p
+        nout = max(0, -(-(w.precision - p + 1) // p))
+        out = tuple(w.coeffs[j * p + p - 2] for j in range(nout))
+        return TruncSeries(w.field, VAR_TWIST, out)
 
     monkeypatch.setattr(cartier, "cartier_op", cartier_op)
 
