@@ -13,7 +13,12 @@ reaches, to show how the product scales.  The p-curvature table times
 ``pcurv`` and ``pcurv_in_ring`` over F_5 at rank 2, N = 19 and N = 160:
 ``pcurv`` on a fresh ``Connection`` per call, so the value a connection
 keeps is never what is timed, and ``pcurv_in_ring`` on the theta that
-``solve_harmonic`` certifies.  Run from the repository root:
+``solve_harmonic`` certifies.  The spectral table times, over F_5 and F_9
+at ranks 2 and 3, N = 19 and N = 160, on a random base: the inverse of a
+random unit of the spectral ring, ``companion_section`` of the base, and
+``polyring.gcd`` of the unit's residue with the residue characteristic
+polynomial (the unit test of ``SpectralElement.is_unit``).  Run from the
+repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """
@@ -22,13 +27,16 @@ from __future__ import annotations
 
 from bench_kernels import clock, fmt
 
+from pdisk import polyring
 from pdisk.connection import Connection, pcurv
 from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring, solve_harmonic
-from pdisk.matrix import SeriesMatrix
+from pdisk.hitchin import companion_section
+from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
+from pdisk.spectral import SpectralRing
 
 FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
@@ -39,6 +47,8 @@ PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
 DOT_PRECISION = 19
 # precisions of the timed p-curvatures over F_5 at rank 2
 PCURV_PRECISIONS = [19, 160]
+# precisions of the timed spectral operations, at each field and rank
+SPECTRAL_PRECISIONS = [19, 160]
 
 
 def main() -> None:
@@ -94,6 +104,20 @@ def main() -> None:
         t_ring, _ = clock(pcurv_in_ring, theta)
         print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv':>14} {fmt(t_pcurv):>12}")
         print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv_in_ring':>14} {fmt(t_ring):>12}")
+    print(f"{'field':>5} {'rank':>5} {'N':>5} {'inverse':>12} {'companion':>12} {'gcd':>12}")
+    for name, f in FIELDS.items():
+        for r in RANKS:
+            for n in SPECTRAL_PRECISIONS:
+                b = InvariantTuple(tuple(rng.series(f, VAR_DISK, n) for _ in range(r)))
+                ring = SpectralRing(b)
+                while True:
+                    x = ring.element([rng.series(f, VAR_DISK, n) for _ in range(r)])
+                    if x.is_unit():
+                        break
+                t_inv, _ = clock(x.inverse)
+                t_comp, _ = clock(companion_section, b)
+                t_gcd, _ = clock(polyring.gcd, f, x.residue_poly(), ring.residue_char())
+                print(f"{name:>5} {r:>5} {n:>5} {fmt(t_inv):>12} {fmt(t_comp):>12} {fmt(t_gcd):>12}")
 
 
 if __name__ == "__main__":

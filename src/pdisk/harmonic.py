@@ -57,9 +57,8 @@ def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
     Output precision: theta's minus p - 1, or the ring's minus p if lower.
     """
     ring = theta.ring
-    if ring.rank > 1:
-        # the step from 1 differentiates first, so a ring without a derivation refuses first
-        ring.derivation()
+    # the step from 1 differentiates first, so a ring without a derivation refuses first
+    ring.derivation()
     r = theta.truncate(max(0, min(theta.precision, ring.precision - 1)))
     for _ in range(ring.field.p - 1):
         r = r.derivative() + theta * r
@@ -184,7 +183,8 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     psi = pcurv(conn)
 
     if n == 1:
-        # no eigen split at rank 1, so polyring.roots is never reached
+        # theta is A itself: through the eigen frame it would come out one order
+        # shorter at rank 1, which moves the rank-1 pins (ROADMAP item 5)
         b = psi.matrix.invariants
         b_prime = descend_invariants(b)
         theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
@@ -238,8 +238,7 @@ def cmap(harmonic: HarmonicDatum, higgs: SeriesMatrix) -> Connection:
         raise DimensionMismatch("Higgs rank does not match the harmonic base")
     if not higgs.invariants.agrees_with(harmonic.b_prime):
         raise BaseMismatch("Higgs invariants differ from the harmonic base")
-    if n > 1:
-        check_residue_split(higgs.field, harmonic.ring.residue_char())
+    check_residue_split(higgs.field, harmonic.ring.residue_char())
     pulled = higgs.expand_pth_power()
     conn = Connection(harmonic.endomorphism(pulled))
     if not phitchin(conn).agrees_with(harmonic.b_prime):
@@ -313,16 +312,11 @@ def torsor_difference(
         raise CurvatureNonzero("difference of harmonic data has nonzero p-curvature")
 
     ring = delta.ring
-    n = ring.rank
-    if n == 1:
-        u = ring.from_series(kernel_unit(delta.coeffs[0]))
-    else:
-        try:
-            mus = ring.eigenvalues
-        except (NonSplitResidue, RepeatedResidueRoot):
-            return delta, None
-        units = [kernel_unit(delta.eval_series(mu)) for mu in mus]
-        u = _lagrange_element(ring, units)
+    try:
+        mus = ring.eigenvalues
+    except (NonSplitResidue, RepeatedResidueRoot):
+        return delta, None
+    u = _lagrange_element(ring, [kernel_unit(delta.eval_series(mu)) for mu in mus])
     if not dlog(u).agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")
     return delta, u

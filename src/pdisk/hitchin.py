@@ -2,8 +2,11 @@
 
 The invariants are a fact of the matrix (``SeriesMatrix.invariants``, by
 ``matrix.char_invariants``, whose module fixes the sign convention).
-companion_section builds the companion matrix of det(t I - M) under that
-convention, so char_invariants(companion_section(b)) = b for every p.
+companion_section is the companion matrix of det(t I - M) under that
+convention, so char_invariants(companion_section(b)) = b for every p: it is
+the multiplication matrix of t in the spectral ring O[t]/(char_b)
+(``spectral.regular_rep``), ones below the diagonal and -char_b in the
+last column.
 """
 
 from __future__ import annotations
@@ -13,29 +16,12 @@ from .errors import InsufficientPrecision, InternalInconsistency, NotAPthPower, 
 # re-exported: the invariants live in matrix, and every older import path stays
 from .matrix import MAX_RANK, InvariantTuple, SeriesMatrix, char_invariants, poly_mul  # noqa: F401
 from .series import TruncSeries, VAR_TWIST
+from .spectral import SpectralRing, regular_rep
 
 
 def companion_section(b: InvariantTuple) -> SeriesMatrix:
-    """The companion matrix of det(t I - M); a section of char_invariants."""
-    n = b.rank
-    field = b.field
-    var = b.var
-    prec = b.precision
-    zero = TruncSeries.zero(field, var, prec)
-    one = TruncSeries.one(field, var, prec)
-    q = b.char_poly()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == n - 1:
-                row.append(-q[i])
-            elif i == j + 1:
-                row.append(one)
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return SeriesMatrix(tuple(rows))
+    """The companion matrix of det(t I - M), t's regular_rep; a section of char_invariants."""
+    return regular_rep(SpectralRing(b).tautological())
 
 
 def descend_certified(x: TruncSeries | SeriesMatrix, noun: str, failure: str):

@@ -71,6 +71,8 @@ class SeriesMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[TruncSeries]) -> "SeriesMatrix":
+        if not diag:
+            raise DimensionMismatch("rank must be at least 1")
         zero = TruncSeries.zero(diag[0].field, diag[0].var, diag[0].precision)
         n = len(diag)
         return cls(tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)))

@@ -1,7 +1,8 @@
 """Dense univariate polynomials over a finite coefficient field.
 
 Coefficients ascending, encoded as in ``pdisk.field``.  Used for residue
-analysis: squarefreeness, distinct-degree splitting, modular inverses.
+analysis: squarefreeness (``gcd``, the one Euclidean algorithm), roots and
+distinct-degree splitting.
 """
 
 from __future__ import annotations
@@ -78,25 +79,11 @@ def monic(f: FieldSpec, a: list[int]) -> list[int]:
 
 
 def gcd(f: FieldSpec, a: list[int], b: list[int]) -> list[int]:
-    """The monic gcd; [] when both are zero."""
-    return extgcd(f, a, b)[0]
-
-
-def extgcd(f: FieldSpec, a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """g, s, t with s a + t b = g = gcd(a, b), g monic."""
-    r0, r1 = trim(a), trim(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_(f, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(f, s0, mul(f, q, s1))
-        t0, t1 = t1, sub(f, t0, mul(f, q, t1))
-    if not r0:
-        return [], s0, t0
-    lead_inv = f.inv(r0[-1])
-    scale = lambda poly: [f.mul(lead_inv, c) for c in poly]
-    return scale(r0), scale(s0), scale(t0)
+    """The monic gcd, by Euclid's algorithm; [] when both are zero."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, mod(f, a, b)
+    return monic(f, a)
 
 
 def deriv(f: FieldSpec, a: list[int]) -> list[int]:
@@ -122,7 +109,14 @@ def eval_at(f: FieldSpec, a: list[int], x: int) -> int:
 
 
 def roots(f: FieldSpec, a: list[int]) -> list[int]:
-    """All roots in the field, ascending by encoding; brute force."""
+    """All roots in the field, ascending by encoding.
+
+    A linear a0 + a1 x has the one root -a0/a1, so no field is enumerated
+    for it; any other degree is searched by brute force.
+    """
+    a = trim(a)
+    if len(a) == 2:
+        return [f.neg(f.mul(a[0], f.inv(a[1])))]
     return [x for x in f.elements() if eval_at(f, a, x) == 0]
 
 

@@ -82,6 +82,8 @@ class TruncSeries:
         """
         cs = list(coeffs)
         if precision is not None:
+            if precision < 0:
+                raise ZeroPrecision(f"negative precision {precision}")
             if len(cs) > precision:
                 raise ValueError("more coefficients than the stated precision")
             cs += [0] * (precision - len(cs))
@@ -89,6 +91,8 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":
+        if precision < 0:
+            raise ZeroPrecision(f"negative precision {precision}")
         return cls(field, var, (0,) * precision)
 
     @classmethod

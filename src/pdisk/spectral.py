@@ -14,6 +14,11 @@ where char_b^{dz} differentiates the coefficients only (zero over a base
 F*(b'), so no inverse is formed).  When char_b'(t) is not a unit, the
 ring is flagged derivation-free and derivative-taking operations refuse.
 
+An element acts on the rank-n bundle by its multiplication matrix in the
+cyclic frame (regular_rep), t by the companion matrix.  A unit (its
+residue prime to the residue of char_b) inverts through that matrix:
+the inverse's coordinates are column 0 of the matrix inverse.
+
 On the split stratum a spectral ring carries two more facts, each cached:
 its eigenvalues (the residue roots of char_b, lifted to series by Newton
 iteration) and the Lagrange basis at them.  hensel_eigen builds the ring
@@ -210,6 +215,8 @@ class SpectralElement:
         return self.coeffs[0].precision
 
     def _check_peer(self, other: "SpectralElement") -> None:
+        if self.ring is other.ring:
+            return
         if self.ring.rank != other.ring.rank or not self.ring.b.agrees_with(other.ring.b):
             raise BaseMismatch("spectral elements live over different rings")
 
@@ -231,6 +238,7 @@ class SpectralElement:
         return all(c.is_zero() for c in self.coeffs)
 
     def agrees_with(self, other: "SpectralElement") -> bool:
+        self._check_peer(other)
         return all(a.agrees_with(b) for a, b in zip(self.coeffs, other.coeffs))
 
     def truncate(self, precision: int) -> "SpectralElement":
@@ -247,22 +255,11 @@ class SpectralElement:
         return polyring.degree(g) == 0
 
     def inverse(self) -> "SpectralElement":
-        """Invert by residue ext-gcd plus z-adic Newton refinement."""
-        f = self.ring.field
-        res = self.residue_poly()
-        char0 = self.ring.residue_char()
-        g, s, _ = polyring.extgcd(f, res, char0)
-        if polyring.degree(g) != 0:
+        """Column 0 of the inverse multiplication matrix: the coordinates of self^(-1) * 1."""
+        if not self.is_unit():
             raise NonUnit("element is a zero divisor at the residue")
-        prec = self.precision
-        inv0 = polyring.mod(f, s, char0)
-        v = self.ring.element(
-            [TruncSeries.constant(f, self.ring.var, c, prec) for c in inv0]
-            or [TruncSeries.zero(f, self.ring.var, prec)]
-        )
-        for _ in range(max(1, (prec - 1).bit_length() + 1)):
-            v = v + v - (self * v) * v
-        return v
+        inv = regular_rep(self).inverse()
+        return self.ring.element([inv.entry(i, 0) for i in range(self.ring.rank)])
 
     def derivative(self) -> "SpectralElement":
         """The extended z-derivation: coefficientwise d/dz plus dt/dz d/dt."""
@@ -328,7 +325,8 @@ def check_residue_split(field, res_char: list[int]) -> list[int]:
 def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesMatrix:
     """The element as an endomorphism matrix.
 
-    Cyclic frame (no eigen data): multiplication on 1, t, ..., t^(n-1);
+    Cyclic frame (no eigen data): multiplication on 1, t, ..., t^(n-1),
+    column j + 1 being t times column j (one shift and one reduction);
     for the tautological element this is the companion matrix.  Eigen
     frame: diag of the eigenvalue evaluations conjugated back by the
     eigenbasis, i.e. the endomorphism commuting with the p-curvature.
@@ -336,13 +334,11 @@ def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesM
     ring = elt.ring
     n = ring.rank
     if eigen is None:
-        cols = []
-        taut = ring.tautological()
-        power = ring.one()
-        for _ in range(n):
-            cols.append((elt * power).coeffs)
-            power = power * taut
-        return SeriesMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        zero = TruncSeries.zero(ring.field, ring.var, elt.precision)
+        cols = [elt.coeffs]
+        for _ in range(n - 1):
+            cols.append(ring.element([zero, *cols[-1]]).coeffs)
+        return SeriesMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
     if eigen.rank != n:
         raise DimensionMismatch("eigen data rank does not match the ring")
     diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])

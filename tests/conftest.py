@@ -10,7 +10,7 @@ import pytest
 
 from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
-from pdisk.matrix import SeriesMatrix
+from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.series import TruncSeries
 
 
@@ -30,6 +30,17 @@ def M(field: FieldSpec, rows, precision: int, var: str = "z") -> SeriesMatrix:
     """Matrix from a list of lists of grammar strings."""
     return SeriesMatrix.from_rows(
         [[S(field, cell, precision, var) for cell in row] for row in rows]
+    )
+
+
+def companion_layout(b: InvariantTuple) -> SeriesMatrix:
+    """The companion matrix of q = det(t I - M) written out: ones below the
+    diagonal and -q in the last column."""
+    n, q = b.rank, b.char_poly()
+    zero = TruncSeries.zero(b.field, b.var, b.precision)
+    one = TruncSeries.one(b.field, b.var, b.precision)
+    return SeriesMatrix.from_rows(
+        [[-q[i] if j == n - 1 else one if i == j + 1 else zero for j in range(n)] for i in range(n)]
     )
 
 

@@ -20,7 +20,7 @@ from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import SpectralRing, regular_rep
 
-from conftest import M, S
+from conftest import M, S, companion_layout
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -229,16 +229,18 @@ class TestTau:
     def test_regular_rep_is_companion(self) -> None:
         b = _tuple_of(F2, VAR_DISK, ["0", "z^2"], 5)
         rep = regular_rep(SpectralRing(b).tautological())
-        assert rep.agrees_with(companion_section(b))
+        assert rep.agrees_with(companion_layout(b))
 
     def test_regular_rep_nilpotent(self) -> None:
         b = _tuple_of(F3, VAR_DISK, ["0", "0", "0"], 4)
         rep = regular_rep(SpectralRing(b).tautological())
-        assert rep.agrees_with(companion_section(b))
+        assert rep.agrees_with(companion_layout(b))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_regular_rep_random(self, n: int) -> None:
         rng = SplitMix64(n + 77)
         for _ in range(10):
             b = InvariantTuple(tuple(rng.series(F5, VAR_DISK, 4) for _ in range(n)))
-            assert regular_rep(SpectralRing(b).tautological()).agrees_with(companion_section(b))
+            want = companion_layout(b)
+            assert regular_rep(SpectralRing(b).tautological()) == want
+            assert companion_section(b) == want

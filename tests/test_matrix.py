@@ -41,6 +41,16 @@ class TestShape:
         assert i.rank == 3
         assert i.precision == 4
 
+    def test_rank_zero_refused(self) -> None:
+        builders = [
+            lambda: SeriesMatrix.diagonal([]),
+            lambda: SeriesMatrix.identity(F3, VAR_DISK, 0, 3),
+            lambda: SeriesMatrix.zero(F3, VAR_DISK, 0, 3),
+        ]
+        for build in builders:
+            with pytest.raises(DimensionMismatch, match="rank must be at least 1"):
+                build()
+
     def test_ragged_rejected(self) -> None:
         one = TruncSeries.one(F3, VAR_DISK, 4)
         with pytest.raises(DimensionMismatch):

@@ -62,8 +62,13 @@ def test_gcd_matches_sympy(p: int) -> None:
         assert polyring.gcd(field, b, a) == want
 
 
-@pytest.mark.parametrize("field", [FieldSpec(2, 2, (1, 1, 1)), FieldSpec(3, 2, (1, 0, 1))], ids=["F4", "F9"])
-def test_extgcd_bezout(field: FieldSpec) -> None:
+F4 = FieldSpec(2, 2, (1, 1, 1))
+F9 = FieldSpec(3, 2, (1, 0, 1))
+F101_8 = FieldSpec(101, 8, (2, 0, 0, 0, 0, 0, 0, 0, 1))  # x^8 + 2
+
+
+@pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+def test_gcd_over_extension_fields(field: FieldSpec) -> None:
     rng = SplitMix64(field.q)
 
     def poly(n: int) -> list[int]:
@@ -72,9 +77,31 @@ def test_extgcd_bezout(field: FieldSpec) -> None:
     for na, nb, nc in [(1, 1, 1), (3, 2, 1), (4, 4, 2), (2, 6, 3), (5, 5, 4)]:
         common = poly(nc)
         a, b = polyring.mul(field, poly(na), common), polyring.mul(field, poly(nb), common)
-        g, s, t = polyring.extgcd(field, a, b)
+        g = polyring.gcd(field, a, b)
         assert g[-1] == 1
-        assert polyring.add(field, polyring.mul(field, s, a), polyring.mul(field, t, b)) == g
         assert polyring.mod(field, a, g) == [] and polyring.mod(field, b, g) == []
         assert polyring.degree(g) >= polyring.degree(common)
-        assert polyring.gcd(field, a, b) == g
+        assert polyring.gcd(field, b, a) == g
+
+
+@pytest.mark.parametrize("field", [F101_8, F9], ids=["F101^8", "F9"])
+def test_linear_roots_never_enumerate_the_field(field: FieldSpec, monkeypatch) -> None:
+    rng = SplitMix64(field.p)
+    cases = [[rng.below(field.q), 1 + rng.below(field.q - 1)] for _ in range(20)]
+
+    def refuse(self: FieldSpec) -> range:
+        raise AssertionError("a linear polynomial enumerated the field")
+
+    monkeypatch.setattr(FieldSpec, "elements", refuse)
+    for a in cases:
+        (root,) = polyring.roots(field, a)
+        assert polyring.eval_at(field, a, root) == 0
+        assert polyring.roots(field, a + [0]) == [root]
+
+
+@pytest.mark.parametrize("field", [F4, FieldSpec(5), F9], ids=["F4", "F5", "F9"])
+def test_linear_roots_match_brute_force(field: FieldSpec) -> None:
+    for a0 in field.elements():
+        for a1 in range(1, field.q):
+            want = [x for x in field.elements() if polyring.eval_at(field, [a0, a1], x) == 0]
+            assert polyring.roots(field, [a0, a1]) == want

@@ -50,6 +50,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncSeries.make(F3, VAR_DISK, [-1])
 
+    def test_negative_precision_refused(self) -> None:
+        builders = [
+            lambda: TruncSeries.zero(F3, VAR_DISK, -2),
+            lambda: TruncSeries.one(F3, VAR_DISK, -2),
+            lambda: TruncSeries.constant(F9, VAR_TWIST, 5, -2),
+            lambda: TruncSeries.make(F3, VAR_DISK, [], -2),
+            lambda: TruncSeries.make(F3, VAR_DISK, [1, 2], -2),
+        ]
+        for build in builders:
+            with pytest.raises(ZeroPrecision, match="negative precision -2"):
+                build()
+
     def test_truncate_only_lowers(self) -> None:
         s = TruncSeries.make(F3, VAR_DISK, [1, 2, 1])
         assert s.truncate(2).coeffs == (1, 2)

@@ -12,6 +12,7 @@ from pdisk.errors import (
     NonSplitResidue,
     NonUnit,
     RepeatedResidueRoot,
+    ZeroPrecision,
 )
 from pdisk.field import FieldSpec
 from pdisk.hitchin import (
@@ -25,11 +26,13 @@ from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import EigenData, SpectralRing, hensel_eigen, regular_rep
 
-from conftest import M, S
+from conftest import M, S, companion_layout
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
+F7 = FieldSpec(7)
+F4 = FieldSpec(2, 2, (1, 1, 1))
 F9 = FieldSpec(3, 2, (1, 0, 1))
 
 
@@ -134,7 +137,7 @@ class TestBuildSpectral:
 
 
 class TestElements:
-    def test_newton_inverse(self) -> None:
+    def test_inverse(self) -> None:
         rng = SplitMix64(50)
         ring = artin_schreier_ring()
         found = 0
@@ -146,6 +149,38 @@ class TestElements:
                 continue
             found += 1
             assert (cand * cand.inverse() - ring.one()).is_zero()
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F7, F4, F9], ids=["F2", "F3", "F5", "F7", "F4", "F9"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pulled", [True, False], ids=["pulled", "general"])
+    def test_seeded_units_invert(self, field: FieldSpec, n: int, pulled: bool) -> None:
+        rng = SplitMix64(100 * field.q + 10 * n + pulled)
+        prec = 2 * field.p + 3
+        for _ in range(3):
+            if pulled:
+                twist = [rng.series(field, VAR_TWIST, -(-prec // field.p)) for _ in range(n)]
+                b = frobenius_base_pullback(InvariantTuple(tuple(twist))).truncate(prec)
+            else:
+                b = InvariantTuple(tuple(rng.series(field, VAR_DISK, prec) for _ in range(n)))
+            ring = SpectralRing(b)
+            units = 0
+            while units < 4:
+                # every other element below the ring's precision
+                x = ring.element([rng.series(field, VAR_DISK, prec - units % 2) for _ in range(n)])
+                if not x.is_unit():
+                    with pytest.raises(NonUnit, match="zero divisor at the residue"):
+                        x.inverse()
+                    continue
+                units += 1
+                y = x.inverse()
+                assert y.precision == x.precision
+                assert x * y == ring.one().truncate(x.precision)
+            # z is never a unit, and a precision-0 element has no residue
+            z = ring.from_series(TruncSeries.monomial(field, VAR_DISK, 1, prec))
+            with pytest.raises(NonUnit, match="zero divisor at the residue"):
+                z.inverse()
+            with pytest.raises(ZeroPrecision):
+                ring.from_series(TruncSeries.one(field, VAR_DISK, 0)).inverse()
 
     def test_zero_divisor_refused(self) -> None:
         # in O[t]/(t^2 + t) the class of t kills t + 1
@@ -175,6 +210,18 @@ class TestElements:
         b = SpectralRing(inv(F2, ["0", "z^2"], 9)).one()
         with pytest.raises(BaseMismatch):
             a + b
+
+    def test_agrees_with_checks_the_ring(self) -> None:
+        # equal coefficients over different ranks, and over different bases
+        one_1 = SpectralRing(inv(F5, ["1"], 6)).one()
+        one_2 = SpectralRing(inv(F5, ["1", "0"], 6)).one()
+        t = SpectralRing(inv(F5, ["1", "0"], 6)).tautological()
+        other_t = SpectralRing(inv(F5, ["2", "1"], 6)).tautological()
+        for x, y in ((one_1, one_2), (one_2, one_1), (t, other_t)):
+            with pytest.raises(BaseMismatch):
+                x.agrees_with(y)
+        # a second ring over an agreeing base is a peer
+        assert t.agrees_with(SpectralRing(inv(F5, ["1", "0"], 4)).tautological())
 
 
 # ==========================================================================
@@ -281,7 +328,7 @@ class TestRegularRep:
         for field, texts in ((F2, ["1", "z^2"]), (F3, ["z", "2 + z^2"]), (F5, ["1", "z", "4"])):
             b = inv(field, texts, 8)
             ring = SpectralRing(b)
-            assert regular_rep(ring.tautological()) == companion_section(b)
+            assert regular_rep(ring.tautological()) == companion_layout(b)
 
     def test_ring_homomorphism(self) -> None:
         rng = SplitMix64(51)
