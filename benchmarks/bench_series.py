@@ -15,9 +15,13 @@ reaches, to show how the product scales.  The p-curvature table times
 keeps is never what is timed, and ``pcurv_in_ring`` on the theta that
 ``solve_harmonic`` certifies.  The spectral table times, over F_5 and F_9
 at ranks 2 and 3, N = 19 and N = 160, on a random base: the inverse of a
-random unit of the spectral ring, ``companion_section`` of the base, and
+random unit of the spectral ring, ``companion_section`` of the base,
 ``polyring.gcd`` of the unit's residue with the residue characteristic
-polynomial (the unit test of ``SpectralElement.is_unit``).  Run from the
+polynomial (the unit test of ``SpectralElement.is_unit``), the product of
+the unit with a random element, once with the unit's multiplication matrix
+kept from an earlier product and once from a fresh copy of the unit that
+must form it, and ``char_invariants`` of that matrix.  The inverse, too, is
+timed on a fresh copy, since an element keeps its inverse.  Run from the
 repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
@@ -32,11 +36,11 @@ from pdisk.connection import Connection, pcurv
 from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring, solve_harmonic
-from pdisk.hitchin import companion_section
+from pdisk.hitchin import char_invariants, companion_section
 from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
-from pdisk.spectral import SpectralRing
+from pdisk.spectral import SpectralElement, SpectralRing
 
 FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
@@ -104,7 +108,10 @@ def main() -> None:
         t_ring, _ = clock(pcurv_in_ring, theta)
         print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv':>14} {fmt(t_pcurv):>12}")
         print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv_in_ring':>14} {fmt(t_ring):>12}")
-    print(f"{'field':>5} {'rank':>5} {'N':>5} {'inverse':>12} {'companion':>12} {'gcd':>12}")
+    print(
+        f"{'field':>5} {'rank':>5} {'N':>5} {'inverse':>12} {'companion':>12} {'gcd':>12}"
+        f" {'x * y kept':>12} {'x * y fresh':>12} {'char_inv':>12}"
+    )
     for name, f in FIELDS.items():
         for r in RANKS:
             for n in SPECTRAL_PRECISIONS:
@@ -114,10 +121,21 @@ def main() -> None:
                     x = ring.element([rng.series(f, VAR_DISK, n) for _ in range(r)])
                     if x.is_unit():
                         break
-                t_inv, _ = clock(x.inverse)
+                y = ring.element([rng.series(f, VAR_DISK, n) for _ in range(r)])
+
+                def fresh() -> SpectralElement:
+                    return SpectralElement(ring, x.coeffs)
+
+                t_inv, _ = clock(lambda: fresh().inverse())
                 t_comp, _ = clock(companion_section, b)
                 t_gcd, _ = clock(polyring.gcd, f, x.residue_poly(), ring.residue_char())
-                print(f"{name:>5} {r:>5} {n:>5} {fmt(t_inv):>12} {fmt(t_comp):>12} {fmt(t_gcd):>12}")
+                t_kept, _ = clock(x.__mul__, y)
+                t_fresh, _ = clock(lambda: fresh() * y)
+                t_char, _ = clock(char_invariants, x.rep)
+                print(
+                    f"{name:>5} {r:>5} {n:>5} {fmt(t_inv):>12} {fmt(t_comp):>12} {fmt(t_gcd):>12}"
+                    f" {fmt(t_kept):>12} {fmt(t_fresh):>12} {fmt(t_char):>12}"
+                )
 
 
 if __name__ == "__main__":

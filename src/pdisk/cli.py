@@ -24,7 +24,8 @@ from .connection import dlog, pcurv
 from .errors import PdiskError, SchemaError
 from .field import FieldSpec
 from .harmonic import cinv, cmap, solve_harmonic
-from .hitchin import MAX_RANK, char_invariants, phitchin
+from .hitchin import char_invariants, phitchin
+from .matrix import MAX_RANK
 from .series import VAR_DISK, VAR_TWIST
 
 _PROG = "pdisk"

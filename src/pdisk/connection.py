@@ -115,16 +115,14 @@ def pcurv(conn: Connection) -> FHiggs:
     return conn.p_curvature
 
 
-def check_horizontality(conn: Connection, psi: FHiggs | None = None) -> SeriesMatrix:
+def check_horizontality(conn: Connection, psi: FHiggs) -> SeriesMatrix:
     """Residual of the defining identity: dPsi/dz + A Psi - Psi A.
 
-    Zero (exactly, coefficient by coefficient) on every valid pair.  When
-    psi is omitted it is computed from the connection.
+    Zero (exactly, coefficient by coefficient) when psi is the connection's
+    p-curvature.
     """
     if conn.precision < conn.field.p + 2:
         raise InsufficientPrecision("need precision >= p + 2 for the residual")
-    if psi is None:
-        psi = pcurv(conn)
     m = psi.matrix
     a = conn.matrix
     return m.derivative() + (a @ m) - (m @ a)

@@ -4,8 +4,8 @@ The invariants are a fact of the matrix (``SeriesMatrix.invariants``, by
 ``matrix.char_invariants``, whose module fixes the sign convention).
 companion_section is the companion matrix of det(t I - M) under that
 convention, so char_invariants(companion_section(b)) = b for every p: it is
-the multiplication matrix of t in the spectral ring O[t]/(char_b)
-(``spectral.regular_rep``), ones below the diagonal and -char_b in the
+the kept multiplication matrix of t in the spectral ring O[t]/(char_b)
+(``SpectralElement.rep``), ones below the diagonal and -char_b in the
 last column.
 """
 
@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from .connection import Connection, pcurv
 from .errors import InsufficientPrecision, InternalInconsistency, NotAPthPower, VarMismatch
-# re-exported: the invariants live in matrix, and every older import path stays
-from .matrix import MAX_RANK, InvariantTuple, SeriesMatrix, char_invariants, poly_mul  # noqa: F401
+# re-exported: the invariants live in matrix, and callers (perfbench's spans too) find them here
+from .matrix import InvariantTuple, SeriesMatrix, char_invariants  # noqa: F401
 from .series import TruncSeries, VAR_TWIST
-from .spectral import SpectralRing, regular_rep
+from .spectral import SpectralRing
 
 
 def companion_section(b: InvariantTuple) -> SeriesMatrix:
-    """The companion matrix of det(t I - M), t's regular_rep; a section of char_invariants."""
-    return regular_rep(SpectralRing(b).tautological())
+    """t's kept multiplication matrix, companion to det(t I - M): a section of char_invariants."""
+    return SpectralRing(b).tautological().rep
 
 
 def descend_certified(x: TruncSeries | SeriesMatrix, noun: str, failure: str):

@@ -11,9 +11,11 @@ tuple b = (b_1, ..., b_n) is what char_invariants returns, so b_1 is the
 trace and b_n the determinant, both with no sign.
 
 The characteristic polynomial is computed by Berkowitz's recursion
-(Inform. Process. Lett. 18, 1984) from sums of products and t-polynomial
-products alone.  It is division-free, so valid over any commutative ring;
-nothing divides by 1..n, so small p is safe.
+(Inform. Process. Lett. 18, 1984) from sums of products alone: each
+bordering step is a Toeplitz product, one dot per kept coefficient.  It is
+division-free, so valid over any commutative ring; nothing divides by
+1..n, so small p is safe.  The polynomial itself, as ascending
+t-coefficients, is SpectralRing.char.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, RankTooLarge, SingularGauge
 from .field import FieldSpec
@@ -268,25 +269,6 @@ class InvariantTuple:
     def truncate(self, precision: int) -> "InvariantTuple":
         return InvariantTuple(tuple(e.truncate(precision) for e in self.entries))
 
-    def char_poly(self) -> list[TruncSeries]:
-        """det(t I - M) as ascending t-coefficients (length n + 1, monic)."""
-        signed = [b if i % 2 == 0 else -b for i, b in enumerate(self.entries, 1)]
-        return signed[::-1] + [TruncSeries.one(self.field, self.var, self.precision)]
-
-
-def poly_mul(a: Sequence[TruncSeries], b: Sequence[TruncSeries]) -> Iterator[TruncSeries]:
-    """Product of two t-polynomials with series coefficients: their convolution.
-
-    Coefficient k is the sum of a[i] * b[k - i], so ascending and
-    descending coefficient lists both work.  Each coefficient is one dot,
-    at the least precision among its terms, formed when it is taken, so a
-    caller that keeps the first few forms only those.  An empty operand
-    gives none.
-    """
-    for k in range(len(a) + len(b) - 1 if a and b else 0):
-        lo = max(0, k - len(b) + 1)
-        yield dot(a[lo : k + 1], b[k - lo :: -1])
-
 
 def char_invariants(m: SeriesMatrix) -> InvariantTuple:
     """Characteristic invariants of a matrix, by Berkowitz's recursion."""
@@ -307,5 +289,8 @@ def char_invariants(m: SeriesMatrix) -> InvariantTuple:
             if j:
                 c = [dot(row[:k], c) for row in e[:k]]
             column.append(-dot(r, c))
-        charpoly = list(islice(poly_mul(column, charpoly), k + 2))
+        # the Toeplitz product: the first k + 2 coefficients of column * charpoly
+        charpoly = [dot(column[: i + 1], charpoly[i::-1]) for i in range(k + 1)] + [
+            dot(column[1:], charpoly[::-1])
+        ]
     return InvariantTuple(tuple(x if i % 2 == 0 else -x for i, x in enumerate(charpoly[1:], 1)))

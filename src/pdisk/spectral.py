@@ -14,10 +14,10 @@ where char_b^{dz} differentiates the coefficients only (zero over a base
 F*(b'), so no inverse is formed).  When char_b'(t) is not a unit, the
 ring is flagged derivation-free and derivative-taking operations refuse.
 
-An element acts on the rank-n bundle by its multiplication matrix in the
-cyclic frame (regular_rep), t by the companion matrix.  A unit (its
-residue prime to the residue of char_b) inverts through that matrix:
-the inverse's coordinates are column 0 of the matrix inverse.
+An element acts on the rank-n bundle by its kept multiplication matrix in
+the cyclic frame (SpectralElement.rep), t by the companion matrix.  A
+product applies it to the right operand's coordinates; a unit (its residue
+prime to the residue of char_b) inverts through it: column 0 of its inverse.
 
 On the split stratum a spectral ring carries two more facts, each cached:
 its eigenvalues (the residue roots of char_b, lifted to series by Newton
@@ -46,7 +46,7 @@ from .errors import (
     NonUnit,
     RepeatedResidueRoot,
 )
-from .matrix import InvariantTuple, SeriesMatrix, poly_mul
+from .matrix import InvariantTuple, SeriesMatrix
 from .series import TruncSeries
 
 
@@ -92,8 +92,10 @@ class SpectralRing:
 
     @cached_property
     def char(self) -> list[TruncSeries]:
-        """char_b as ascending t-coefficients (length n + 1, monic)."""
-        return self.b.char_poly()
+        """char_b = det(t I - M) as ascending t-coefficients (length n + 1, monic)."""
+        b = self.b
+        signed = [x if i % 2 == 0 else -x for i, x in enumerate(b.entries, 1)]
+        return signed[::-1] + [TruncSeries.one(b.field, b.var, b.precision)]
 
     @cached_property
     def dchar(self) -> list[TruncSeries]:
@@ -232,7 +234,21 @@ class SpectralElement:
 
     def __mul__(self, other: "SpectralElement") -> "SpectralElement":
         self._check_peer(other)
-        return self.ring.element(poly_mul(self.coeffs, other.coeffs))
+        return self.ring.element(list(self.rep.matvec(other.coeffs)))
+
+    @cached_property
+    def rep(self) -> SeriesMatrix:
+        """Multiplication on 1, t, ..., t^(n-1), kept; not part of the value (==, hash, repr).
+
+        Column j + 1 is t times column j; for t this is the companion matrix.
+        """
+        ring = self.ring
+        n = ring.rank
+        zero = TruncSeries.zero(ring.field, ring.var, self.precision)
+        cols = [self.coeffs]
+        for _ in range(n - 1):
+            cols.append(ring.element([zero, *cols[-1]]).coeffs)
+        return SeriesMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -255,18 +271,17 @@ class SpectralElement:
         return polyring.degree(g) == 0
 
     def inverse(self) -> "SpectralElement":
-        """Column 0 of the inverse multiplication matrix: the coordinates of self^(-1) * 1."""
+        """Column 0 of the kept matrix's kept inverse: the coordinates of self^(-1) * 1."""
         if not self.is_unit():
             raise NonUnit("element is a zero divisor at the residue")
-        inv = regular_rep(self).inverse()
+        inv = self.rep.inverse()
         return self.ring.element([inv.entry(i, 0) for i in range(self.ring.rank)])
 
     def derivative(self) -> "SpectralElement":
-        """The extended z-derivation: coefficientwise d/dz plus dt/dz d/dt."""
-        dz_part = self.ring.element([c.derivative() for c in self.coeffs])
-        if self.ring.rank == 1:
-            return dz_part
-        return dz_part + self.ring.element(t_derivative(self.coeffs)) * self.ring.derivation()
+        """The extended z-derivation: coefficientwise d/dz plus dt/dz (kept matrix) d/dt."""
+        ring = self.ring
+        dz_part = ring.element([c.derivative() for c in self.coeffs])
+        return dz_part + ring.derivation() * ring.element(t_derivative(self.coeffs))
 
     # -- evaluation -------------------------------------------------------
 
@@ -325,21 +340,14 @@ def check_residue_split(field, res_char: list[int]) -> list[int]:
 def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesMatrix:
     """The element as an endomorphism matrix.
 
-    Cyclic frame (no eigen data): multiplication on 1, t, ..., t^(n-1),
-    column j + 1 being t times column j (one shift and one reduction);
-    for the tautological element this is the companion matrix.  Eigen
-    frame: diag of the eigenvalue evaluations conjugated back by the
-    eigenbasis, i.e. the endomorphism commuting with the p-curvature.
+    Cyclic frame (no eigen data): the element's kept multiplication matrix,
+    elt.rep.  Eigen frame: diag of the eigenvalue evaluations conjugated
+    back by the eigenbasis, i.e. the endomorphism commuting with the
+    p-curvature; the tests check the two frames against each other.
     """
-    ring = elt.ring
-    n = ring.rank
     if eigen is None:
-        zero = TruncSeries.zero(ring.field, ring.var, elt.precision)
-        cols = [elt.coeffs]
-        for _ in range(n - 1):
-            cols.append(ring.element([zero, *cols[-1]]).coeffs)
-        return SeriesMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
-    if eigen.rank != n:
+        return elt.rep
+    if eigen.rank != elt.ring.rank:
         raise DimensionMismatch("eigen data rank does not match the ring")
     diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
     return eigen.gauge @ diag @ eigen.gauge.inverse()

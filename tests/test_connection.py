@@ -257,7 +257,7 @@ def test_horizontality_always(p: int, n: int) -> None:
 def test_horizontality_precision_guard() -> None:
     conn = Connection(M(F5, [["z"]], 6))
     with pytest.raises(InsufficientPrecision):
-        check_horizontality(conn)
+        check_horizontality(conn, pcurv(conn))
 
 
 def test_dlog_gauge_flat() -> None:

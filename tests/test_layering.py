@@ -5,11 +5,16 @@ reaches a module above it.  The one exception is ``field``'s ``polyring``
 import: ``FieldSpec`` tests its modulus with ``polyring.factor_degrees``,
 and ``polyring`` reaches ``field`` again through the kernels, so a top-level
 import would be a cycle at load time.
+
+Every definition is named somewhere else in the package, so no helper
+outlives its last caller.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,3 +87,42 @@ def test_detects_both_forms() -> None:
         "def f():\n    from .jsonio import format_series\n"
     )
     assert deferred_imports(tree) == [(3, ".hitchin"), (5, ".jsonio")]
+
+
+
+# public API that no module of the package calls: the README builds matrices with it
+DEAD_ALLOWED = {"SeriesMatrix.from_rows"}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each top-level function or class and each non-dunder method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return found
+
+
+def test_no_dead_definitions() -> None:
+    # a name is alive when the package's text, docstrings included, holds it
+    # more often than it is defined: a call, an import, an export or a mention
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    words = Counter(w for text in texts.values() for w in re.findall(r"[A-Za-z_]\w*", text))
+    defined = {
+        module: definitions(ast.parse(text, filename=module)) for module, text in texts.items()
+    }
+    times_defined = Counter(name for defs in defined.values() for _, name in defs)
+    dead = [
+        f"{module}:{qualified}"
+        for module, defs in defined.items()
+        for qualified, name in defs
+        if words[name] <= times_defined[name] and qualified not in DEAD_ALLOWED
+    ]
+    assert not dead, f"defined but never named elsewhere: {dead}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from pdisk.connection import FHiggs, dlog
@@ -26,7 +28,7 @@ from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import EigenData, SpectralRing, hensel_eigen, regular_rep
 
-from conftest import M, S, companion_layout
+from conftest import M, S, companion_layout, spectral_product
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -38,6 +40,22 @@ F9 = FieldSpec(3, 2, (1, 0, 1))
 
 def inv(field: FieldSpec, texts: list[str], precision: int) -> InvariantTuple:
     return InvariantTuple(tuple(S(field, t, precision) for t in texts))
+
+
+def random_base(
+    rng: SplitMix64, field: FieldSpec, n: int, prec: int, pulled: bool
+) -> InvariantTuple:
+    """A random rank-n base at precision prec, pulled back from the twist or general."""
+    if pulled:
+        twist = [rng.series(field, VAR_TWIST, -(-prec // field.p)) for _ in range(n)]
+        return frobenius_base_pullback(InvariantTuple(tuple(twist))).truncate(prec)
+    return InvariantTuple(tuple(rng.series(field, VAR_DISK, prec) for _ in range(n)))
+
+
+FIELDS = pytest.mark.parametrize(
+    "field", [F2, F3, F5, F7, F4, F9], ids=["F2", "F3", "F5", "F7", "F4", "F9"]
+)
+BASES = pytest.mark.parametrize("pulled", [True, False], ids=["pulled", "general"])
 
 
 def artin_schreier_ring(precision: int = 9):
@@ -150,19 +168,14 @@ class TestElements:
             found += 1
             assert (cand * cand.inverse() - ring.one()).is_zero()
 
-    @pytest.mark.parametrize("field", [F2, F3, F5, F7, F4, F9], ids=["F2", "F3", "F5", "F7", "F4", "F9"])
+    @FIELDS
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("pulled", [True, False], ids=["pulled", "general"])
+    @BASES
     def test_seeded_units_invert(self, field: FieldSpec, n: int, pulled: bool) -> None:
         rng = SplitMix64(100 * field.q + 10 * n + pulled)
         prec = 2 * field.p + 3
         for _ in range(3):
-            if pulled:
-                twist = [rng.series(field, VAR_TWIST, -(-prec // field.p)) for _ in range(n)]
-                b = frobenius_base_pullback(InvariantTuple(tuple(twist))).truncate(prec)
-            else:
-                b = InvariantTuple(tuple(rng.series(field, VAR_DISK, prec) for _ in range(n)))
-            ring = SpectralRing(b)
+            ring = SpectralRing(random_base(rng, field, n, prec, pulled))
             units = 0
             while units < 4:
                 # every other element below the ring's precision
@@ -181,6 +194,40 @@ class TestElements:
                 z.inverse()
             with pytest.raises(ZeroPrecision):
                 ring.from_series(TruncSeries.one(field, VAR_DISK, 0)).inverse()
+
+    @FIELDS
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @BASES
+    def test_product_is_the_reduced_convolution(
+        self, field: FieldSpec, n: int, pulled: bool
+    ) -> None:
+        rng = SplitMix64(1000 * field.q + 10 * n + pulled)
+        prec = 2 * field.p + 3
+        ring = SpectralRing(random_base(rng, field, n, prec, pulled))
+        for k in range(4):
+            # precisions prec - k and prec - 3 + k never meet
+            x = ring.element([rng.series(field, VAR_DISK, prec - k) for _ in range(n)])
+            y = ring.element([rng.series(field, VAR_DISK, prec - 3 + k) for _ in range(n)])
+            want = spectral_product(x, y)
+            for got in (x * y, x * y, y * x):
+                assert got.precision == min(x.precision, y.precision)
+                assert list(got.coeffs) == want
+
+    def test_multiplication_matrix_is_kept(self, monkeypatch) -> None:
+        ring = SpectralRing(inv(F3, ["z", "2 + z^2"], 8))
+        a = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
+        value = (ring.element(list(a.coeffs)), hash(a), repr(a))
+        assert a.rep is a.rep
+        assert regular_rep(a) is a.rep
+        assert (a, hash(a), repr(a)) == value
+        assert pickle.loads(pickle.dumps(a)) == a
+        eliminated = []
+        eliminate = SeriesMatrix._eliminate
+        monkeypatch.setattr(
+            SeriesMatrix, "_eliminate", lambda m: eliminated.append(m) or eliminate(m)
+        )
+        assert a.inverse() == a.inverse()
+        assert eliminated == [a.rep]
 
     def test_zero_divisor_refused(self) -> None:
         # in O[t]/(t^2 + t) the class of t kills t + 1
