@@ -9,10 +9,11 @@ pcurv has exactly one semantics: the operator applied p times to the
 identity matrix, whose columns are the constant basis vectors.  The first
 application gives A itself, so the loop starts there and applies the
 operator p - 1 more times.  Each connection computes its p-curvature once
-(Connection.p_curvature); its invariants are those of its matrix
-(SeriesMatrix.invariants), also computed once.  The rank-1 closed form
-f^p + (d/dz)^(p-1) f and the identity-seeded p-fold loop exist in the test
-suite as independent oracles and are deliberately not used here.
+and keeps it (Connection.p_curvature, under field.Value); its invariants
+are those of its matrix (SeriesMatrix.invariants), also computed once.
+The rank-1 closed form f^p + (d/dz)^(p-1) f and the identity-seeded p-fold
+loop exist in the test suite as independent oracles and are deliberately
+not used here.
 
 gauge is the one frame change.  Moving by the inverse of a matrix h,
 gauge(h.inverse(), conn), eliminates once: the inverse keeps h as its own
@@ -26,12 +27,13 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatch, InsufficientPrecision, VarMismatch
+from .field import Value
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK
 
 
 @dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """d/dz + matrix, acting on column vectors of z-series."""
 
     matrix: SeriesMatrix
@@ -61,15 +63,18 @@ class Connection:
 
     @cached_property
     def p_curvature(self) -> "FHiggs":
-        """The p-curvature, computed on first read; pcurv is the checked entry.
+        """The p-curvature, computed on first read; InsufficientPrecision below N = p + 1.
 
         The operator sends the identity to A exactly (dI/dz = 0, A I = A),
         so the loop is seeded at A and applies X -> dX/dz + A X p - 1 times:
         each application costs one order, leaving N - p + 1.
         """
+        p = self.field.p
+        if self.precision < p + 1:
+            raise InsufficientPrecision(f"need precision >= p + 1 = {p + 1}, have {self.precision}")
         a = self.matrix
         x = a
-        for _ in range(self.field.p - 1):
+        for _ in range(p - 1):
             x = x.derivative() + a @ x
         return FHiggs(x)
 
@@ -106,12 +111,6 @@ def pcurv(conn: Connection) -> FHiggs:
     first application) and returned from there on every later call.  The
     result holds N - p + 1 orders.
     """
-    p = conn.field.p
-    nprec = conn.precision
-    if nprec < p + 1:
-        raise InsufficientPrecision(
-            f"need precision >= p + 1 = {p + 1}, have {nprec}"
-        )
     return conn.p_curvature
 
 

@@ -14,7 +14,7 @@ kernel loops both call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import NonUnit
@@ -98,8 +98,20 @@ def ext_mul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
     return encode(buf[:k], p)
 
 
+class Value:
+    """The one rule for kept facts: a dataclass's value is its fields.
+
+    A fact kept beside them (a cached_property, or SeriesMatrix's kept inverse)
+    stays outside ==, hash and repr, which the dataclass builds from the fields,
+    and outside pickles.  Each class that keeps a fact inherits this.
+    """
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """The coefficient field F_{p^k}, validated at construction."""
 
     p: int

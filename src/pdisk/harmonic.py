@@ -37,6 +37,7 @@ from .errors import (
     VarMismatch,
     ZeroPrecision,
 )
+from .field import Value
 from .hitchin import descend_certified, descend_invariants, frobenius_base_pullback, phitchin
 from .matrix import InvariantTuple, SeriesMatrix
 from .series import TruncSeries, VAR_TWIST, dot
@@ -71,7 +72,7 @@ def frame_for_rank(rank: int) -> str:
 
 
 @dataclass(frozen=True)
-class HarmonicDatum:
+class HarmonicDatum(Value):
     """A certified solution theta of the chart Hitchin equations.
 
     curvature_sign is +1 for a forward datum (p-curvature of d + theta is
@@ -284,9 +285,9 @@ def inverse(h: HarmonicDatum) -> HarmonicDatum:
     39, 1970), at the same precision.  tests/test_harmonic.py checks the
     identity (test_pcurv_sign_identity).
     """
-    # built without __init__, so __post_init__ does not certify again
+    # no __init__, so no second certificate; h's fields only, never a fact kept on h
     flipped = object.__new__(HarmonicDatum)
-    flipped.__dict__.update(h.__dict__, theta=-h.theta, curvature_sign=-h.curvature_sign)
+    flipped.__dict__.update(h.__getstate__(), theta=-h.theta, curvature_sign=-h.curvature_sign)
     return flipped
 
 

@@ -1,9 +1,8 @@
 """Dense square matrices of truncated series, all entries at one precision.
 
 A matrix's inverse and characteristic invariants are computed once and
-kept, outside its value (equality, hash, repr and pickle see the entries
-only).  The inverse holds the matrix as its own inverse by a weak
-reference, so no reference cycle forms.
+kept beside its entries (field.Value).  The inverse holds the matrix as its
+own inverse by a weak reference, so no reference cycle forms.
 
 Sign convention, fixed package-wide: for an n x n matrix M over the series
 ring, write det(t I - M) = t^n + sum_{i=1..n} (-1)^i b_i t^(n-i).  The
@@ -26,21 +25,17 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, RankTooLarge, SingularGauge
-from .field import FieldSpec
+from .field import FieldSpec, Value
 from .series import TruncSeries, dot
 
 MAX_RANK = 8
 
 
 @dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(Value):
     """An n x n matrix over the truncated series ring."""
 
     entries: tuple[tuple[TruncSeries, ...], ...]
-
-    def __getstate__(self) -> dict:
-        """Pickle the entries alone: the kept inverse and invariants are not the value."""
-        return {"entries": self.entries}
 
     def __post_init__(self) -> None:
         n = len(self.entries)

@@ -46,6 +46,7 @@ from .errors import (
     NonUnit,
     RepeatedResidueRoot,
 )
+from .field import Value
 from .matrix import InvariantTuple, SeriesMatrix
 from .series import TruncSeries
 
@@ -69,7 +70,7 @@ def t_derivative(coeffs: Sequence[TruncSeries]) -> list[TruncSeries]:
 
 
 @dataclass(frozen=True)
-class SpectralRing:
+class SpectralRing(Value):
     """O[t]/(char_b), b an invariant tuple in either coordinate."""
 
     b: InvariantTuple
@@ -206,7 +207,7 @@ class SpectralRing:
 
 
 @dataclass(frozen=True)
-class SpectralElement:
+class SpectralElement(Value):
     """A degree < n representative in the cyclic frame of a spectral ring."""
 
     ring: SpectralRing
@@ -238,7 +239,7 @@ class SpectralElement:
 
     @cached_property
     def rep(self) -> SeriesMatrix:
-        """Multiplication on 1, t, ..., t^(n-1), kept; not part of the value (==, hash, repr).
+        """Multiplication on 1, t, ..., t^(n-1), kept beside the value (field.Value).
 
         Column j + 1 is t times column j; for t this is the companion matrix.
         """

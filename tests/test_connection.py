@@ -215,21 +215,13 @@ class TestPcurvOncePerConnection:
         assert calls == [psi.matrix]
         assert first == original(psi.matrix)
 
-    def test_cache_is_not_part_of_the_value(self) -> None:
-        m = SplitMix64(5).matrix(F5, VAR_DISK, 2, 19)
-        read, fresh = Connection(m), Connection(m)
-        pcurv(read).matrix.invariants
-        assert read == fresh and hash(read) == hash(fresh)
-        assert repr(read) == repr(fresh)
-        assert pcurv(read) == pcurv(fresh) and hash(pcurv(read)) == hash(pcurv(fresh))
-        # a matrix whose inverse and invariants were read is the same value as a fresh one
-        g = SplitMix64(6).unit_matrix(F5, VAR_DISK, 2, 19)
-        kept, new = SeriesMatrix(g.entries), SeriesMatrix(g.entries)
-        kept.inverse().inverse()
-        kept.invariants
-        assert kept == new and hash(kept) == hash(new)
-        assert repr(kept) == repr(new)
-        assert kept.inverse() == new.inverse() and hash(kept.inverse()) == hash(new.inverse())
+    @pytest.mark.parametrize("precision", [3, 4, 5])
+    def test_kept_fact_checks_precision(self, precision: int) -> None:
+        # below N = p + 1 the kept fact refuses as pcurv does, on every read
+        conn = Connection(SplitMix64(5).matrix(F5, VAR_DISK, 2, precision))
+        for read in (lambda: conn.p_curvature, lambda: conn.p_curvature, lambda: pcurv(conn)):
+            with pytest.raises(InsufficientPrecision):
+                read()
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from pdisk.connection import FHiggs, dlog
@@ -216,11 +214,8 @@ class TestElements:
     def test_multiplication_matrix_is_kept(self, monkeypatch) -> None:
         ring = SpectralRing(inv(F3, ["z", "2 + z^2"], 8))
         a = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
-        value = (ring.element(list(a.coeffs)), hash(a), repr(a))
         assert a.rep is a.rep
         assert regular_rep(a) is a.rep
-        assert (a, hash(a), repr(a)) == value
-        assert pickle.loads(pickle.dumps(a)) == a
         eliminated = []
         eliminate = SeriesMatrix._eliminate
         monkeypatch.setattr(
