@@ -1,15 +1,19 @@
-"""Compare the Kronecker product over F_p against the schoolbook loop.
+"""Compare the two branches of ``series_sum_mul`` over F_p.
 
-Feeds identical inputs to ``_kernels_py._kronecker_sum_mul`` (one pair) and
-``_kernels_py._schoolbook_mul``, checks the outputs agree, and reports
-per-call timings, the speedup, and which one ``series_mul`` picks at each
-length (``KRONECKER_MIN``).  Run from the repository root:
+Feeds identical inputs to the list branch of ``_kernels_py.series_sum_mul``
+(one schoolbook list, reduced once; forced at every length by raising
+``KRONECKER_MIN`` for the run) and to ``_kernels_py._kronecker_sum_mul``,
+checks the outputs agree, and reports per-call timings, the speedup, and
+which branch ``series_sum_mul`` picks at each length.  The first table
+times one product; the second times sums of 2 and 3 products at the short
+lengths where the crossover for sums lies.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pdisk._kernels_py as kernels
@@ -17,6 +21,8 @@ from pdisk.rng import SplitMix64
 
 PRIMES = [2, 3, 5, 7, 2**31 - 1]
 LENGTHS = [4, 6, 8, 10, 12, 14, 16, 19, 24, 32, 64, 256, 1024]
+SUM_PAIRS = [2, 3]
+SUM_LENGTHS = range(6, 20)
 BUDGET_S = 0.02  # time per clock() sample
 
 
@@ -40,23 +46,46 @@ def fmt(seconds: float) -> str:
     return f"{seconds * 1e3:8.2f} ms"
 
 
+def list_branch(pairs, nout: int, p: int) -> list[int]:
+    """series_sum_mul over F_p; the list branch while KRONECKER_MIN is raised."""
+    return kernels.series_sum_mul(pairs, nout, p, 1, None)
+
+
+def row(rng: SplitMix64, crossover: int, npairs: int, p: int, n: int) -> str:
+    pairs = [
+        ([rng.below(p) for _ in range(n)], [rng.below(p) for _ in range(n)])
+        for _ in range(npairs)
+    ]
+    t_list, out_list = clock(list_branch, pairs, n, p)
+    t_kron, out_kron = clock(kernels._kronecker_sum_mul, pairs, n, p)
+    if out_list != out_kron:
+        raise SystemExit(f"kernel mismatch: pairs={npairs} p={p} n={n}")
+    used = "kronecker" if n >= crossover else "list"
+    return (
+        f"{npairs:>5} {p:>10} {n:>5} {fmt(t_list):>12} {fmt(t_kron):>12} "
+        f"{t_list / t_kron:>7.1f}x  {used}"
+    )
+
+
 def main() -> None:
     rng = SplitMix64(2024)
-    print(f"series_mul uses Kronecker from nout = {kernels.KRONECKER_MIN}")
-    print(f"{'p':>10} {'n':>5} {'schoolbook':>12} {'kronecker':>12} {'speedup':>8}  used")
-    for p in PRIMES:
-        for n in LENGTHS:
-            a = [rng.below(p) for _ in range(n)]
-            b = [rng.below(p) for _ in range(n)]
-            t_school, out_school = clock(kernels._schoolbook_mul, a, b, n, p)
-            t_kron, out_kron = clock(kernels._kronecker_sum_mul, [(a, b)], n, p)
-            if out_school != out_kron:
-                raise SystemExit(f"kernel mismatch: p={p} n={n}")
-            used = "kronecker" if n >= kernels.KRONECKER_MIN else "schoolbook"
-            print(
-                f"{p:>10} {n:>5} {fmt(t_school):>12} {fmt(t_kron):>12} "
-                f"{t_school / t_kron:>7.1f}x  {used}"
-            )
+    crossover = kernels.KRONECKER_MIN
+    header = f"{'pairs':>5} {'p':>10} {'n':>5} {'list':>12} {'kronecker':>12} {'speedup':>8}  used"
+    print(f"series_sum_mul uses Kronecker from nout = {crossover}")
+    kernels.KRONECKER_MIN = sys.maxsize
+    try:
+        print(header)
+        for p in PRIMES:
+            for n in LENGTHS:
+                print(row(rng, crossover, 1, p, n))
+        print()
+        print(header)
+        for npairs in SUM_PAIRS:
+            for p in PRIMES:
+                for n in SUM_LENGTHS:
+                    print(row(rng, crossover, npairs, p, n))
+    finally:
+        kernels.KRONECKER_MIN = crossover
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ are added and each slot of the sum is reduced mod p once.  A slot holds its
 sum exactly, so no carry crosses slots.  Shorter sums accumulate one
 schoolbook list and reduce it once, which is as fast there.  ``series_mul``
 is ``series_sum_mul`` of one pair, so products, ``series.dot`` and each
-entry of a matrix product share one implementation; ``_schoolbook_mul``,
-one product at a time, is the reference that the tests and
-``benchmarks/bench_kernels.py`` compare it with.
+entry of a matrix product share one implementation.  The tests check it
+against ``schoolbook_mul`` in ``tests/conftest.py``, one product at a time,
+and ``benchmarks/bench_kernels.py`` times its two branches against each other.
 
 ``series_dot`` sums the dot products of several coefficient sequences as
 integers and reduces mod p once; it gives one coefficient of a truncated
@@ -69,19 +69,6 @@ def series_neg(a, p: int, k: int, mod) -> list[int]:
     if k == 1:
         return [(-c) % p for c in a]
     return [ext_neg(c, p, k) for c in a]
-
-
-def _schoolbook_mul(a, b, nout: int, p: int) -> list[int]:
-    """The first nout coefficients of a * b over F_p, one product at a time."""
-    na, nb = len(a), len(b)
-    out = [0] * nout
-    for i in range(min(na, nout)):
-        ai = a[i]
-        if ai:
-            hi = min(nb, nout - i)
-            for j in range(hi):
-                out[i + j] = (out[i + j] + ai * b[j]) % p
-    return out
 
 
 def _pack(cs, width: int) -> int:

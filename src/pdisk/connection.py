@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
-from .errors import DimensionMismatch, InsufficientPrecision, VarMismatch
+from .errors import InsufficientPrecision, VarMismatch
 from .field import Value
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK
@@ -54,13 +53,6 @@ class Connection(Value):
     def field(self):
         return self.matrix.field
 
-    def apply(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
-        """The operator applied to a column vector: dv/dz + A v."""
-        if len(vec) != self.rank:
-            raise DimensionMismatch("vector length does not match rank")
-        av = self.matrix.matvec(vec)
-        return tuple(v.derivative() + w for v, w in zip(vec, av))
-
     @cached_property
     def p_curvature(self) -> "FHiggs":
         """The p-curvature, computed on first read; InsufficientPrecision below N = p + 1.
@@ -86,10 +78,6 @@ class FHiggs:
     matrix: SeriesMatrix
 
     @property
-    def rank(self) -> int:
-        return self.matrix.rank
-
-    @property
     def twist_weight(self) -> int:
         return self.matrix.field.p
 
@@ -97,8 +85,9 @@ class FHiggs:
 def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
     """Change frame by the unit matrix g: A becomes g A g^(-1) + g d(g^(-1)).
 
-    The defining property (checked in the tests, not here) is
-    apply(gauge(g, conn), g v) = g apply(conn, v).
+    The defining property, apply(gauge(g, conn), g v) = g apply(conn, v),
+    is checked in the tests with their apply (tests/conftest.py), the
+    operator dv/dz + A v on a column vector.
     """
     g_inv = g.inverse()
     return Connection(g @ (conn.matrix @ g_inv + g_inv.derivative()))

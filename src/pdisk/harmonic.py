@@ -119,7 +119,7 @@ class HarmonicDatum(Value):
         return frame_for_rank(self.rank)
 
     def endomorphism(self, psi: SeriesMatrix) -> SeriesMatrix:
-        """regular_rep of theta along a concrete p-curvature matrix.
+        """theta as an endomorphism: its representative evaluated at a p-curvature matrix.
 
         Evaluating the cyclic representative at psi lands in the
         commutant of psi, which is frame-free: in an eigen frame it is

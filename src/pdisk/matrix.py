@@ -148,12 +148,6 @@ class SeriesMatrix(Value):
     def derivative(self) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.derivative())
 
-    def trace(self) -> TruncSeries:
-        acc = self.entries[0][0]
-        for i in range(1, self.rank):
-            acc = acc + self.entries[i][i]
-        return acc
-
     def inverse(self) -> "SeriesMatrix":
         """The inverse, eliminated once and kept; its own inverse is this matrix.
 
@@ -209,10 +203,6 @@ class SeriesMatrix(Value):
             for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb)
         )
-
-    def residue(self) -> tuple[tuple[int, ...], ...]:
-        """The constant-term matrix over the field."""
-        return tuple(tuple(e.coeff(0) for e in row) for row in self.entries)
 
     def descend_pth_power(self) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.descend_pth_power())

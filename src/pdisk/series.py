@@ -91,9 +91,7 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":
-        if precision < 0:
-            raise ZeroPrecision(f"negative precision {precision}")
-        return cls(field, var, (0,) * precision)
+        return cls.make(field, var, (), precision)
 
     @classmethod
     def one(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":

@@ -40,7 +40,6 @@ from .connection import FHiggs
 from .errors import (
     BaseMismatch,
     DerivationUnavailable,
-    DimensionMismatch,
     InternalInconsistency,
     NonSplitResidue,
     NonUnit,
@@ -315,10 +314,6 @@ class EigenData:
     def mus(self) -> tuple[TruncSeries, ...]:
         return self.ring.eigenvalues
 
-    @property
-    def rank(self) -> int:
-        return self.ring.rank
-
 
 def check_residue_split(field, res_char: list[int]) -> list[int]:
     """The deg(res_char) residue roots of a simple split spectrum; precise errors otherwise.
@@ -336,22 +331,6 @@ def check_residue_split(field, res_char: list[int]) -> list[int]:
             suggested_degree=lcm(*polyring.factor_degrees(field, res_char)),
         )
     return res_roots
-
-
-def regular_rep(elt: SpectralElement, eigen: EigenData | None = None) -> SeriesMatrix:
-    """The element as an endomorphism matrix.
-
-    Cyclic frame (no eigen data): the element's kept multiplication matrix,
-    elt.rep.  Eigen frame: diag of the eigenvalue evaluations conjugated
-    back by the eigenbasis, i.e. the endomorphism commuting with the
-    p-curvature; the tests check the two frames against each other.
-    """
-    if eigen is None:
-        return elt.rep
-    if eigen.rank != elt.ring.rank:
-        raise DimensionMismatch("eigen data rank does not match the ring")
-    diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
-    return eigen.gauge @ diag @ eigen.gauge.inverse()
 
 
 def hensel_eigen(psi: FHiggs) -> EigenData:

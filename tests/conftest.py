@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from pdisk.errors import DimensionMismatch
 from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
 from pdisk.matrix import InvariantTuple, SeriesMatrix
@@ -64,6 +65,54 @@ def spectral_product(a, b) -> list[TruncSeries]:
         for j in range(n):
             prod[top - n + j] = prod[top - n + j] - lead * ring.char[j].truncate(prec)
     return prod
+
+
+def schoolbook_mul(a, b, nout: int, p: int) -> list[int]:
+    """The first nout coefficients of a * b over F_p, one product at a time.
+
+    An oracle for the packed kernels of pdisk._kernels_py.
+    """
+    na, nb = len(a), len(b)
+    out = [0] * nout
+    for i in range(min(na, nout)):
+        ai = a[i]
+        if ai:
+            hi = min(nb, nout - i)
+            for j in range(hi):
+                out[i + j] = (out[i + j] + ai * b[j]) % p
+    return out
+
+
+def apply(conn, vec) -> tuple[TruncSeries, ...]:
+    """The operator d/dz + A of a connection applied to a column vector: dv/dz + A v."""
+    av = conn.matrix.matvec(vec)
+    return tuple(v.derivative() + w for v, w in zip(vec, av))
+
+
+def trace(m: SeriesMatrix) -> TruncSeries:
+    """The sum of the diagonal entries: b_1 of char_invariants."""
+    acc = m.entry(0, 0)
+    for i in range(1, m.rank):
+        acc = acc + m.entry(i, i)
+    return acc
+
+
+def residue(m: SeriesMatrix) -> tuple[tuple[int, ...], ...]:
+    """The constant-term matrix over the field."""
+    return tuple(tuple(e.coeff(0) for e in row) for row in m.entries)
+
+
+def eigen_rep(elt, eigen) -> SeriesMatrix:
+    """A spectral element as an endomorphism in the eigen frame of a p-curvature.
+
+    diag of its values at the eigenvalues, conjugated back by the
+    eigenbasis: the endomorphism commuting with the p-curvature.  A
+    reference for the cyclic frame, the element's kept matrix elt.rep.
+    """
+    if len(eigen.mus) != elt.ring.rank:
+        raise DimensionMismatch("eigen data rank does not match the ring")
+    diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
+    return eigen.gauge @ diag @ eigen.gauge.inverse()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 
-from conftest import M, S
+from conftest import M, S, apply
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -283,7 +283,7 @@ class TestFlatSections:
         h = flat_matrix_section(conn)
         v = h.entry(0, 0)
         assert str(v) == "1 + z"
-        (killed,) = conn.apply([v.truncate(6)])
+        (killed,) = apply(conn, [v.truncate(6)])
         assert killed.is_zero()
         span = S(F2, "1 + z", 7).inverse()
         assert dlog(v).agrees_with(dlog(span))
@@ -307,7 +307,7 @@ class TestFlatSections:
         h = flat_matrix_section(conn)
         cols = [[h.entry(i, j) for i in range(2)] for j in range(2)]
         for col in cols:
-            out = conn.apply([v.truncate(9) for v in col])
+            out = apply(conn, [v.truncate(9) for v in col])
             assert all(entry.is_zero() for entry in out)
 
     def test_flat_iff_zero_pcurv(self) -> None:

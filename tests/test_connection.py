@@ -13,7 +13,7 @@ from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK
 
-from conftest import M, S
+from conftest import M, S, apply
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -28,17 +28,17 @@ F5 = FieldSpec(5)
 class TestApply:
     def test_bare_derivative(self) -> None:
         conn = Connection(M(F3, [["0"]], 5))
-        (out,) = conn.apply([S(F3, "z", 5)])
+        (out,) = apply(conn, [S(F3, "z", 5)])
         assert str(out) == "1"
 
     def test_multiplication_part(self) -> None:
         conn = Connection(M(F3, [["z"]], 5))
-        (out,) = conn.apply([S(F3, "1", 5)])
+        (out,) = apply(conn, [S(F3, "1", 5)])
         assert str(out) == "z"
 
     def test_product_rule_step(self) -> None:
         conn = Connection(M(F3, [["z"]], 5))
-        (out,) = conn.apply([S(F3, "z", 5)])
+        (out,) = apply(conn, [S(F3, "z", 5)])
         assert str(out) == "1 + z^2"
 
 
@@ -78,8 +78,8 @@ class TestGauge:
         moved = gauge(g, conn)
         v = [rng.series(F3, VAR_DISK, 9) for _ in range(2)]
         gv = g.matvec(v)
-        lhs = moved.apply([c.truncate(moved.precision) for c in gv])
-        rhs = g.matvec(conn.apply(v))
+        lhs = apply(moved, [c.truncate(moved.precision) for c in gv])
+        rhs = g.matvec(apply(conn, v))
         for x, y in zip(lhs, rhs):
             assert x.agrees_with(y)
 

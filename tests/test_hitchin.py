@@ -18,9 +18,9 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import SpectralRing, regular_rep
+from pdisk.spectral import SpectralRing
 
-from conftest import M, S, companion_layout
+from conftest import M, S, companion_layout, trace
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -55,7 +55,7 @@ class TestCharInvariants:
         rng = SplitMix64(3)
         m = rng.matrix(F5, VAR_DISK, 3, 6)
         b = char_invariants(m)
-        assert b.entries[0].agrees_with(m.trace())
+        assert b.entries[0].agrees_with(trace(m))
         # det via explicit 3x3 expansion
         e = m.entry
         det = (
@@ -228,12 +228,12 @@ class TestTau:
 
     def test_regular_rep_is_companion(self) -> None:
         b = _tuple_of(F2, VAR_DISK, ["0", "z^2"], 5)
-        rep = regular_rep(SpectralRing(b).tautological())
+        rep = SpectralRing(b).tautological().rep
         assert rep.agrees_with(companion_layout(b))
 
     def test_regular_rep_nilpotent(self) -> None:
         b = _tuple_of(F3, VAR_DISK, ["0", "0", "0"], 4)
-        rep = regular_rep(SpectralRing(b).tautological())
+        rep = SpectralRing(b).tautological().rep
         assert rep.agrees_with(companion_layout(b))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -242,5 +242,5 @@ class TestTau:
         for _ in range(10):
             b = InvariantTuple(tuple(rng.series(F5, VAR_DISK, 4) for _ in range(n)))
             want = companion_layout(b)
-            assert regular_rep(SpectralRing(b).tautological()) == want
+            assert SpectralRing(b).tautological().rep == want
             assert companion_section(b) == want

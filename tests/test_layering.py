@@ -8,20 +8,26 @@ import would be a cycle at load time.
 
 Every definition is used by the package's code, not merely named in a
 docstring, so no helper outlives its last caller; ``DEAD_ALLOWED`` names
-each exception and why it stays.
+each exception and why it stays.  A definition only the tests read lives in
+``tests/conftest.py``.  The scripts in ``benchmarks/`` run outside the test
+suite, so every pdisk name they import or read off a pdisk module is checked
+to exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import pdisk
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pdisk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pdisk"
 ALLOWED = {("field.py", "polyring")}
 
 
@@ -92,12 +98,7 @@ def test_detects_both_forms() -> None:
 
 # definitions the package never uses, each kept for a reason outside it
 DEAD_ALLOWED = {
-    "_schoolbook_mul": "test oracle: the packed kernels are checked against it",
-    "Connection.apply": "test oracle: the operator itself, for gauge's defining property",
     "SeriesMatrix.from_rows": "README API: the README builds matrices with it",
-    "SeriesMatrix.trace": "test oracle: b_1 of char_invariants",
-    "SeriesMatrix.residue": "test oracle: the constant-term matrix",
-    "regular_rep": "eigen-frame reference: the tests check the cyclic frame against it",
 }
 
 
@@ -170,3 +171,55 @@ def test_a_mention_is_not_a_use() -> None:
         "__all__ = ['caller']\n"
     )
     assert dead_definitions({"m.py": source}) == ["m.py:helper"]
+
+
+def missing_pdisk_names(tree: ast.Module) -> list[str]:
+    """Each pdisk name a script imports, or reads or sets on a pdisk module, that does not exist."""
+    modules: dict[str, ModuleType] = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pdisk":
+                    # ``import pdisk.x`` binds pdisk, ``import pdisk.x as y`` binds x
+                    bound = alias.name if alias.asname else "pdisk"
+                    modules[alias.asname or "pdisk"] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] != "pdisk":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(getattr(module, alias.name), ModuleType):
+                    modules[alias.asname or alias.name] = getattr(module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if module is not None and not hasattr(module, node.attr):
+                missing.append(f"{module.__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "benchmarks").glob("*.py")), ids=lambda p: p.name
+)
+def test_benchmark_scripts_resolve(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not missing_pdisk_names(tree), f"{path.name} reads names pdisk lacks"
+
+
+def test_a_stale_benchmark_name_is_found() -> None:
+    source = (
+        "import pdisk._kernels_py as kernels\n"
+        "from pdisk import series\n"
+        "from pdisk.matrix import SeriesMatrix, gone_helper\n"
+        "kernels.KRONECKER_MIN = 0\n"
+        "kernels._kronecker_sum_mul([], 0, 2)\n"
+        "kernels.gone_oracle([], [], 0, 2)\n"
+        "series.dot\n"
+    )
+    assert missing_pdisk_names(ast.parse(source)) == [
+        "pdisk.matrix.gone_helper",
+        "pdisk._kernels_py.gone_oracle",
+    ]

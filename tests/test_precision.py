@@ -20,6 +20,8 @@ from pdisk.matrix import SeriesMatrix
 from pdisk.series import TruncSeries, VAR_DISK, dot
 from pdisk.spectral import SpectralRing, eval_at
 
+from conftest import residue as residue_of
+
 FIELDS = [FieldSpec(3), FieldSpec(5), FieldSpec(3, 2, (1, 0, 1))]
 fields = st.sampled_from(FIELDS)
 precisions = st.integers(1, 8)
@@ -79,7 +81,7 @@ def unit_matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
 
     residue = []
     for i in order:
-        row = list(known.residue()[len(residue)])
+        row = list(residue_of(known)[len(residue)])
         row[:i] = [0] * i
         row[i] = draw(units)
         residue.append(row)

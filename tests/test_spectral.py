@@ -8,7 +8,6 @@ from pdisk.connection import FHiggs, dlog
 from pdisk.errors import (
     BaseMismatch,
     DerivationUnavailable,
-    DimensionMismatch,
     NonSplitResidue,
     NonUnit,
     RepeatedResidueRoot,
@@ -24,9 +23,9 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import EigenData, SpectralRing, hensel_eigen, regular_rep
+from pdisk.spectral import EigenData, SpectralRing, hensel_eigen
 
-from conftest import M, S, companion_layout, spectral_product
+from conftest import M, S, companion_layout, eigen_rep, spectral_product
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -215,7 +214,6 @@ class TestElements:
         ring = SpectralRing(inv(F3, ["z", "2 + z^2"], 8))
         a = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
         assert a.rep is a.rep
-        assert regular_rep(a) is a.rep
         eliminated = []
         eliminate = SeriesMatrix._eliminate
         monkeypatch.setattr(
@@ -364,13 +362,13 @@ class TestHenselEigen:
 class TestRegularRep:
     def test_one_is_identity(self) -> None:
         ring = artin_schreier_ring()
-        assert regular_rep(ring.one()) == SeriesMatrix.identity(F2, VAR_DISK, 2, 9)
+        assert ring.one().rep == SeriesMatrix.identity(F2, VAR_DISK, 2, 9)
 
     def test_taut_is_companion(self) -> None:
         for field, texts in ((F2, ["1", "z^2"]), (F3, ["z", "2 + z^2"]), (F5, ["1", "z", "4"])):
             b = inv(field, texts, 8)
             ring = SpectralRing(b)
-            assert regular_rep(ring.tautological()) == companion_layout(b)
+            assert ring.tautological().rep == companion_layout(b)
 
     def test_ring_homomorphism(self) -> None:
         rng = SplitMix64(51)
@@ -378,17 +376,17 @@ class TestRegularRep:
         for _ in range(15):
             a = ring.element([rng.series(F3, VAR_DISK, 8) for _ in range(2)])
             b = ring.element([rng.series(F3, VAR_DISK, 8) for _ in range(2)])
-            lhs = regular_rep(a * b)
-            rhs = regular_rep(a) @ regular_rep(b)
+            lhs = (a * b).rep
+            rhs = a.rep @ b.rep
             assert lhs.agrees_with(rhs)
-            assert regular_rep(a + b) == regular_rep(a) + regular_rep(b)
+            assert (a + b).rep == a.rep + b.rep
 
     def test_eigen_frame_recovers_psi(self) -> None:
         bp = inv(F2, ["1", "z^2"], 9)
         psi = as_psi(companion_section(bp))
         eigen = hensel_eigen(psi)
         ring = SpectralRing(bp)
-        got = regular_rep(ring.tautological(), eigen)
+        got = eigen_rep(ring.tautological(), eigen)
         assert got.agrees_with(psi.matrix)
 
     def test_eigen_and_cyclic_share_invariants(self) -> None:
@@ -397,16 +395,9 @@ class TestRegularRep:
         eigen = hensel_eigen(psi)
         ring = SpectralRing(bp)
         elt = ring.element([S(F3, "1 + z", 8), S(F3, "2", 8)])
-        cyc = regular_rep(elt)
-        eig = regular_rep(elt, eigen)
+        cyc = elt.rep
+        eig = eigen_rep(elt, eigen)
         assert char_invariants(eig).agrees_with(char_invariants(cyc))
-
-    def test_eigen_rank_guard(self) -> None:
-        bp = inv(F2, ["1", "z^2"], 9)
-        eigen = hensel_eigen(as_psi(companion_section(bp)))
-        ring = SpectralRing(inv(F2, ["1"], 9))
-        with pytest.raises(DimensionMismatch):
-            regular_rep(ring.one(), eigen)
 
     def test_eval_matrix_on_taut(self) -> None:
         bp = inv(F3, ["z", "2 + z^2"], 8)
