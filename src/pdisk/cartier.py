@@ -141,7 +141,7 @@ def flat_matrix_section(conn: Connection) -> SeriesMatrix:
                 for entry in row:
                     entry.append(0)
         else:
-            inv = f.scalar(pow(m + 1, p - 2, p))
+            inv = pow(m + 1, p - 2, p)
             for i in range(n):
                 for j in range(n):
                     h[i][j].append(f.mul(inv, f.neg(resid[i][j])))

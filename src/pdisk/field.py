@@ -178,10 +178,6 @@ class FieldSpec(Value):
             return (a * b) % self.p
         return ext_mul(a, b, self.p, self.k, self.modulus)
 
-    def scalar(self, c: int) -> int:
-        """Embed an integer through F_p."""
-        return c % self.p
-
     def scalar_mul(self, c: int, a: int) -> int:
         c %= self.p
         if self.k == 1:

@@ -41,7 +41,7 @@ from .field import Value
 from .hitchin import descend_certified, descend_invariants, frobenius_base_pullback, phitchin
 from .matrix import InvariantTuple, SeriesMatrix
 from .series import TruncSeries, VAR_TWIST, dot
-from .spectral import SpectralElement, SpectralRing, check_residue_split, hensel_eigen
+from .spectral import SpectralElement, SpectralRing, check_residue_split, eval_at, hensel_eigen
 
 
 # what a failed descent of a horizontal (Cartier-descended) matrix reports
@@ -85,7 +85,8 @@ class HarmonicDatum(Value):
     curvature_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.curvature_sign not in (1, -1):
+        sign = self.curvature_sign
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
             raise DimensionMismatch("curvature_sign must be +1 or -1")
         if self.b_prime.var != VAR_TWIST:
             raise VarMismatch("harmonic base must live in the twist coordinate")
@@ -150,10 +151,6 @@ class CorrespondencePackage:
         if not self.higgs.invariants.agrees_with(self.harmonic.b_prime):
             raise InternalInconsistency("Higgs invariants disagree with the harmonic base")
 
-    @property
-    def b_prime(self) -> InvariantTuple:
-        return self.harmonic.b_prime
-
 
 def _lagrange_element(ring: SpectralRing, values: list[TruncSeries]) -> SpectralElement:
     """The ring element taking value values[i] at the ring's eigenvalue i."""
@@ -188,7 +185,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
         # shorter at rank 1, which moves the rank-1 pins (ROADMAP item 5)
         b = psi.matrix.invariants
         b_prime = descend_invariants(b)
-        theta = SpectralRing(b).from_series(conn.matrix.entry(0, 0))
+        theta = SpectralRing(b).element([conn.matrix.entry(0, 0)])
         higgs = SeriesMatrix.diagonal([b_prime.entries[0]])
         link = SeriesMatrix.identity(conn.field, conn.matrix.var, 1, psi.matrix.precision)
     else:
@@ -207,7 +204,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
                     )
             diag.append(a_eig.entry(i, i))
         theta = _lagrange_element(eigen.ring, diag)
-        higgs = descend_certified(SeriesMatrix.diagonal(eigen.mus), "matrix", _HORIZONTAL)
+        higgs = descend_certified(SeriesMatrix.diagonal(eigen.ring.eigenvalues), "matrix", _HORIZONTAL)
         link = eigen.gauge
     datum = HarmonicDatum(b_prime, theta)
 
@@ -217,7 +214,7 @@ def solve_harmonic(conn: Connection) -> CorrespondencePackage:
     except NonzeroPCurvature as exc:
         raise InternalInconsistency(
             "theta-twisted connection is not curvature-free",
-            order=exc.details.get("order"),
+            order=exc.order,
         ) from exc
     return CorrespondencePackage(datum, conn, higgs, link, flat_frame)
 
@@ -268,8 +265,8 @@ def cinv(conn: Connection, inverse_harmonic: HarmonicDatum) -> CorrespondencePac
     except NonzeroPCurvature as exc:
         raise CurvatureNotCancelled(
             "twisted connection still obstructed",
-            order=exc.details.get("order"),
-            residual=exc.details.get("residual"),
+            order=exc.order,
+            residual=exc.residual,
         ) from exc
     psi_flat = psi.matrix.conjugate_by(flat_frame)
     higgs = descend_certified(psi_flat, "matrix", _HORIZONTAL)
@@ -317,7 +314,7 @@ def torsor_difference(
         mus = ring.eigenvalues
     except (NonSplitResidue, RepeatedResidueRoot):
         return delta, None
-    u = _lagrange_element(ring, [kernel_unit(delta.eval_series(mu)) for mu in mus])
+    u = _lagrange_element(ring, [kernel_unit(eval_at(delta.coeffs, mu)) for mu in mus])
     if not dlog(u).agrees_with(delta):
         raise InternalInconsistency("kernel unit does not reproduce the difference")
     return delta, u

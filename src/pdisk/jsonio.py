@@ -27,7 +27,7 @@ from .field import FieldSpec
 from .harmonic import CorrespondencePackage, HarmonicDatum, frame_for_rank
 from .hitchin import InvariantTuple
 from .matrix import SeriesMatrix
-from .series import TruncSeries, VAR_DISK, VAR_TWIST, format_element, format_series
+from .series import TruncSeries, VAR_DISK, VAR_TWIST, format_series
 from .spectral import SpectralElement, SpectralRing
 
 # The largest precision a document (or `pdisk verify`) may state.  Parsing
@@ -118,9 +118,14 @@ def _need(obj: Any, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but true and false are not integers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _need_int(obj: Any, key: str, path: str) -> int:
     v = _need(obj, key, path)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise SchemaError(f"key {key!r} must be an integer", f"{path}.{key}")
     return v
 
@@ -148,14 +153,10 @@ def field_from_obj(obj: Any, path: str, fallback_p: int | None = None) -> FieldS
             raise SchemaError("missing key 'p' and no --p fallback given", path)
         return _build_field(fallback_p, 1, None, path)
     p = _need_int(obj, "p", path)
-    k = obj.get("ext_degree", 1)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise SchemaError("key 'ext_degree' must be an integer", f"{path}.ext_degree")
+    k = _need_int(obj, "ext_degree", path) if "ext_degree" in obj else 1
     modulus = obj.get("modulus")
     if modulus is not None:
-        if not isinstance(modulus, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in modulus
-        ):
+        if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
             raise SchemaError("modulus must be a list of integers", f"{path}.modulus")
         modulus = tuple(modulus)
     return _build_field(p, k, modulus, path)
@@ -208,7 +209,7 @@ def scalar_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
     v = _need(obj, "element", path)
     if isinstance(v, str):
         return field, parse_element(field, v, f"{path}.element")
-    if isinstance(v, int) and not isinstance(v, bool):
+    if _is_int(v):
         if field.k == 1:
             return field, v % field.p
         if not 0 <= v < field.q:
@@ -217,7 +218,7 @@ def scalar_from_json(obj: Any, path: str = "$", fallback_p: int | None = None) -
                 f"{path}.element",
             )
         return field, v
-    if isinstance(v, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in v):
+    if isinstance(v, list) and all(_is_int(c) for c in v):
         if len(v) > field.k:
             raise SchemaError("element vector longer than extension degree", f"{path}.element")
         digits = [c % field.p for c in v] + [0] * (field.k - len(v))
@@ -362,7 +363,7 @@ def harmonic_from_json(obj: Any, path: str = "$", fallback_p: int | None = None)
     if frame != want:
         raise SchemaError(f"rank {b_prime.rank} needs frame {want}, got {frame!r}", f"{path}.frame")
     sign = obj.get("curvature_sign", 1)
-    if sign not in (1, -1):
+    if not _is_int(sign) or sign not in (1, -1):
         raise SchemaError("curvature_sign must be 1 or -1", f"{path}.curvature_sign")
     return HarmonicDatum(b_prime, theta, sign)
 

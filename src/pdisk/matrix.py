@@ -128,9 +128,6 @@ class SeriesMatrix(Value):
             )
         )
 
-    def __neg__(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: -e)
-
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         """The product at the smaller precision: one ``dot`` per entry."""
         self._check_peer(other)
@@ -141,9 +138,6 @@ class SeriesMatrix(Value):
         if len(vec) != self.rank:
             raise DimensionMismatch("vector length does not match rank")
         return tuple(dot(row, vec) for row in self.entries)
-
-    def scale(self, s: TruncSeries) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e * s)
 
     def derivative(self) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.derivative())

@@ -121,9 +121,6 @@ class SpectralRing(Value):
     def one(self) -> "SpectralElement":
         return self.element([TruncSeries.one(self.field, self.var, self.precision)])
 
-    def from_series(self, s: TruncSeries) -> "SpectralElement":
-        return self.element([s])
-
     def tautological(self) -> "SpectralElement":
         """The class of t; reduces to b_1 when n = 1."""
         prec = self.precision
@@ -262,12 +259,9 @@ class SpectralElement(Value):
 
     # -- unit structure ---------------------------------------------------
 
-    def residue_poly(self) -> list[int]:
-        return polyring.trim([c.coeff(0) for c in self.coeffs])
-
     def is_unit(self) -> bool:
-        f = self.ring.field
-        g = polyring.gcd(f, self.residue_poly(), self.ring.residue_char())
+        residue = polyring.trim([c.coeff(0) for c in self.coeffs])
+        g = polyring.gcd(self.ring.field, residue, self.ring.residue_char())
         return polyring.degree(g) == 0
 
     def inverse(self) -> "SpectralElement":
@@ -285,10 +279,6 @@ class SpectralElement(Value):
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_series(self, mu: TruncSeries) -> TruncSeries:
-        """Evaluate the representative at a series value of t."""
-        return eval_at(self.coeffs, mu)
-
     def eval_matrix(self, m: SeriesMatrix) -> SeriesMatrix:
         """Evaluate the representative at a matrix value of t (Horner).
 
@@ -304,15 +294,11 @@ class SpectralElement(Value):
 
 @dataclass(frozen=True)
 class EigenData:
-    """Split spectral data of a p-curvature matrix; mus are the ring's eigenvalues."""
+    """Split spectral data of a p-curvature matrix, ordered as ring.eigenvalues."""
 
     ring: SpectralRing
     projectors: tuple[SeriesMatrix, ...]
     gauge: SeriesMatrix
-
-    @property
-    def mus(self) -> tuple[TruncSeries, ...]:
-        return self.ring.eigenvalues
 
 
 def check_residue_split(field, res_char: list[int]) -> list[int]:

@@ -147,7 +147,7 @@ def _suite_cartier(tally: _Tally, rng: SplitMix64, field: FieldSpec, n: int, pre
         ok = False
         detail = {"note": "no obstruction raised"}
     except NonzeroPCurvature as exc:
-        ok = exc.details.get("order") == s
+        ok = exc.order == s
         detail = exc.payload()
     tally.record(
         "defect_detected",

@@ -13,7 +13,7 @@ from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
 from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.series import TruncSeries
-from pdisk.spectral import SpectralRing
+from pdisk.spectral import SpectralRing, eval_at
 
 
 def S(field: FieldSpec, text: str, precision: int, var: str = "z") -> TruncSeries:
@@ -89,6 +89,11 @@ def apply(conn, vec) -> tuple[TruncSeries, ...]:
     return tuple(v.derivative() + w for v, w in zip(vec, av))
 
 
+def scale(m: SeriesMatrix, s: TruncSeries) -> SeriesMatrix:
+    """m with every entry multiplied by the series s."""
+    return m.map_entries(lambda e: e * s)
+
+
 def trace(m: SeriesMatrix) -> TruncSeries:
     """The sum of the diagonal entries: b_1 of char_invariants."""
     acc = m.entry(0, 0)
@@ -109,9 +114,9 @@ def eigen_rep(elt, eigen) -> SeriesMatrix:
     eigenbasis: the endomorphism commuting with the p-curvature.  A
     reference for the cyclic frame, the element's kept matrix elt.rep.
     """
-    if len(eigen.mus) != elt.ring.rank:
+    if len(eigen.ring.eigenvalues) != elt.ring.rank:
         raise DimensionMismatch("eigen data rank does not match the ring")
-    diag = SeriesMatrix.diagonal([elt.eval_series(mu) for mu in eigen.mus])
+    diag = SeriesMatrix.diagonal([eval_at(elt.coeffs, mu) for mu in eigen.ring.eigenvalues])
     return eigen.gauge @ diag @ eigen.gauge.inverse()
 
 

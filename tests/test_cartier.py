@@ -340,7 +340,7 @@ def scalar_kernel_unit(f: TruncSeries) -> TruncSeries:
                 raise NonzeroPCurvature(m, acc)
             g[m + 1] = 0
         else:
-            g[m + 1] = field.mul(field.scalar(pow(m + 1, p - 2, p)), acc)
+            g[m + 1] = field.mul(pow(m + 1, p - 2, p), acc)
     return TruncSeries(field, VAR_DISK, tuple(g))
 
 
@@ -366,7 +366,7 @@ def scalar_flat_matrix_section(conn: Connection) -> SeriesMatrix:
                 raise NonzeroPCurvature(m, resid[0][0] if n == 1 else resid)
             h.append([[0] * n for _ in range(n)])
         else:
-            inv = field.scalar(pow(m + 1, p - 2, p))
+            inv = pow(m + 1, p - 2, p)
             h.append(
                 [[field.mul(inv, field.neg(resid[i][j])) for j in range(n)] for i in range(n)]
             )

@@ -25,6 +25,11 @@ def write_doc(tmp_path, name: str, doc) -> str:
     return str(path)
 
 
+RANK_ABOVE_P = (
+    "rank {} is above p = {}; the harmonic and roundtrip suites need that many "
+    "distinct residue roots in F_p"
+)
+
 CONN_ANCHOR = {
     "p": 2,
     "var": "z",
@@ -125,19 +130,42 @@ class TestExitCodes:
         assert payload["details"]["path"] == "--p"
 
     @pytest.mark.parametrize(
-        "flags, path",
+        "flags, path, message",
         [
-            (["--trials", "0"], "--trials"),
-            (["--trials", "-1"], "--trials"),
-            (["--rank", "0"], "--rank"),
-            (["--rank", "1,9"], "--rank"),
-            (["--precision", "2"], "--precision"),
-            (["--suite", "roundtrip", "--p", "3", "--precision", "8"], "--precision"),
-            (["--p", "2", "--rank", "3"], "--rank"),
-            (["--suite", "roundtrip", "--p", "3", "--rank", "4"], "--rank"),
-            (["--precision", str(10**12)], "--precision"),
-            (["--p", "1000003"], "--p"),
-            (["--p", "1361", "--suite", "pcurv", "--rank", "1"], "--p"),
+            (["--trials", "0"], "--trials", "trials must be at least 1, got 0"),
+            (["--trials", "-1"], "--trials", "trials must be at least 1, got -1"),
+            (["--rank", "0"], "--rank", "rank 0 is outside 1..8"),
+            (["--rank", "1,9"], "--rank", "rank 9 is outside 1..8"),
+            (
+                ["--precision", "2"],
+                "--precision",
+                "precision 2 is below 13, the floor of the requested suites and primes",
+            ),
+            (
+                ["--suite", "roundtrip", "--p", "3", "--precision", "8"],
+                "--precision",
+                "precision 8 is below 9, the floor of the requested suites and primes",
+            ),
+            (["--p", "2", "--rank", "3"], "--rank", RANK_ABOVE_P.format(3, 2)),
+            (
+                ["--suite", "roundtrip", "--p", "3", "--rank", "4"],
+                "--rank",
+                RANK_ABOVE_P.format(4, 3),
+            ),
+            (
+                ["--precision", str(10**12)],
+                "--precision",
+                "working precision 1000000000000 is above 4096",
+            ),
+            # the prime bound answers first: 3p + 4 stays below 4096 for every admitted prime
+            (["--p", "1000003"], "--p", "prime 1000003 is above 53, the suites' bound"),
+            (
+                ["--p", "1361", "--suite", "pcurv", "--rank", "1"],
+                "--p",
+                "prime 1361 is above 53, the suites' bound",
+            ),
+            (["--p", ","], "--p", "empty value for --p"),
+            (["--rank", ","], "--rank", "empty value for --rank"),
         ],
         ids=[
             "trials-0",
@@ -151,15 +179,20 @@ class TestExitCodes:
             "precision-above-bound",
             "default-precision-above-bound",
             "prime-above-bound",
+            "empty-p-list",
+            "empty-rank-list",
         ],
     )
-    def test_verify_flag_that_cannot_check_is_schema_error(self, capsys, flags, path) -> None:
+    def test_verify_flag_that_cannot_check_is_schema_error(
+        self, capsys, flags, path, message
+    ) -> None:
         code, out, err = run(capsys, ["verify", "--trials", "1", *flags])
         assert code == 2
         assert out == ""
         payload = json.loads(err)["error"]
         assert payload["code"] == "SchemaError"
         assert payload["details"]["path"] == path
+        assert payload["message"] == message
 
     def test_precision_above_bound_is_schema_error(self, capsys, tmp_path) -> None:
         """A 56-byte document stating precision 10^12 is refused, not allocated."""
@@ -291,6 +324,36 @@ class TestFormCommands:
         code, _, err = run(capsys, ["cartier", "-i", path])
         assert code == 2
         assert json.loads(err)["error"]["details"]["path"] == "$.var"
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            (
+                "hp",
+                {"p": 3, "var": "z'", "precision": 3, "coefficient": "1"},
+                'this map expects a form in the disk variable "z"',
+            ),
+            (
+                "solve-hp",
+                {"p": 3, "var": "z", "precision": 3, "coefficient": "1"},
+                'the section solves for a target in the descended variable "z\'"',
+            ),
+            (
+                "descend",
+                {"p": 3, "var": "z'", "precision": 3, "series": "1"},
+                'descent expects a series in the disk variable "z"',
+            ),
+        ],
+        ids=["hp", "solve-hp", "descend"],
+    )
+    def test_wrong_chart_is_schema_error(self, capsys, tmp_path, command, doc, message) -> None:
+        path = write_doc(tmp_path, "w.json", doc)
+        code, out, err = run(capsys, [command, "-i", path])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["message"] == message
+        assert error["details"]["path"] == "$.var"
 
     def test_hp_default_scalar_matches_explicit(self, capsys, tmp_path) -> None:
         w = write_doc(
@@ -429,6 +492,34 @@ class TestCorrespondenceFlow:
         assert code == 0
         body = json.loads(out)
         assert body["higgs"]["matrix"] == [["1"]]
+
+    @pytest.mark.parametrize("command", ["cmap", "cinv"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0, True], ids=["minus-1.0", "1.0", "true"])
+    def test_non_integer_curvature_sign_is_schema_error(
+        self, capsys, tmp_path, command, sign
+    ) -> None:
+        # at p = 2 the datum is its own inverse, so only the sign's type decides
+        pkg = self.solve(capsys, tmp_path, [["1"]])
+        datum = write_doc(tmp_path, "datum.json", dict(pkg["harmonic"], curvature_sign=sign))
+        other = pkg["higgs"] if command == "cmap" else pkg["connection"]
+        other_path = write_doc(tmp_path, "other.json", other)
+        code, out, err = run(capsys, [command, "-i", datum, "-i", other_path])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["message"] == "curvature_sign must be 1 or -1"
+        assert error["details"]["path"] == "$.curvature_sign"
+
+    def test_second_document_without_matrix(self, capsys, tmp_path) -> None:
+        pkg = self.solve(capsys, tmp_path, [["1"]])
+        datum = write_doc(tmp_path, "datum.json", pkg["harmonic"])
+        other = write_doc(tmp_path, "b.json", pkg["harmonic"]["b_prime"])
+        code, out, err = run(capsys, ["cmap", "-i", datum, "-i", other])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "SchemaError"
+        assert error["message"] == 'expected the second document to carry "matrix"'
+        assert error["details"]["path"] == "$"
 
     def test_cmap_missing_theta_document(self, capsys, tmp_path) -> None:
         pkg = self.solve(capsys, tmp_path, [["1"]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdisk import matrix
 from pdisk.connection import Connection, check_horizontality, dlog, gauge, pcurv
-from pdisk.errors import InsufficientPrecision, NonUnit, SingularGauge
+from pdisk.errors import InsufficientPrecision, NonUnit, SingularGauge, VarMismatch
 from pdisk.field import FieldSpec
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
@@ -295,3 +295,9 @@ def test_dlog_determines_unit_up_to_constant(cs: list[int], lead: int) -> None:
     u = TruncSeries.make(F5, VAR_DISK, [lead] + cs)
     v = u.scale(3)
     assert dlog(u).agrees_with(dlog(v))
+
+
+def test_connection_lives_in_the_disk_coordinate() -> None:
+    with pytest.raises(VarMismatch) as exc:
+        Connection(M(F3, [["1"]], 4, var="z'"))
+    assert str(exc.value) == "a connection matrix lives in the z coordinate"

@@ -81,20 +81,20 @@ class TestSolveHarmonic:
         assert pkg.harmonic.frame == "rank1"
         assert pkg.harmonic.theta.is_zero()
         assert pkg.higgs.is_zero()
-        assert str(pkg.b_prime.entries[0]) == "0"
+        assert str(pkg.harmonic.b_prime.entries[0]) == "0"
 
     def test_constant_rank_one(self) -> None:
         # psi(d + 1) = 1 at p = 2, descending to the unit Higgs field
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
         assert [str(c) for c in pkg.harmonic.theta.coeffs] == ["1"]
         assert str(pkg.higgs.entry(0, 0)) == "1"
-        assert str(pkg.b_prime.entries[0]) == "1"
+        assert str(pkg.harmonic.b_prime.entries[0]) == "1"
         assert pkg.flat_frame.rank == 1
 
     def test_diagonal_rank_two(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["0", "0"], ["0", "1"]], 8)))
         assert pkg.harmonic.frame == "eigen"
-        assert [str(b) for b in pkg.b_prime.entries] == ["1", "0"]
+        assert [str(b) for b in pkg.harmonic.b_prime.entries] == ["1", "0"]
         assert [str(c) for c in pkg.harmonic.theta.coeffs] == ["0", "1"]
         assert [str(pkg.higgs.entry(i, i)) for i in range(2)] == ["0", "1"]
         assert pkg.higgs.entry(0, 1).is_zero() and pkg.higgs.entry(1, 0).is_zero()
@@ -152,11 +152,18 @@ class TestSolveHarmonic:
                 moved = psi.matrix.truncate(common).conjugate_by(h.truncate(common))
                 assert moved.derivative().is_zero()
 
+    def test_package_higgs_must_be_twisted(self) -> None:
+        pkg = solve_harmonic(Connection(M(F3, [["1 + z"]], 10)))
+        higgs_z = pkg.higgs.expand_pth_power()
+        with pytest.raises(VarMismatch) as exc:
+            CorrespondencePackage(pkg.harmonic, pkg.connection, higgs_z, pkg.gauge, pkg.flat_frame)
+        assert str(exc.value) == "the Higgs side lives in the twist coordinate"
+
     def test_package_invariants(self) -> None:
         rng = SplitMix64(61)
         conn, pkg = accepted(rng, F3, 2, 13)
-        assert char_invariants(pkg.higgs).agrees_with(pkg.b_prime)
-        assert phitchin(conn).agrees_with(pkg.b_prime)
+        assert char_invariants(pkg.higgs).agrees_with(pkg.harmonic.b_prime)
+        assert phitchin(conn).agrees_with(pkg.harmonic.b_prime)
 
 
 # ==========================================================================
@@ -169,6 +176,14 @@ class TestDatumValidation:
         h = rank1_datum(F2, "1", 8)
         with pytest.raises(DimensionMismatch):
             HarmonicDatum(h.b_prime, h.theta, curvature_sign=2)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0, True], ids=["minus-1.0", "1.0", "true"])
+    def test_non_integer_sign_refused(self, sign) -> None:
+        # each compares equal to 1 or -1, but none is the integer
+        h = rank1_datum(F2, "1", 8)
+        with pytest.raises(DimensionMismatch) as exc:
+            HarmonicDatum(h.b_prime, h.theta, curvature_sign=sign)
+        assert str(exc.value) == "curvature_sign must be +1 or -1"
 
     def test_base_must_be_twisted(self) -> None:
         h = rank1_datum(F2, "1", 8)
@@ -186,7 +201,7 @@ class TestDatumValidation:
         # theta = 1 over the zero base has p-curvature 1, not 0
         zero_b = InvariantTuple((S(F2, "0", 4, var="z'"),))
         ring = SpectralRing(frobenius_base_pullback(zero_b))
-        theta = ring.from_series(S(F2, "1", 8))
+        theta = ring.element([S(F2, "1", 8)])
         with pytest.raises(CurvatureNonzero):
             HarmonicDatum(zero_b, theta)
 
@@ -199,7 +214,7 @@ class TestDatumValidation:
             b_prime = InvariantTuple((TruncSeries.zero(f, VAR_TWIST, k),))
             ring = SpectralRing(frobenius_base_pullback(b_prime))
             for tp in range(ring.precision + 1):
-                theta = ring.from_series(TruncSeries.zero(f, VAR_DISK, tp))
+                theta = ring.element([TruncSeries.zero(f, VAR_DISK, tp)])
                 if min(tp, ring.precision - 1) >= p - 1:
                     assert HarmonicDatum(b_prime, theta).theta == theta
                 else:
@@ -230,7 +245,7 @@ class TestDatumValidation:
         # rank 1: the in-ring computation is the scalar closed form
         f = S(F3, "1 + z + 2*z^2", 12)
         ring = SpectralRing(InvariantTuple((S(F3, "0", 12),)))
-        theta = ring.from_series(f)
+        theta = ring.element([f])
         got = pcurv_in_ring(theta).coeffs[0]
         conn = Connection(SeriesMatrix.from_rows([[f]]))
         assert got.agrees_with(pcurv(conn).matrix.entry(0, 0))
@@ -251,7 +266,7 @@ class TestCmap:
         pkg = solve_harmonic(Connection(M(F2, [["1"]], 8)))
         conn = cmap(pkg.harmonic, pkg.higgs)
         assert str(conn.matrix.entry(0, 0)) == "1"
-        assert phitchin(conn).agrees_with(pkg.b_prime)
+        assert phitchin(conn).agrees_with(pkg.harmonic.b_prime)
 
     def test_diagonal_pinned(self) -> None:
         pkg = solve_harmonic(Connection(M(F2, [["0", "0"], ["0", "1"]], 8)))
@@ -267,7 +282,7 @@ class TestCmap:
         for field, n in ((F2, 2), (F3, 2), (F5, 1)):
             conn, pkg = accepted(rng.split(), field, n, 3 * field.p + 4)
             rebuilt = cmap(pkg.harmonic, pkg.higgs)
-            assert phitchin(rebuilt).agrees_with(pkg.b_prime)
+            assert phitchin(rebuilt).agrees_with(pkg.harmonic.b_prime)
 
     def test_package_higgs_invariants_not_recomputed(self, monkeypatch) -> None:
         # the package computed the Higgs invariants; cmap reads them and computes
@@ -364,7 +379,7 @@ class TestCinv:
         for field, n in ((F2, 2), (F3, 2)):
             conn, pkg = accepted(rng.split(), field, n, 3 * field.p + 4)
             out = cinv(conn, inverse(pkg.harmonic))
-            assert char_invariants(out.higgs).agrees_with(pkg.b_prime)
+            assert char_invariants(out.higgs).agrees_with(pkg.harmonic.b_prime)
 
 
 # ==========================================================================
@@ -518,6 +533,27 @@ class TestInverseAndTorsor:
         delta, u = torsor_difference(pkg1.harmonic, pkg2.harmonic)
         assert u is not None
         assert dlog(u).agrees_with(delta)
+
+    def test_difference_with_curvature_refused(self) -> None:
+        # two certified data over one base always differ by a flat element, so
+        # the second is built without its certificate: theta + 1 over F_2
+        h1 = rank1_datum(F2, "1", 8)
+        h2 = object.__new__(HarmonicDatum)
+        h2.__dict__.update(h1.__getstate__(), theta=h1.theta + h1.ring.one())
+        with pytest.raises(CurvatureNonzero) as exc:
+            torsor_difference(h1, h2)
+        assert str(exc.value) == "difference of harmonic data has nonzero p-curvature"
+
+    def test_ring_that_does_not_split_has_no_unit(self) -> None:
+        # char = t^2 + 1 is irreducible over F_3; theta = 2 z^2 t has theta'' = t
+        # and theta^3 = t z^6, beyond the certified precision 6
+        b_prime = InvariantTuple((S(F3, "0", 3, var="z'"), S(F3, "1", 3, var="z'")))
+        ring = SpectralRing(frobenius_base_pullback(b_prime))
+        h = HarmonicDatum(b_prime, ring.element([S(F3, "0", 9), S(F3, "2*z^2", 9)]))
+        with pytest.raises(NonSplitResidue):
+            ring.eigenvalues
+        delta, u = torsor_difference(h, h)
+        assert delta.is_zero() and u is None
 
     def test_mismatched_bases_refused(self) -> None:
         h1 = rank1_datum(F2, "1", 8)

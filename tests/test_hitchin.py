@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from pdisk.connection import Connection, gauge, pcurv
-from pdisk.errors import InsufficientPrecision, RankTooLarge
+from pdisk.errors import InsufficientPrecision, RankTooLarge, VarMismatch
 from pdisk.field import FieldSpec
 from pdisk.hitchin import (
     InvariantTuple,
     char_invariants,
     companion_section,
     descend_invariants,
+    descend_certified,
     frobenius_base_pullback,
     phitchin,
 )
@@ -20,7 +21,7 @@ from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import SpectralRing
 
-from conftest import M, S, companion_layout, trace
+from conftest import M, S, companion_layout, scale, trace
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -74,7 +75,7 @@ class TestCharInvariants:
             acc = SeriesMatrix.zero(F2, VAR_DISK, n, 6)
             power = SeriesMatrix.identity(F2, VAR_DISK, n, 6)
             for c in q:
-                acc = acc + power.scale(c)
+                acc = acc + scale(power, c)
                 power = power @ m
             assert acc.is_zero()
 
@@ -169,6 +170,12 @@ class TestPhitchin:
         with pytest.raises(InsufficientPrecision):
             phitchin(conn)
 
+    def test_descent_below_a_period_is_insufficient_precision(self) -> None:
+        # z at precision 3 < p = 5 has not seen a full period, so no theorem broke
+        with pytest.raises(InsufficientPrecision) as exc:
+            descend_certified(S(F5, "z", 3), "invariant", "never reported")
+        assert str(exc.value) == "invariant precision 3 below p = 5"
+
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
     def test_gauge_invariance(self, p: int, n: int) -> None:
         f = FieldSpec(p)
@@ -212,6 +219,11 @@ class TestBasePullback:
         rng = SplitMix64(23)
         bp = InvariantTuple(tuple(rng.series(F5, VAR_TWIST, 3) for _ in range(2)))
         assert descend_invariants(frobenius_base_pullback(bp)).agrees_with(bp)
+
+    def test_pullback_consumes_the_twist_coordinate(self) -> None:
+        with pytest.raises(VarMismatch) as exc:
+            frobenius_base_pullback(InvariantTuple((S(F3, "1", 3),)))
+        assert str(exc.value) == "pullback consumes a z'-side tuple"
 
 
 # ==========================================================================

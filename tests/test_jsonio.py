@@ -333,6 +333,144 @@ class TestHarmonicWire:
 
 
 # ==========================================================================
+# refusals: each malformed document gets its message and path
+# ==========================================================================
+
+F9_HEADER = {"p": 3, "ext_degree": 2, "modulus": [1, 0, 1]}
+SERIES_HEADER = {"p": 3, "var": "z", "precision": 3}
+
+
+INVERSE_DATUM = harmonic_to_json(
+    inverse(solve_harmonic(Connection(M(F3, [["1 + z"]], 10))).harmonic)
+)
+
+
+REFUSALS = {
+    "unterminated-vector": (
+        scalar_from_json,
+        dict(F9_HEADER, element="[1,2"),
+        "unterminated coefficient vector '[1,2'",
+        "$.element",
+    ),
+    "bad-digit": (
+        scalar_from_json,
+        dict(F9_HEADER, element="[1,x]"),
+        "bad digit 'x' in coefficient vector",
+        "$.element",
+    ),
+    "bad-coefficient": (
+        scalar_from_json,
+        {"p": 5, "element": "abc"},
+        "bad coefficient 'abc'",
+        "$.element",
+    ),
+    "element-vector-too-long": (
+        scalar_from_json,
+        dict(F9_HEADER, element=[1, 2, 0]),
+        "element vector longer than extension degree",
+        "$.element",
+    ),
+    "series-not-a-string": (
+        series_from_json,
+        dict(SERIES_HEADER, series=5),
+        "series must be a string",
+        "$.series",
+    ),
+    "document-not-an-object": (harmonic_from_json, [], "expected a JSON object", "$"),
+    "header-not-an-object": (series_from_json, "1 + z", "expected a JSON object", "$"),
+    "bad-var": (
+        series_from_json,
+        dict(SERIES_HEADER, var="w", series="1"),
+        "var must be 'z' or \"z'\", got 'w'",
+        "$.var",
+    ),
+    "ext-degree-string": (
+        series_from_json,
+        dict(SERIES_HEADER, series="1", **dict(F9_HEADER, ext_degree="2")),
+        "key 'ext_degree' must be an integer",
+        "$.ext_degree",
+    ),
+    "ext-degree-float": (
+        series_from_json,
+        dict(SERIES_HEADER, series="1", **dict(F9_HEADER, ext_degree=2.0)),
+        "key 'ext_degree' must be an integer",
+        "$.ext_degree",
+    ),
+    "ext-degree-bool": (
+        series_from_json,
+        dict(SERIES_HEADER, series="1", ext_degree=True),
+        "key 'ext_degree' must be an integer",
+        "$.ext_degree",
+    ),
+    "ext-degree-null": (
+        series_from_json,
+        dict(SERIES_HEADER, series="1", ext_degree=None),
+        "key 'ext_degree' must be an integer",
+        "$.ext_degree",
+    ),
+    "negative-precision": (
+        series_from_json,
+        dict(SERIES_HEADER, precision=-1, series="1"),
+        "precision must be nonnegative",
+        "$.precision",
+    ),
+    "ranked-list-short": (
+        invariants_from_json,
+        dict(SERIES_HEADER, rank=2, entries=["1"]),
+        "entries must be a list of 2 series",
+        "$.entries",
+    ),
+    "empty-coeffs-in-lambda": (
+        spectral_from_json,
+        {"b": dict(SERIES_HEADER, rank=1, entries=["1"]), "coeffs_in_lambda": []},
+        "coeffs_in_lambda must be a nonempty list",
+        "$.coeffs_in_lambda",
+    ),
+    "curvature-sign-two": (
+        harmonic_from_json,
+        dict(INVERSE_DATUM, curvature_sign=2),
+        "curvature_sign must be 1 or -1",
+        "$.curvature_sign",
+    ),
+    # -1.0 == -1 and True == 1 in Python, but neither is the integer the document means
+    "curvature-sign-minus-one-float": (
+        harmonic_from_json,
+        dict(INVERSE_DATUM, curvature_sign=-1.0),
+        "curvature_sign must be 1 or -1",
+        "$.curvature_sign",
+    ),
+    "curvature-sign-one-float": (
+        harmonic_from_json,
+        dict(INVERSE_DATUM, curvature_sign=1.0),
+        "curvature_sign must be 1 or -1",
+        "$.curvature_sign",
+    ),
+    "curvature-sign-true": (
+        harmonic_from_json,
+        dict(INVERSE_DATUM, curvature_sign=True),
+        "curvature_sign must be 1 or -1",
+        "$.curvature_sign",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader, doc, message, path", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(reader, doc, message: str, path: str) -> None:
+    with pytest.raises(SchemaError) as exc:
+        reader(doc)
+    assert str(exc.value) == message
+    assert exc.value.details["path"] == path
+
+
+def test_encoded_integer_element_over_extension() -> None:
+    # an integer element over F_9 is a code in range(9), taken as it is
+    assert scalar_from_json(dict(F9_HEADER, element=5)) == (F9, 5)
+    assert scalar_from_json(dict(F9_HEADER, element=5)) == scalar_from_json(
+        dict(F9_HEADER, element=F9.decode(5))
+    )
+
+
+# ==========================================================================
 # canonical output
 # ==========================================================================
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdisk.errors import DimensionMismatch, SingularGauge, VarMismatch
 from pdisk.field import FieldSpec
-from pdisk.matrix import SeriesMatrix, char_invariants
+from pdisk.matrix import InvariantTuple, SeriesMatrix, char_invariants
 from pdisk.series import TruncSeries, VAR_DISK
 
 from conftest import M, S, residue, trace
@@ -46,6 +46,8 @@ class TestShape:
             lambda: SeriesMatrix.diagonal([]),
             lambda: SeriesMatrix.identity(F3, VAR_DISK, 0, 3),
             lambda: SeriesMatrix.zero(F3, VAR_DISK, 0, 3),
+            lambda: SeriesMatrix(()),
+            lambda: InvariantTuple(()),
         ]
         for build in builders:
             with pytest.raises(DimensionMismatch, match="rank must be at least 1"):
@@ -74,6 +76,31 @@ class TestShape:
         b = TruncSeries.one(F3, "z'", 4)
         with pytest.raises((DimensionMismatch, VarMismatch)):
             SeriesMatrix.from_rows([[a, b], [a, a]])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: SeriesMatrix.identity(F3, VAR_DISK, 2, 4).matvec([S(F3, "1", 4)]),
+                "vector length does not match rank",
+            ),
+            (
+                lambda: InvariantTuple((S(F3, "1", 4), S(F3, "1", 5))),
+                "invariant entries disagree on field, var or precision",
+            ),
+            (
+                lambda: InvariantTuple((S(F3, "1", 4),)).agrees_with(
+                    InvariantTuple((S(F3, "1", 4),) * 2)
+                ),
+                "invariant ranks differ",
+            ),
+        ],
+        ids=["matvec-length", "invariant-entries-disagree", "invariant-ranks-differ"],
+    )
+    def test_shape_guard(self, call, message: str) -> None:
+        with pytest.raises(DimensionMismatch) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_size_mismatch_in_ops(self) -> None:
         a = SeriesMatrix.identity(F3, VAR_DISK, 2, 4)
@@ -122,7 +149,7 @@ class TestArithmetic:
     def test_scale(self) -> None:
         a = SeriesMatrix.identity(F5, VAR_DISK, 2, 3)
         s = TruncSeries.constant(F5, VAR_DISK, 3, 3)
-        assert str(a.scale(s).entry(0, 0)) == "3"
+        assert str(a.map_entries(lambda e: e * s).entry(0, 0)) == "3"
 
     def test_residue(self) -> None:
         a = M(F3, [["1 + z", "z"], ["2", "z^2"]], 4)

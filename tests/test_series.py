@@ -154,6 +154,40 @@ class TestRefusalParity:
         assert TruncSeries(field, VAR_DISK, []).coeffs == ()
 
 
+SERIES_GUARDS = {
+    "unknown-var": (lambda: TruncSeries(F3, "w", (1,)), VarMismatch, "unknown variable 'w'"),
+    # pinned as it is: a bare ValueError, not a PdiskError
+    "make-beyond-precision": (
+        lambda: TruncSeries.make(F3, VAR_DISK, [1, 2, 0], 2),
+        ValueError,
+        "more coefficients than the stated precision",
+    ),
+    "descend-twist": (
+        lambda: S(F3, "1", 3, var="z'").descend_pth_power(),
+        VarMismatch,
+        "descend consumes a z-series",
+    ),
+    "expand-disk": (
+        lambda: S(F3, "1", 3).expand_pth_power(),
+        VarMismatch,
+        "expand consumes a z'-series",
+    ),
+    "pi-star-twist": (
+        lambda: S(F3, "1", 3, var="z'").pi_star(),
+        VarMismatch,
+        "pi_star consumes a z-series",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", SERIES_GUARDS.values(), ids=SERIES_GUARDS.keys())
+def test_guard(call, error: type, message: str) -> None:
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 def _validates(field: FieldSpec, a: object) -> bool:
     try:
         field.validate(a)

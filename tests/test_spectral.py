@@ -23,9 +23,9 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import EigenData, SpectralRing, hensel_eigen
+from pdisk.spectral import EigenData, SpectralRing, eval_at, hensel_eigen
 
-from conftest import M, S, companion_layout, eigen_rep, spectral_product
+from conftest import M, S, companion_layout, eigen_rep, scale, spectral_product
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -83,7 +83,7 @@ class TestBuildSpectral:
     def test_tautological_satisfies_char(self) -> None:
         ring = artin_schreier_ring()
         t = ring.tautological()
-        rel = t * t + t + ring.from_series(S(F2, "z^2", 9))
+        rel = t * t + t + ring.element([S(F2, "z^2", 9)])
         assert rel.is_zero()
 
     def test_separable_derivation_vanishes_here(self) -> None:
@@ -186,11 +186,11 @@ class TestElements:
                 assert y.precision == x.precision
                 assert x * y == ring.one().truncate(x.precision)
             # z is never a unit, and a precision-0 element has no residue
-            z = ring.from_series(TruncSeries.monomial(field, VAR_DISK, 1, prec))
+            z = ring.element([TruncSeries.monomial(field, VAR_DISK, 1, prec)])
             with pytest.raises(NonUnit, match="zero divisor at the residue"):
                 z.inverse()
             with pytest.raises(ZeroPrecision):
-                ring.from_series(TruncSeries.one(field, VAR_DISK, 0)).inverse()
+                ring.element([TruncSeries.one(field, VAR_DISK, 0)]).inverse()
 
     @FIELDS
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -236,13 +236,13 @@ class TestElements:
         ring = SpectralRing(inv(F3, ["1", "z"], 8))
         elt = ring.element([S(F3, "z", 8), S(F3, "1", 8)])
         mu = S(F3, "2 + z^2", 8)
-        assert elt.eval_series(mu) == S(F3, "2 + z + z^2", 8)
+        assert eval_at(elt.coeffs, mu) == S(F3, "2 + z + z^2", 8)
 
     def test_dlog_of_unit(self) -> None:
         ring = SpectralRing(inv(F3, ["1", "z"], 8))
-        u = ring.from_series(S(F3, "1 + z", 8))
+        u = ring.element([S(F3, "1 + z", 8)])
         got = dlog(u)
-        expect = ring.from_series(S(F3, "1 + z", 8).inverse() * S(F3, "1", 7))
+        expect = ring.element([S(F3, "1 + z", 8).inverse() * S(F3, "1", 7)])
         assert got.agrees_with(expect)
 
     def test_peer_rings_checked(self) -> None:
@@ -278,7 +278,7 @@ class TestHenselEigen:
         bp = inv(F2, ["1", "z^2"], 9)
         psi = as_psi(companion_section(bp))
         eigen = hensel_eigen(psi)
-        lo, hi = eigen.mus
+        lo, hi = eigen.ring.eigenvalues
         # the root over 0 is the lacunary series z^2 + z^4 + z^8 + ...
         assert str(lo) == "z^2 + z^4 + z^8"
         assert hi == lo + S(F2, "1", 9)
@@ -295,8 +295,8 @@ class TestHenselEigen:
         assert p1 + p2 == ident
         assert p1 @ p1 == p1.truncate(p1.precision)
         assert (p1 @ p2).is_zero()
-        recon = p1.scale(eigen.mus[0].truncate(p1.precision)) + p2.scale(
-            eigen.mus[1].truncate(p2.precision)
+        recon = scale(p1, eigen.ring.eigenvalues[0].truncate(p1.precision)) + scale(
+            p2, eigen.ring.eigenvalues[1].truncate(p2.precision)
         )
         assert recon.agrees_with(psi.matrix)
 
@@ -310,14 +310,14 @@ class TestHenselEigen:
             for j in range(2):
                 entry = moved.entry(i, j)
                 if i == j:
-                    assert entry.agrees_with(eigen.mus[i])
+                    assert entry.agrees_with(eigen.ring.eigenvalues[i])
                 else:
                     assert entry.is_zero()
 
     def test_diagonal_input_gives_identity_gauge(self) -> None:
         m = M(F5, [["1", "0"], ["0", "3"]], 7)
         eigen = hensel_eigen(as_psi(m))
-        assert [str(mu) for mu in eigen.mus] == ["1", "3"]
+        assert [str(mu) for mu in eigen.ring.eigenvalues] == ["1", "3"]
         assert eigen.gauge == SeriesMatrix.identity(F5, VAR_DISK, 2, 7)
 
     def test_repeated_residue_root(self) -> None:
@@ -339,7 +339,7 @@ class TestHenselEigen:
         bp = inv(F9, ["0", "1"], 8)
         psi = as_psi(companion_section(bp))
         eigen = hensel_eigen(psi)
-        assert sorted(mu.coeff(0) for mu in eigen.mus) == [3, 6]
+        assert sorted(mu.coeff(0) for mu in eigen.ring.eigenvalues) == [3, 6]
 
     def test_three_by_three_split(self) -> None:
         m = M(F5, [["0", "z", "0"], ["1", "1", "z^2"], ["0", "0", "3 + z"]], 9)
@@ -349,8 +349,8 @@ class TestHenselEigen:
             p_sum = p_sum + pk
         assert p_sum == SeriesMatrix.identity(F5, VAR_DISK, 3, p_sum.precision)
         recon = SeriesMatrix.zero(F5, VAR_DISK, 3, p_sum.precision)
-        for mu, pk in zip(eigen.mus, eigen.projectors):
-            recon = recon + pk.scale(mu.truncate(p_sum.precision))
+        for mu, pk in zip(eigen.ring.eigenvalues, eigen.projectors):
+            recon = recon + scale(pk, mu.truncate(p_sum.precision))
         assert recon.agrees_with(m)
 
 
