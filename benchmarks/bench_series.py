@@ -1,15 +1,15 @@
-"""Time the series objects (construction, products, sums of products, matrix
-products) and the two p-curvature loops built on them.
+"""Time the series objects (construction, sums, products, sums of products,
+matrix products) and the two p-curvature loops built on them.
 
-Every kernel result becomes a ``TruncSeries`` and every matrix result a
-``SeriesMatrix``, so the per-object checks of their constructors are paid
-hundreds of thousands of times per verify sweep.  This reports per-call
-timings (best of five, as ``bench_kernels.py``) over F_5 and F_9 at the
-lengths the workloads use: 4 to 19 on the verify grid, 160 in the deep
-harmonic solve.  The last table times ``dot`` of two pairs and the matrix
-product ``@`` over F_5: at rank 2, the largest rank the workloads
-multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no workload
-reaches, to show how the product scales.  The p-curvature table times
+The public constructors ``TruncSeries(...)`` and ``SeriesMatrix(...)`` check
+their data; a result computed from checked operands skips that check, and
+the ``a + b`` column shows what such a result costs beside a checked build.
+This reports per-call timings (best of five, as ``bench_kernels.py``) over
+F_5 and F_9 at the lengths the workloads use: 4 to 19 on the verify grid,
+160 in the deep harmonic solve.  The last table times ``dot`` of two pairs
+and the matrix product ``@`` over F_5: at rank 2, the largest rank the
+workloads multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no
+workload reaches, to show how the product scales.  The p-curvature table times
 ``pcurv`` and ``pcurv_in_ring`` over F_5 at rank 2, N = 19 and N = 160:
 ``pcurv`` on a fresh ``Connection`` per call, so the value a connection
 keeps is never what is timed, and ``pcurv_in_ring`` on the theta that
@@ -61,15 +61,16 @@ def main() -> None:
     def draw(f: FieldSpec, n: int) -> tuple[int, ...]:
         return tuple(rng.below(f.q) for _ in range(n))
 
-    print(f"{'field':>5} {'n':>5} {'TruncSeries()':>14} {'a * b':>12}")
+    print(f"{'field':>5} {'n':>5} {'TruncSeries()':>14} {'a + b':>12} {'a * b':>12}")
     for name, f in FIELDS.items():
         for n in LENGTHS:
             cs = draw(f, n)
             a = TruncSeries(f, VAR_DISK, cs)
             b = TruncSeries(f, VAR_DISK, draw(f, n))
             t_make, _ = clock(TruncSeries, f, VAR_DISK, cs)
+            t_add, _ = clock(a.__add__, b)
             t_mul, _ = clock(a.__mul__, b)
-            print(f"{name:>5} {n:>5} {fmt(t_make):>14} {fmt(t_mul):>12}")
+            print(f"{name:>5} {n:>5} {fmt(t_make):>14} {fmt(t_add):>12} {fmt(t_mul):>12}")
     print(f"{'field':>5} {'rank':>5} {'SeriesMatrix()':>14}  (N = {MATRIX_PRECISION})")
     for name, f in FIELDS.items():
         for r in RANKS:

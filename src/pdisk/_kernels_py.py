@@ -73,6 +73,8 @@ def series_neg(a, p: int, k: int, mod) -> list[int]:
 
 def _pack(cs, width: int) -> int:
     """sum cs[i] * 256**(width * i): coefficient i in byte slot i."""
+    if width == 1:
+        return int.from_bytes(bytes(cs), "little")
     typecode = _SLOT_TYPES.get(width)
     if typecode is None:
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
@@ -85,6 +87,8 @@ def _pack(cs, width: int) -> int:
 def _unpack_mod(x: int, width: int, nout: int, p: int) -> list[int]:
     """Byte slots 0 .. nout-1 of x, each reduced mod p; x must fit in them."""
     raw = x.to_bytes(width * nout, "little")
+    if width == 1:
+        return list(map(p.__rmod__, raw))
     typecode = _SLOT_TYPES.get(width)
     if typecode is None:
         starts = range(0, len(raw), width)

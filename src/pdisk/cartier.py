@@ -44,7 +44,7 @@ def cartier_op(w: TruncSeries) -> TruncSeries:
     if w.var != VAR_DISK:
         raise VarMismatch("cartier_op consumes a z-series")
     p = w.field.p
-    return TruncSeries(w.field, VAR_TWIST, w.coeffs[p - 1 :: p])
+    return TruncSeries._computed(w.field, VAR_TWIST, w.coeffs[p - 1 :: p])
 
 
 def hp_map(zeta: int, w: TruncSeries) -> TruncSeries:
@@ -145,6 +145,6 @@ def flat_matrix_section(conn: Connection) -> SeriesMatrix:
             for i in range(n):
                 for j in range(n):
                     h[i][j].append(f.mul(inv, f.neg(resid[i][j])))
-    return SeriesMatrix(
-        tuple(tuple(TruncSeries(f, VAR_DISK, tuple(entry)) for entry in row) for row in h)
+    return SeriesMatrix._computed(
+        tuple(tuple(TruncSeries._computed(f, VAR_DISK, tuple(entry)) for entry in row) for row in h)
     )

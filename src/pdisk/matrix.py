@@ -1,5 +1,9 @@
 """Dense square matrices of truncated series, all entries at one precision.
 
+``SeriesMatrix(...)`` and ``map_entries`` check shape, field, variable and
+precision; a sum, difference, product or inverse of checked operands is
+built by ``SeriesMatrix._computed`` without a second check.
+
 A matrix's inverse and characteristic invariants are computed once and
 kept beside its entries (field.Value).  The inverse holds the matrix as its
 own inverse by a weak reference, so no reference cycle forms.
@@ -52,6 +56,13 @@ class SeriesMatrix(Value):
                     raise DimensionMismatch("entries disagree on field or variable")
                 if len(e.coeffs) != precision:
                     raise DimensionMismatch("entries disagree on precision")
+
+    @classmethod
+    def _computed(cls, entries: tuple[tuple[TruncSeries, ...], ...]) -> "SeriesMatrix":
+        """A matrix computed from checked operands: its entries are set, not checked again."""
+        m = object.__new__(cls)
+        m.__dict__["entries"] = entries
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[TruncSeries]]) -> "SeriesMatrix":
@@ -112,7 +123,7 @@ class SeriesMatrix(Value):
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_peer(other)
-        return SeriesMatrix(
+        return SeriesMatrix._computed(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -121,7 +132,7 @@ class SeriesMatrix(Value):
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_peer(other)
-        return SeriesMatrix(
+        return SeriesMatrix._computed(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -132,7 +143,9 @@ class SeriesMatrix(Value):
         """The product at the smaller precision: one ``dot`` per entry."""
         self._check_peer(other)
         cols = tuple(zip(*other.entries))
-        return SeriesMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.entries))
+        return SeriesMatrix._computed(
+            tuple(tuple(dot(row, col) for col in cols) for row in self.entries)
+        )
 
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         if len(vec) != self.rank:
@@ -177,7 +190,7 @@ class SeriesMatrix(Value):
                 f = rows[r][col]
                 if r != col and not f.is_zero():
                     rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(rows[r], rows[col])]
-        return SeriesMatrix(tuple(tuple(row[n:]) for row in rows))
+        return SeriesMatrix._computed(tuple(tuple(row[n:]) for row in rows))
 
     def conjugate_by(self, g: "SeriesMatrix") -> "SeriesMatrix":
         """g^(-1) @ self @ g."""

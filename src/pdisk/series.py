@@ -15,10 +15,13 @@ precision is met: operands of different precision combine at the smaller
 one, and ``agrees_with`` compares at the common precision, so callers never
 truncate before arithmetic or comparison.
 
-Construction checks that every coefficient is an encoded element of the
-field, the whole tuple at once; ``FieldSpec.validate`` runs only to raise
-for the first offender.  Field comparisons between operands test identity
-first, since the operands of one computation share one ``FieldSpec``.
+Data is checked where it enters: the public constructor (so ``make``,
+``jsonio`` and ``rng`` too) checks that every coefficient encodes a field
+element, the whole tuple at once; ``FieldSpec.validate`` runs only to raise
+for the first offender.  A result computed from checked operands is built by
+``TruncSeries._computed`` without a second check.  Field comparisons between
+operands test identity first, since the operands of one computation share
+one ``FieldSpec``.
 
 Two coordinates exist: "z" on the disk and "z'" on its Frobenius twist.
 Term strings (format_series, also str) always spell the letter z; the
@@ -72,6 +75,14 @@ class TruncSeries:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _computed(cls, field: FieldSpec, var: str, coeffs: tuple[int, ...]) -> "TruncSeries":
+        """A series computed from checked operands: the fields are set, not checked again."""
+        s = object.__new__(cls)
+        d = s.__dict__
+        d["field"], d["var"], d["coeffs"] = field, var, coeffs
+        return s
+
+    @classmethod
     def make(
         cls, field: FieldSpec, var: str, coeffs: Iterable[int], precision: int | None = None
     ) -> "TruncSeries":
@@ -85,7 +96,7 @@ class TruncSeries:
             if precision < 0:
                 raise ZeroPrecision(f"negative precision {precision}")
             if len(cs) > precision:
-                raise ValueError("more coefficients than the stated precision")
+                raise ZeroPrecision("more coefficients than the stated precision")
             cs += [0] * (precision - len(cs))
         return cls(field, var, tuple(cs))
 
@@ -137,7 +148,7 @@ class TruncSeries:
             raise ZeroPrecision(f"cannot truncate to negative precision {precision}")
         if precision == self.precision:
             return self
-        return TruncSeries(self.field, self.var, self.coeffs[:precision])
+        return TruncSeries._computed(self.field, self.var, self.coeffs[:precision])
 
     def _check_peer(self, other: "TruncSeries") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -151,36 +162,36 @@ class TruncSeries:
         self._check_peer(other)
         f = self.field
         out = impl.series_add(self.coeffs, other.coeffs, f.p, f.k, f.modulus)
-        return TruncSeries(f, self.var, tuple(out))
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_peer(other)
         f = self.field
         out = impl.series_sub(self.coeffs, other.coeffs, f.p, f.k, f.modulus)
-        return TruncSeries(f, self.var, tuple(out))
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def __neg__(self) -> "TruncSeries":
         f = self.field
         out = impl.series_neg(self.coeffs, f.p, f.k, f.modulus)
-        return TruncSeries(f, self.var, tuple(out))
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_peer(other)
         f = self.field
         nout = min(self.precision, other.precision)
         out = impl.series_mul(self.coeffs, other.coeffs, nout, f.p, f.k, f.modulus)
-        return TruncSeries(f, self.var, tuple(out))
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def scale(self, c: int) -> "TruncSeries":
         """Multiply by a field element."""
         f = self.field
         c = f.validate(c)
-        return TruncSeries(f, self.var, tuple(f.mul(c, x) for x in self.coeffs))
+        return TruncSeries._computed(f, self.var, tuple(f.mul(c, x) for x in self.coeffs))
 
     def scale_int(self, c: int) -> "TruncSeries":
         """Multiply by an integer through the prime subfield."""
         f = self.field
-        return TruncSeries(f, self.var, tuple(f.scalar_mul(c, x) for x in self.coeffs))
+        return TruncSeries._computed(f, self.var, tuple(f.scalar_mul(c, x) for x in self.coeffs))
 
     def inverse(self) -> "TruncSeries":
         if self.precision == 0:
@@ -190,7 +201,7 @@ class TruncSeries:
         f = self.field
         c0inv = f.inv(self.coeffs[0])
         out = impl.series_inv(self.coeffs, self.precision, c0inv, f.p, f.k, f.modulus)
-        return TruncSeries(f, self.var, tuple(out))
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def derivative(self) -> "TruncSeries":
         """d/dz, dropping one order of precision."""
@@ -200,7 +211,7 @@ class TruncSeries:
         out = tuple(
             f.scalar_mul(m + 1, self.coeffs[m + 1]) for m in range(self.precision - 1)
         )
-        return TruncSeries(f, self.var, out)
+        return TruncSeries._computed(f, self.var, out)
 
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:
@@ -231,9 +242,7 @@ class TruncSeries:
         for m, c in enumerate(self.coeffs):
             if c != 0 and m % p != 0:
                 raise NotAPthPower(m, c)
-        n = self.precision
-        out = tuple(self.coeffs[i * p] for i in range((n + p - 1) // p))
-        return TruncSeries(self.field, VAR_TWIST, out)
+        return TruncSeries._computed(self.field, VAR_TWIST, self.coeffs[::p])
 
     def expand_pth_power(self) -> "TruncSeries":
         """Pull back along the relative Frobenius: z' -> z^p, coefficients fixed."""
@@ -243,7 +252,7 @@ class TruncSeries:
         out = [0] * (self.precision * p)
         for i, c in enumerate(self.coeffs):
             out[i * p] = c
-        return TruncSeries(self.field, VAR_DISK, tuple(out))
+        return TruncSeries._computed(self.field, VAR_DISK, tuple(out))
 
     def pi_star(self) -> "TruncSeries":
         """Project to the twist: exponents kept, coefficients raised to the p-th power."""
@@ -251,7 +260,7 @@ class TruncSeries:
             raise VarMismatch("pi_star consumes a z-series")
         f = self.field
         out = tuple(f.frobenius(c) for c in self.coeffs)
-        return TruncSeries(f, VAR_TWIST, out)
+        return TruncSeries._computed(f, VAR_TWIST, out)
 
     # -- presentation -----------------------------------------------------
 
@@ -276,16 +285,17 @@ def dot(xs: Iterable[TruncSeries], ys: Iterable[TruncSeries]) -> TruncSeries:
     pairs = list(zip(xs, ys))
     if not pairs:
         raise TypeError("dot of no terms")
-    x0, y0 = pairs[0]
-    x0._check_peer(y0)
-    for x, y in pairs[1:]:
-        x._check_peer(y)
-        x0._check_peer(x)
-    f = x0.field
+    x0 = pairs[0][0]
+    f, var = x0.field, x0.var
+    for x, y in pairs:
+        # one shared field object and var pass; any other pair gets the full checks
+        if x.field is not f or y.field is not f or x.var != var or y.var != var:
+            x._check_peer(y)
+            x0._check_peer(x)
     cs = [(x.coeffs, y.coeffs) for x, y in pairs]
     nout = min(min(len(a), len(b)) for a, b in cs)
     out = impl.series_sum_mul(cs, nout, f.p, f.k, f.modulus)
-    return TruncSeries(f, x0.var, tuple(out))
+    return TruncSeries._computed(f, var, tuple(out))
 
 
 def format_element(field: FieldSpec, a: int) -> str:

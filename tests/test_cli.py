@@ -177,7 +177,7 @@ class TestExitCodes:
             "rank-above-p",
             "roundtrip-rank-above-p",
             "precision-above-bound",
-            "default-precision-above-bound",
+            "large-prime-above-bound",
             "prime-above-bound",
             "empty-p-list",
             "empty-rank-list",
