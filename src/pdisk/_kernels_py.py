@@ -73,7 +73,7 @@ def series_neg(a, p: int, k: int, mod) -> list[int]:
 
 def _pack(cs, width: int) -> int:
     """sum cs[i] * 256**(width * i): coefficient i in byte slot i."""
-    if width == 1:
+    if width == 1:  # bytes() is about twice as fast as array('B') here
         return int.from_bytes(bytes(cs), "little")
     typecode = _SLOT_TYPES.get(width)
     if typecode is None:

@@ -285,17 +285,16 @@ def dot(xs: Iterable[TruncSeries], ys: Iterable[TruncSeries]) -> TruncSeries:
     pairs = list(zip(xs, ys))
     if not pairs:
         raise TypeError("dot of no terms")
-    x0 = pairs[0][0]
-    f, var = x0.field, x0.var
-    for x, y in pairs:
-        # one shared field object and var pass; any other pair gets the full checks
-        if x.field is not f or y.field is not f or x.var != var or y.var != var:
-            x._check_peer(y)
-            x0._check_peer(x)
+    x0, y0 = pairs[0]
+    x0._check_peer(y0)
+    for x, y in pairs[1:]:
+        x._check_peer(y)
+        x0._check_peer(x)
+    f = x0.field
     cs = [(x.coeffs, y.coeffs) for x, y in pairs]
     nout = min(min(len(a), len(b)) for a, b in cs)
     out = impl.series_sum_mul(cs, nout, f.p, f.k, f.modulus)
-    return TruncSeries._computed(f, var, tuple(out))
+    return TruncSeries._computed(f, x0.var, tuple(out))
 
 
 def format_element(field: FieldSpec, a: int) -> str:

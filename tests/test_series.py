@@ -454,15 +454,6 @@ def test_dot_refuses_mixed_operands_as_the_sum_does(
     assert raised(dot, xs, ys) == raised(term_by_term, xs, ys)
 
 
-def test_dot_accepts_an_equal_field_held_by_another_object() -> None:
-    # only operands sharing the first one's FieldSpec object skip the full peer checks
-    xs = [S(F5, "1 + z", 5), S(F5, "2 + z^2", 5), S(F5, "3*z", 5)]
-    ys = [S(F5, "4", 5), S(F5, "z + z^3", 5), S(F5, "1 + 2*z", 5)]
-    twin = FieldSpec(5)
-    moved = [TruncSeries(twin, x.var, x.coeffs) for x in xs[1:]]
-    assert dot([xs[0], *moved], ys) == dot(xs, ys)
-
-
 def test_dot_of_nothing_is_refused() -> None:
     with pytest.raises(TypeError):
         dot([], [])
