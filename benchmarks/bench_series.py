@@ -21,8 +21,11 @@ polynomial (the unit test of ``SpectralElement.is_unit``), the product of
 the unit with a random element, once with the unit's multiplication matrix
 kept from an earlier product and once from a fresh copy of the unit that
 must form it, and ``char_invariants`` of that matrix.  The inverse, too, is
-timed on a fresh copy, since an element keeps its inverse.  Run from the
-repository root:
+timed on a fresh copy, since an element keeps its inverse.  The eigenvalue
+table times ``SpectralRing.eigenvalues`` over F_5 and F_9 at ranks 2 and 3,
+N = 19 and N = 160, on the invariants of a split p-curvature (as
+``hensel_eigen`` reads them), with a fresh ring per call, since a ring keeps
+its eigenvalues.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """
@@ -40,7 +43,7 @@ from pdisk.hitchin import char_invariants, companion_section
 from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
-from pdisk.spectral import SpectralElement, SpectralRing
+from pdisk.spectral import SpectralElement, SpectralRing, check_residue_split
 
 FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
@@ -51,8 +54,30 @@ PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
 DOT_PRECISION = 19
 # precisions of the timed p-curvatures over F_5 at rank 2
 PCURV_PRECISIONS = [19, 160]
-# precisions of the timed spectral operations, at each field and rank
+# precisions of the timed spectral operations and eigenvalues, at each field and rank
 SPECTRAL_PRECISIONS = [19, 160]
+
+
+def split_pcurv_invariants(rng: SplitMix64, f: FieldSpec, r: int, n: int) -> InvariantTuple:
+    """The invariants, at precision n, of a random connection's p-curvature that splits.
+
+    The p-curvature's residue needs only the connection's first p + 1
+    orders, so those are drawn until it splits and then continued to the
+    n + p - 1 orders whose p-curvature has precision n.
+    """
+    while True:
+        m = rng.matrix(f, VAR_DISK, r, f.p + 1)
+        ring = SpectralRing(pcurv(Connection(m)).matrix.invariants)
+        try:
+            check_residue_split(f, ring.residue_char())
+            break
+        except (NonSplitResidue, RepeatedResidueRoot):
+            continue
+    rows = [
+        [TruncSeries(f, VAR_DISK, e.coeffs + rng.series(f, VAR_DISK, n - 2).coeffs) for e in row]
+        for row in m.entries
+    ]
+    return pcurv(Connection(SeriesMatrix.from_rows(rows))).matrix.invariants
 
 
 def main() -> None:
@@ -138,6 +163,13 @@ def main() -> None:
                     f"{name:>5} {r:>5} {n:>5} {fmt(t_inv):>12} {fmt(t_comp):>12} {fmt(t_gcd):>12}"
                     f" {fmt(t_kept):>12} {fmt(t_fresh):>12} {fmt(t_char):>12}"
                 )
+    print(f"{'field':>5} {'rank':>5} {'N':>5} {'eigenvalues':>12}")
+    for name, f in FIELDS.items():
+        for r in RANKS:
+            for n in SPECTRAL_PRECISIONS:
+                b = split_pcurv_invariants(rng, f, r, n)
+                t_eig, _ = clock(lambda: SpectralRing(b).eigenvalues)
+                print(f"{name:>5} {r:>5} {n:>5} {fmt(t_eig):>12}")
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ product applies it to the right operand's coordinates; a unit (its residue
 prime to the residue of char_b) inverts through it: column 0 of its inverse.
 
 On the split stratum a spectral ring carries two more facts, each cached:
-its eigenvalues (the residue roots of char_b, lifted to series by Newton
-iteration) and the Lagrange basis at them.  hensel_eigen builds the ring
-of a p-curvature matrix's own invariants, evaluates that basis at the
-matrix to get its projectors and an eigenbasis, and keeps the ring; the
-preconditions (split, simple residue spectrum) are reported precisely
-when they fail.
+its eigenvalues (the residue roots of char_b, lifted by Newton iteration
+at doubling precision) and the Lagrange basis at them.  hensel_eigen
+builds the ring of a p-curvature matrix's own invariants, evaluates that
+basis at the matrix to get its projectors and an eigenbasis, and keeps the
+ring; the preconditions (split, simple residue spectrum) are reported
+precisely when they fail.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class SpectralRing(Value):
         return self.element([zero, one])
 
     def _reduce(self, coeffs: list[TruncSeries]) -> list[TruncSeries]:
-        """Reduce a t-polynomial by the monic characteristic polynomial."""
+        """Reduce a t-polynomial by monic char_b; a constant-one lead forms no product."""
         n = self.rank
         q = self.char
         out = list(coeffs)
@@ -137,28 +137,32 @@ class SpectralRing(Value):
             lead = out.pop()
             if lead.is_zero():
                 continue
+            one = lead.coeffs[0] == 1 and not any(lead.coeffs[1:])
             for j in range(n):
-                out[i - n + j] = out[i - n + j] - lead * q[j]
+                term = q[j].truncate(min(lead.precision, q[j].precision)) if one else lead * q[j]
+                out[i - n + j] = out[i - n + j] - term
         return out
 
     # -- split stratum ----------------------------------------------------
 
     @cached_property
     def eigenvalues(self) -> tuple[TruncSeries, ...]:
-        """The n roots of char_b in the series ring, by Newton iteration.
+        """The n roots of char_b in the series ring, at the ring's precision N.
 
         Requires the residue characteristic polynomial to have n distinct
         roots in the coefficient field (check_residue_split).  The roots
         come ascending by field encoding, which fixes every downstream
-        ordering.
+        ordering.  A Newton step doubles the known orders of a simple root,
+        so each residue root is lifted at precisions 1, 2, 4, ..., N and
+        certified at N: char_b(mu) = 0, else InternalInconsistency.
         """
-        prec = self.precision
+        f, var, prec = self.field, self.var, self.precision
         char, dchar = self.char, self.dchar
-        res_roots = check_residue_split(self.field, self.residue_char())
         mus = []
-        for r in res_roots:
-            mu = TruncSeries.constant(self.field, self.var, r, prec)
-            for _ in range(max(1, (prec - 1).bit_length() + 1)):
+        for r in check_residue_split(f, self.residue_char()):
+            mu = TruncSeries.constant(f, var, r, 1)
+            while mu.precision < prec:
+                mu = TruncSeries._computed(f, var, (mu.coeffs + (0,) * mu.precision)[:prec])
                 mu = mu - eval_at(char, mu) * eval_at(dchar, mu).inverse()
             if not eval_at(char, mu).is_zero():
                 raise InternalInconsistency("Newton lifting failed to converge")
@@ -169,8 +173,8 @@ class SpectralRing(Value):
     def lagrange_basis(self) -> tuple["SpectralElement", ...]:
         """The elements L_i with L_i(mu_j) = 1 if i = j, else 0, at the eigenvalues.
 
-        L_i = prod over j != i of (t - mu_j) / (mu_i - mu_j), of degree
-        n - 1 in t; the differences are units on the split stratum.
+        L_i = prod over j != i of (t - mu_j) / (mu_i - mu_j), at precision N
+        and of degree n - 1 in t; the differences are units on the split stratum.
         """
         basis = []
         for i, mu in enumerate(self.eigenvalues):
@@ -324,10 +328,11 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
 
     The ring is SpectralRing(psi.matrix.invariants), the invariants the
     matrix computes once; the eigenvalues are the ring's eigenvalues,
-    ascending by the field encoding of their residues.  The projectors are the ring's
-    Lagrange basis evaluated at the matrix, and a unit column of each
-    projector makes the eigenbasis.  The returned EigenData carries that
-    ring, so its eigenvalues and Lagrange basis are not computed again.
+    ascending by the field encoding of their residues.  The projectors are
+    the ring's Lagrange basis evaluated at the matrix, and a unit column of
+    each projector makes the eigenbasis, all at the matrix's precision.  The
+    returned EigenData carries that ring, so its eigenvalues and Lagrange
+    basis are not computed again.
 
     NonSplitResidue suggests the extension degree (over the current
     coefficient field) that would make the whole residue spectrum

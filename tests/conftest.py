@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from pdisk.errors import DimensionMismatch
+from pdisk.errors import DimensionMismatch, InternalInconsistency
 from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
 from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.series import TruncSeries
-from pdisk.spectral import SpectralRing, eval_at
+from pdisk.spectral import SpectralRing, check_residue_split, eval_at
 
 
 def S(field: FieldSpec, text: str, precision: int, var: str = "z") -> TruncSeries:
@@ -118,6 +118,25 @@ def eigen_rep(elt, eigen) -> SeriesMatrix:
         raise DimensionMismatch("eigen data rank does not match the ring")
     diag = SeriesMatrix.diagonal([eval_at(elt.coeffs, mu) for mu in eigen.ring.eigenvalues])
     return eigen.gauge @ diag @ eigen.gauge.inverse()
+
+
+def full_precision_eigenvalues(ring: SpectralRing) -> tuple[TruncSeries, ...]:
+    """The roots of char_b by bit_length(N - 1) + 1 Newton steps, each at precision N.
+
+    An oracle for SpectralRing.eigenvalues, which lifts at doubling
+    precision: the same residue roots in the same order, the same
+    certificate and the same errors.
+    """
+    prec = ring.precision
+    mus = []
+    for r in check_residue_split(ring.field, ring.residue_char()):
+        mu = TruncSeries.constant(ring.field, ring.var, r, prec)
+        for _ in range(max(1, (prec - 1).bit_length() + 1)):
+            mu = mu - eval_at(ring.char, mu) * eval_at(ring.dchar, mu).inverse()
+        if not eval_at(ring.char, mu).is_zero():
+            raise InternalInconsistency("Newton lifting failed to converge")
+        mus.append(mu)
+    return tuple(mus)
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ hand, on mutated copies: a sign flip in the ext_mul reduction, a dropped
 eval_at cut, theta left unnegated by inverse and theta^2 added to the
 in-ring p-curvature.  The last two are the instance_generation and
 cinv_cmap_identity cases below.  Finally, theta + t planted in the solver
-is still refused by its p-curvature certificate.
+is still refused by its p-curvature certificate, and an eigenvalue lift one
+doubling short by the Newton certificate of SpectralRing.eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from pdisk import cartier, field as field_mod, harmonic, spectral, verify
 from pdisk.cartier import flat_matrix_section, kernel_unit, solve_hp
 from pdisk.connection import Connection, FHiggs
-from pdisk.errors import CurvatureNonzero, NonzeroPCurvature
+from pdisk.errors import CurvatureNonzero, InternalInconsistency, NonzeroPCurvature
 from pdisk.field import FieldSpec
 from pdisk.harmonic import HarmonicDatum, solve_harmonic
 from pdisk.hitchin import InvariantTuple, companion_section
@@ -318,3 +319,21 @@ def test_theta_plus_t_in_the_solver_is_refused(monkeypatch) -> None:
     conn = Connection(M(FieldSpec(2), [["0", "0"], ["0", "1"]], 8))
     with pytest.raises(CurvatureNonzero):
         solve_harmonic(conn)
+
+
+def test_lift_one_doubling_short_fails_its_certificate(monkeypatch) -> None:
+    # each residue root seeded at precision 2, though only its residue is
+    # known: every Newton step, the last included, ends one doubling short
+    f5 = FieldSpec(5)
+    ring = spectral.SpectralRing(InvariantTuple((S(f5, "3 + z", 20), S(f5, "2 + z^2", 20))))
+    assert [mu.coeff(0) for mu in ring.eigenvalues] == [1, 2]
+    ring = spectral.SpectralRing(ring.b)
+    ring.dchar  # char and dchar are kept before the seed goes wrong
+    constant = TruncSeries.constant
+    monkeypatch.setattr(
+        TruncSeries,
+        "constant",
+        classmethod(lambda cls, field, var, c, precision: constant(field, var, c, 2 * precision)),
+    )
+    with pytest.raises(InternalInconsistency, match="Newton lifting failed to converge"):
+        ring.eigenvalues

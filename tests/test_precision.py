@@ -12,13 +12,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pdisk.connection import Connection, pcurv
-from pdisk.errors import DerivationUnavailable, ZeroPrecision
+from pdisk.connection import Connection, FHiggs, pcurv
+from pdisk.errors import DerivationUnavailable, RepeatedResidueRoot, ZeroPrecision
 from pdisk.field import FieldSpec
 from pdisk.hitchin import InvariantTuple, char_invariants
 from pdisk.matrix import SeriesMatrix
 from pdisk.series import TruncSeries, VAR_DISK, dot
-from pdisk.spectral import SpectralRing, eval_at
+from pdisk.spectral import SpectralRing, eval_at, hensel_eigen
 
 from conftest import residue as residue_of
 
@@ -59,6 +59,16 @@ def matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
     return known, extended
 
 
+def with_residue(m: SeriesMatrix, residue) -> SeriesMatrix:
+    """m with its constant-term matrix replaced."""
+    return SeriesMatrix.from_rows(
+        [
+            [TruncSeries(m.field, VAR_DISK, (c,) + e.coeffs[1:]) for c, e in zip(rrow, row)]
+            for rrow, row in zip(residue, m.entries)
+        ]
+    )
+
+
 @st.composite
 def unit_matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
     """A matrix pair as in matrix_pair whose constant-term matrix is invertible.
@@ -70,21 +80,29 @@ def unit_matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
     known, extended = draw(matrix_pair(field, rank, precision))
     order = draw(st.permutations(range(rank)))
     units = st.integers(1, field.q - 1)
-
-    def with_residue(m: SeriesMatrix, residue) -> SeriesMatrix:
-        return SeriesMatrix.from_rows(
-            [
-                [TruncSeries(field, VAR_DISK, (c,) + e.coeffs[1:]) for c, e in zip(rrow, row)]
-                for rrow, row in zip(residue, m.entries)
-            ]
-        )
-
     residue = []
     for i in order:
         row = list(residue_of(known)[len(residue)])
         row[:i] = [0] * i
         row[i] = draw(units)
         residue.append(row)
+    return with_residue(known, residue), with_residue(extended, residue)
+
+
+@st.composite
+def split_matrix_pair(draw, field: FieldSpec, rank: int, precision: int):
+    """A matrix pair as in matrix_pair whose constant-term matrix is upper triangular.
+
+    Its residue characteristic polynomial is the product of t minus the
+    drawn diagonal entries, so it splits over the field; it has a repeated
+    root when two of them are equal, and the callers assume that away.
+    """
+    known, extended = draw(matrix_pair(field, rank, precision))
+    diagonal = draw(st.lists(st.integers(0, field.q - 1), min_size=rank, max_size=rank))
+    residue = [
+        [diagonal[i] if j == i else c if j > i else 0 for j, c in enumerate(row)]
+        for i, row in enumerate(residue_of(known))
+    ]
     return with_residue(known, residue), with_residue(extended, residue)
 
 
@@ -187,6 +205,57 @@ def test_eval_at(data, field: FieldSpec, ns: list[int], nmu: int) -> None:
     out = eval_at([c for c, _ in coeffs], mu)
     assert out.precision == min(ns + [nmu])
     assert_sound(out, eval_at([c for _, c in coeffs], mu_ext))
+
+
+# -- split stratum ------------------------------------------------------------
+
+
+def split_rings(data, field: FieldSpec, n: int, prec: int):
+    """The spectral rings of a split matrix pair's invariants, their eigenvalues lifted."""
+    m, m_ext = data.draw(split_matrix_pair(field, n, prec))
+    ring, ring_ext = SpectralRing(m.invariants), SpectralRing(m_ext.invariants)
+    try:
+        ring.eigenvalues
+    except RepeatedResidueRoot:
+        assume(False)
+    return ring, ring_ext
+
+
+@given(data=st.data(), field=fields, n=ranks, prec=precisions)
+@settings(max_examples=40, deadline=None)
+def test_eigenvalues(data, field: FieldSpec, n: int, prec: int) -> None:
+    """The roots hold the ring's precision N."""
+    ring, ring_ext = split_rings(data, field, n, prec)
+    for mu, mu_ext in zip(ring.eigenvalues, ring_ext.eigenvalues, strict=True):
+        assert mu.precision == prec
+        assert_sound(mu, mu_ext)
+
+
+@given(data=st.data(), field=fields, n=ranks, prec=precisions)
+@settings(max_examples=40, deadline=None)
+def test_lagrange_basis(data, field: FieldSpec, n: int, prec: int) -> None:
+    """The basis elements hold the ring's precision N."""
+    ring, ring_ext = split_rings(data, field, n, prec)
+    for elt, elt_ext in zip(ring.lagrange_basis, ring_ext.lagrange_basis, strict=True):
+        assert elt.precision == prec
+        assert_sound(elt, elt_ext)
+
+
+@given(data=st.data(), field=fields, n=ranks, prec=precisions)
+@settings(max_examples=40, deadline=None)
+def test_hensel_eigen(data, field: FieldSpec, n: int, prec: int) -> None:
+    """Projectors and eigenbasis hold the matrix's precision."""
+    m, m_ext = data.draw(split_matrix_pair(field, n, prec))
+    try:
+        eigen = hensel_eigen(FHiggs(m))
+    except RepeatedResidueRoot:
+        assume(False)
+    eigen_ext = hensel_eigen(FHiggs(m_ext))
+    for out, out_ext in zip(
+        (*eigen.projectors, eigen.gauge), (*eigen_ext.projectors, eigen_ext.gauge), strict=True
+    ):
+        assert out.precision == prec
+        assert_sound(out, out_ext)
 
 
 # -- matrices -----------------------------------------------------------------

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from pdisk.connection import FHiggs, dlog
+from pdisk.connection import Connection, FHiggs, dlog, pcurv
 from pdisk.errors import (
     BaseMismatch,
     DerivationUnavailable,
     NonSplitResidue,
     NonUnit,
+    PdiskError,
     RepeatedResidueRoot,
     ZeroPrecision,
 )
@@ -23,9 +24,17 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import EigenData, SpectralRing, eval_at, hensel_eigen
+from pdisk.spectral import EigenData, SpectralRing, check_residue_split, eval_at, hensel_eigen
 
-from conftest import M, S, companion_layout, eigen_rep, scale, spectral_product
+from conftest import (
+    M,
+    S,
+    companion_layout,
+    eigen_rep,
+    full_precision_eigenvalues,
+    scale,
+    spectral_product,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -144,6 +153,17 @@ class TestBuildSpectral:
         sq = t * t
         assert str(sq.coeffs[0]) == "z^2"
         assert str(sq.coeffs[1]) == "1"
+
+    @pytest.mark.parametrize(
+        "lead, want", [("1", "1 + z^3"), ("1 + z^3", "1")], ids=["one", "general"]
+    )
+    def test_reduction_meets_the_lead_precision(self, lead: str, want: str) -> None:
+        # z + z^3 t + lead t^2 with lead known to 4 orders: t^2 = t + z^2,
+        # and the constant-one lead, which forms no product, is cut the same
+        ring = artin_schreier_ring()
+        elt = ring.element([S(F2, "z", 9), S(F2, "z^3", 9), S(F2, lead, 4)])
+        assert elt.precision == 4
+        assert [str(c) for c in elt.coeffs] == ["z + z^2", want]
 
 
 # ==========================================================================
@@ -352,6 +372,110 @@ class TestHenselEigen:
         for mu, pk in zip(eigen.ring.eigenvalues, eigen.projectors):
             recon = recon + scale(pk, mu.truncate(p_sum.precision))
         assert recon.agrees_with(m)
+
+
+# ==========================================================================
+# eigenvalues against the full-precision lift
+# ==========================================================================
+
+# every precision to 40, each side of the doubling points 64 and 128, and
+# the precision of the deep harmonic solve (160) on either side
+ORACLE_PRECISIONS = [*range(1, 41), 63, 64, 65, 128, 129, 156, 161]
+# over F_4 and F_9 a series product is quadratic in scalar products, so the
+# full-precision lift of one rank-3 ring takes 0.4 s at N = 65, 2.6 s at 161
+EXTENSION_PRECISIONS = [*range(1, 17), 31, 32, 33]
+
+
+def pcurv_invariants(field: FieldSpec, n: int, precision: int) -> InvariantTuple:
+    """The invariants of a seeded connection's p-curvature, split where the field allows.
+
+    The p-curvature's residue needs only the connection's first p + 1
+    orders.  Up to 200 such draws are tried; the first that splits (else
+    the last) is continued to precision + p - 1 orders, whose p-curvature
+    has the given precision.
+    """
+    rng = SplitMix64(n)
+    for _ in range(200):
+        a = rng.matrix(field, VAR_DISK, n, field.p + 1)
+        ring = SpectralRing(pcurv(Connection(a)).matrix.invariants)
+        try:
+            check_residue_split(field, ring.residue_char())
+            break
+        except (NonSplitResidue, RepeatedResidueRoot):
+            continue
+    more = precision - 2
+    a = SeriesMatrix.from_rows(
+        [
+            [TruncSeries(field, VAR_DISK, e.coeffs + rng.series(field, VAR_DISK, more).coeffs)
+             for e in row]
+            for row in a.entries
+        ]
+    )
+    return pcurv(Connection(a)).matrix.invariants
+
+
+def lifted(lift, ring: SpectralRing):
+    """The list of roots a lift returns, or the type and payload of the error it raises."""
+    try:
+        return list(lift(ring))
+    except PdiskError as exc:
+        return type(exc), exc.payload()
+
+
+def doubling(ring: SpectralRing) -> tuple[TruncSeries, ...]:
+    """SpectralRing.eigenvalues, the lift at doubling precision, as a function of the ring."""
+    return ring.eigenvalues
+
+
+@FIELDS
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_match_the_full_precision_lift(field: FieldSpec, n: int) -> None:
+    """Equal roots (or equal errors: F_2 has no three distinct residue roots)."""
+    precisions = ORACLE_PRECISIONS if field.k == 1 else EXTENSION_PRECISIONS
+    b = pcurv_invariants(field, n, precisions[-1])
+    for prec in precisions:
+        ring = SpectralRing(b.truncate(prec))
+        want = lifted(full_precision_eigenvalues, ring)
+        assert lifted(doubling, ring) == want, prec
+        assert isinstance(want, list) == (field.q >= n), prec
+
+
+@pytest.mark.parametrize(
+    "field, texts, want",
+    [
+        (F5, ["3", "2"], [(1,), (2,)]),
+        (F9, ["0", "1"], [(3,), (6,)]),
+        (
+            F5,
+            ["2", "1"],
+            (RepeatedResidueRoot, "residue characteristic polynomial has a repeated root"),
+        ),
+        (
+            F3,
+            ["0", "1"],
+            (NonSplitResidue, "residue spectrum does not split over the coefficient field"),
+        ),
+    ],
+    ids=["split-F5", "split-F9", "repeated", "nonsplit"],
+)
+def test_eigenvalues_at_precision_one(field: FieldSpec, texts: list[str], want) -> None:
+    """At N = 1 the roots are the residue roots: no Newton step is taken."""
+    ring = SpectralRing(inv(field, texts, 1))
+    out = lifted(doubling, ring)
+    assert out == lifted(full_precision_eigenvalues, ring)
+    if isinstance(out, list):
+        assert [mu.coeffs for mu in out] == want
+    else:
+        assert (out[0], out[1]["message"]) == want
+
+
+def test_eigenvalues_at_precision_zero() -> None:
+    """No residue to read: the residue characteristic polynomial refuses."""
+    zero = TruncSeries.zero(F5, VAR_DISK, 0)
+    ring = SpectralRing(InvariantTuple((zero, zero)))
+    for lift in (doubling, full_precision_eigenvalues):
+        with pytest.raises(ZeroPrecision, match="coefficient 0 beyond precision 0"):
+            lift(ring)
 
 
 # ==========================================================================
