@@ -1,4 +1,4 @@
-"""Compare the two branches of ``series_sum_mul`` over F_p.
+"""Compare the two branches of ``series_sum_mul`` over F_p, and time the recursion kernels.
 
 Feeds identical inputs to the list branch of ``_kernels_py.series_sum_mul``
 (one schoolbook list, reduced once; forced at every length by raising
@@ -6,7 +6,10 @@ Feeds identical inputs to the list branch of ``_kernels_py.series_sum_mul``
 checks the outputs agree, and reports per-call timings, the speedup, and
 which branch ``series_sum_mul`` picks at each length.  The first table
 times one product; the second times sums of 2 and 3 products at the short
-lengths where the crossover for sums lies.  Run from the repository root:
+lengths where the crossover for sums lies.  The last table times
+``series_derivative`` of one entry and ``series_pcurv`` of a rank-2 matrix
+(m = x, p - 1 steps: the p-curvature) over F_5 and F_9 at N = 19 and 160.
+Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -23,6 +26,9 @@ PRIMES = [2, 3, 5, 7, 2**31 - 1]
 LENGTHS = [4, 6, 8, 10, 12, 14, 16, 19, 24, 32, 64, 256, 1024]
 SUM_PAIRS = [2, 3]
 SUM_LENGTHS = range(6, 20)
+# (name, p, k, modulus) and lengths of the timed recursion kernels, at rank 2
+RECURSION_FIELDS = [("F5", 5, 1, None), ("F9", 3, 2, (1, 0, 1))]
+RECURSION_LENGTHS = [19, 160]
 BUDGET_S = 0.02  # time per clock() sample
 
 
@@ -86,6 +92,14 @@ def main() -> None:
                     print(row(rng, crossover, npairs, p, n))
     finally:
         kernels.KRONECKER_MIN = crossover
+    print()
+    print(f"{'field':>5} {'rank':>5} {'n':>5} {'series_derivative':>18} {'series_pcurv':>14}")
+    for name, p, k, mod in RECURSION_FIELDS:
+        for n in RECURSION_LENGTHS:
+            m = [[[rng.below(p**k) for _ in range(n)] for _ in range(2)] for _ in range(2)]
+            t_deriv, _ = clock(kernels.series_derivative, m[0][0], p, k, mod)
+            t_pcurv, _ = clock(kernels.series_pcurv, m, m, p - 1, p, k, mod)
+            print(f"{name:>5} {2:>5} {n:>5} {fmt(t_deriv):>18} {fmt(t_pcurv):>14}")
 
 
 if __name__ == "__main__":

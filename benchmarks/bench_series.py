@@ -1,5 +1,5 @@
-"""Time the series objects (construction, sums, products, sums of products,
-matrix products) and the two p-curvature loops built on them.
+"""Time the series objects (construction, sums, products, derivatives, sums of
+products, matrix products) and the two p-curvatures built on them.
 
 The public constructors ``TruncSeries(...)`` and ``SeriesMatrix(...)`` check
 their data; a result computed from checked operands skips that check, and
@@ -10,7 +10,8 @@ F_5 and F_9 at the lengths the workloads use: 4 to 19 on the verify grid,
 and the matrix product ``@`` over F_5: at rank 2, the largest rank the
 workloads multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no
 workload reaches, to show how the product scales.  The p-curvature table times
-``pcurv`` and ``pcurv_in_ring`` over F_5 at rank 2, N = 19 and N = 160:
+``pcurv`` and ``pcurv_in_ring`` at rank 2 over F_5 at N = 19 and N = 160 and
+over F_9 at N = 19 (``time_pcurv``):
 ``pcurv`` on a fresh ``Connection`` per call, so the value a connection
 keeps is never what is timed, and ``pcurv_in_ring`` on the theta that
 ``solve_harmonic`` certifies.  The spectral table times, over F_5 and F_9
@@ -52,8 +53,8 @@ MATRIX_PRECISION = 19
 # (rank, precision) of the timed matrix products over F_5
 PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
 DOT_PRECISION = 19
-# precisions of the timed p-curvatures over F_5 at rank 2
-PCURV_PRECISIONS = [19, 160]
+# (field, precision) of the timed p-curvatures at rank 2
+PCURV_SHAPES = [("F5", 19), ("F5", 160), ("F9", 19)]
 # precisions of the timed spectral operations and eigenvalues, at each field and rank
 SPECTRAL_PRECISIONS = [19, 160]
 
@@ -80,13 +81,33 @@ def split_pcurv_invariants(rng: SplitMix64, f: FieldSpec, r: int, n: int) -> Inv
     return pcurv(Connection(SeriesMatrix.from_rows(rows))).matrix.invariants
 
 
+def time_pcurv(rng: SplitMix64, f: FieldSpec, n: int) -> tuple[float, float]:
+    """Seconds per call of pcurv (a fresh Connection) and pcurv_in_ring, at rank 2.
+
+    Both on a random connection that solve_harmonic accepts, pcurv_in_ring
+    on the theta it certifies.
+    """
+    while True:
+        m = rng.matrix(f, VAR_DISK, 2, n)
+        try:
+            theta = solve_harmonic(Connection(m)).harmonic.theta
+            break
+        except (NonSplitResidue, RepeatedResidueRoot):
+            continue
+    t_pcurv, _ = clock(lambda: pcurv(Connection(m)))
+    t_ring, _ = clock(pcurv_in_ring, theta)
+    return t_pcurv, t_ring
+
+
 def main() -> None:
     rng = SplitMix64(2024)
 
     def draw(f: FieldSpec, n: int) -> tuple[int, ...]:
         return tuple(rng.below(f.q) for _ in range(n))
 
-    print(f"{'field':>5} {'n':>5} {'TruncSeries()':>14} {'a + b':>12} {'a * b':>12}")
+    print(
+        f"{'field':>5} {'n':>5} {'TruncSeries()':>14} {'a + b':>12} {'a * b':>12} {'d/dz':>12}"
+    )
     for name, f in FIELDS.items():
         for n in LENGTHS:
             cs = draw(f, n)
@@ -95,7 +116,11 @@ def main() -> None:
             t_make, _ = clock(TruncSeries, f, VAR_DISK, cs)
             t_add, _ = clock(a.__add__, b)
             t_mul, _ = clock(a.__mul__, b)
-            print(f"{name:>5} {n:>5} {fmt(t_make):>14} {fmt(t_add):>12} {fmt(t_mul):>12}")
+            t_deriv, _ = clock(a.derivative)
+            print(
+                f"{name:>5} {n:>5} {fmt(t_make):>14} {fmt(t_add):>12} {fmt(t_mul):>12}"
+                f" {fmt(t_deriv):>12}"
+            )
     print(f"{'field':>5} {'rank':>5} {'SeriesMatrix()':>14}  (N = {MATRIX_PRECISION})")
     for name, f in FIELDS.items():
         for r in RANKS:
@@ -122,18 +147,10 @@ def main() -> None:
         t_matmul, _ = clock(a.__matmul__, b)
         print(f"{'F5':>5} {r:>5} {n:>5} {'a @ b':>12} {fmt(t_matmul):>12}")
     print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>14} {'time':>12}")
-    for n in PCURV_PRECISIONS:
-        while True:
-            m = rng.matrix(f, VAR_DISK, 2, n)
-            try:
-                theta = solve_harmonic(Connection(m)).harmonic.theta
-                break
-            except (NonSplitResidue, RepeatedResidueRoot):
-                continue
-        t_pcurv, _ = clock(lambda: pcurv(Connection(m)))
-        t_ring, _ = clock(pcurv_in_ring, theta)
-        print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv':>14} {fmt(t_pcurv):>12}")
-        print(f"{'F5':>5} {2:>5} {n:>5} {'pcurv_in_ring':>14} {fmt(t_ring):>12}")
+    for name, n in PCURV_SHAPES:
+        t_pcurv, t_ring = time_pcurv(rng, FIELDS[name], n)
+        print(f"{name:>5} {2:>5} {n:>5} {'pcurv':>14} {fmt(t_pcurv):>12}")
+        print(f"{name:>5} {2:>5} {n:>5} {'pcurv_in_ring':>14} {fmt(t_ring):>12}")
     print(
         f"{'field':>5} {'rank':>5} {'N':>5} {'inverse':>12} {'companion':>12} {'gcd':>12}"
         f" {'x * y kept':>12} {'x * y fresh':>12} {'char_inv':>12}"

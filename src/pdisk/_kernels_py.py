@@ -26,6 +26,16 @@ product when one operand is reversed, which is how ``series_inv`` and the
 order-by-order recursion of ``pdisk.cartier`` (``flat_matrix_section``,
 which ``kernel_unit`` runs through) compute their residuals.
 
+``series_derivative`` is d/dz of one coefficient list (``TruncSeries.derivative``).
+``series_pcurv`` is the one p-curvature recursion, x -> x' + m x on the
+columns of an n x c array of coefficient lists, for
+``Connection.p_curvature`` (m = x = A) and ``harmonic.pcurv_in_ring``
+(c = 1, m the matrix of theta plus the ring's derivation): over F_p it
+packs m once per call and each entry of x once per step, and sums each
+entry of m x as one integer; over F_{p^k} it runs the same recursion on
+``series_derivative``, ``series_sum_mul`` and ``series_add``.  The tests
+check it against the object-level loops in ``tests/conftest.py``.
+
 BACKEND tells the benchmark and tests which implementation they got.
 """
 
@@ -33,9 +43,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from operator import mul
+from operator import add, mul
 
-from .field import ext_add, ext_mul, ext_neg
+from .field import ext_add, ext_mul, ext_neg, ext_scalar_mul
 
 BACKEND = "python"
 
@@ -84,19 +94,23 @@ def _pack(cs, width: int) -> int:
     return int.from_bytes(slots.tobytes(), "little")
 
 
-def _unpack_mod(x: int, width: int, nout: int, p: int) -> list[int]:
-    """Byte slots 0 .. nout-1 of x, each reduced mod p; x must fit in them."""
+def _unpack(x: int, width: int, nout: int):
+    """Byte slots 0 .. nout-1 of x as a sequence of ints; x must fit in them."""
     raw = x.to_bytes(width * nout, "little")
     if width == 1:
-        return list(map(p.__rmod__, raw))
+        return raw
     typecode = _SLOT_TYPES.get(width)
     if typecode is None:
-        starts = range(0, len(raw), width)
-        return [int.from_bytes(raw[i : i + width], "little") % p for i in starts]
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     slots = array(typecode, raw)
     if _SWAP:
         slots.byteswap()
-    return list(map(p.__rmod__, slots))
+    return slots
+
+
+def _unpack_mod(x: int, width: int, nout: int, p: int) -> list[int]:
+    """Byte slots 0 .. nout-1 of x, each reduced mod p; x must fit in them."""
+    return list(map(p.__rmod__, _unpack(x, width, nout)))
 
 
 def _slot_width(terms: int, p: int) -> int:
@@ -170,3 +184,59 @@ def series_inv(a, nout: int, c0inv: int, p: int, k: int, mod) -> list[int]:
     for m in range(1, nout):
         out.append(ext_mul(neg_c0inv, series_dot(((a1, reversed(out)),), p, k, mod), p, k, mod))
     return out
+
+
+def series_derivative(a, p: int, k: int, mod) -> list[int]:
+    """d/dz: coefficient m of the result is (m + 1) * a[m + 1], one coefficient fewer than a."""
+    if k == 1:
+        return list(map(p.__rmod__, map(mul, range(1, len(a)), a[1:])))
+    return [ext_scalar_mul(m, a[m], p, k) for m in range(1, len(a))]
+
+
+def series_pcurv(m, x, steps: int, p: int, k: int, mod) -> list[list[list[int]]]:
+    """x -> x' + m x applied ``steps`` times to the columns of x.
+
+    m (n x n) and x (n x c) are rows of coefficient sequences, x's entries of
+    one length.  A step keeps one coefficient fewer than x had, and m's
+    entries must be at least that long, so the result's entries are
+    ``steps`` shorter than x's.  Over F_p the entries of m are packed once per
+    call, in slots wide enough for the n * len(x) products a slot of m x sums;
+    at each step every entry of x is packed once, each entry of m x is one
+    integer sum of n products, unpacked once, and the derivative joins it
+    before the one reduction mod p.  Over F_{p^k} a step is series_derivative
+    plus series_sum_mul, added by series_add.
+    """
+    if k > 1:
+        for _ in range(steps):
+            nout = len(x[0][0]) - 1
+            cols = list(zip(*x))
+            x = [
+                [
+                    series_add(
+                        series_derivative(e, p, k, mod),
+                        series_sum_mul(zip(row, col), nout, p, k, mod),
+                        p,
+                        k,
+                        mod,
+                    )
+                    for e, col in zip(xrow, cols)
+                ]
+                for row, xrow in zip(m, x)
+            ]
+        return x
+    width = _slot_width(len(m) * len(x[0][0]), p)
+    packed_m = [[_pack(e, width) for e in row] for row in m]
+    for _ in range(steps):
+        nout = len(x[0][0]) - 1
+        low = (1 << 8 * width * nout) - 1
+        cols = list(zip(*[[_pack(e, width) for e in row] for row in x]))
+        new = []
+        for prow, xrow in zip(packed_m, x):
+            out = []
+            for e, col in zip(xrow, cols):
+                slots = _unpack(sum(map(mul, prow, col)) & low, width, nout)
+                # (i + 1) e[i + 1] is the derivative's coefficient i; add stops at nout
+                out.append(list(map(p.__rmod__, map(add, slots, map(mul, range(1, len(e)), e[1:])))))
+            new.append(out)
+        x = new
+    return x

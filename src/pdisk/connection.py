@@ -7,13 +7,15 @@ which check_horizontality asserts.
 
 pcurv has exactly one semantics: the operator applied p times to the
 identity matrix, whose columns are the constant basis vectors.  The first
-application gives A itself, so the loop starts there and applies the
-operator p - 1 more times.  Each connection computes its p-curvature once
+application gives A itself, so the recursion starts there and applies the
+operator p - 1 more times, as one call of the kernel that
+pdisk.harmonic.pcurv_in_ring shares (series.pcurv_steps, over
+_kernels_py.series_pcurv).  Each connection computes its p-curvature once
 and keeps it (Connection.p_curvature, under field.Value); its invariants
 are those of its matrix (SeriesMatrix.invariants), also computed once.
-The rank-1 closed form f^p + (d/dz)^(p-1) f and the identity-seeded p-fold
-loop exist in the test suite as independent oracles and are deliberately
-not used here.
+The rank-1 closed form f^p + (d/dz)^(p-1) f, the identity-seeded p-fold
+loop and the matrix loop seeded at A exist in the test suite as
+independent oracles and are deliberately not used here.
 
 gauge is the one frame change.  Moving by the inverse of a matrix h,
 gauge(h.inverse(), conn), eliminates once: the inverse keeps h as its own
@@ -28,7 +30,7 @@ from functools import cached_property
 from .errors import InsufficientPrecision, VarMismatch
 from .field import Value
 from .matrix import SeriesMatrix
-from .series import TruncSeries, VAR_DISK
+from .series import TruncSeries, VAR_DISK, pcurv_steps
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,15 @@ class Connection(Value):
         """The p-curvature, computed on first read; InsufficientPrecision below N = p + 1.
 
         The operator sends the identity to A exactly (dI/dz = 0, A I = A),
-        so the loop is seeded at A and applies X -> dX/dz + A X p - 1 times:
-        each application costs one order, leaving N - p + 1.
+        so the recursion is seeded at A and applies X -> dX/dz + A X p - 1
+        times, in one pcurv_steps call with m = x = A: each application
+        costs one order, leaving N - p + 1.
         """
         p = self.field.p
         if self.precision < p + 1:
             raise InsufficientPrecision(f"need precision >= p + 1 = {p + 1}, have {self.precision}")
-        a = self.matrix
-        x = a
-        for _ in range(p - 1):
-            x = x.derivative() + a @ x
-        return FHiggs(x)
+        a = self.matrix.entries
+        return FHiggs(SeriesMatrix._computed(pcurv_steps(a, a, p - 1)))
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ def gauge(g: SeriesMatrix, conn: Connection) -> Connection:
 def pcurv(conn: Connection) -> FHiggs:
     """The p-curvature: the p-fold composite of X -> dX/dz + A X, applied to I.
 
-    Computed once per connection (Connection.p_curvature, seeded at A, the
-    first application) and returned from there on every later call.  The
-    result holds N - p + 1 orders.
+    Computed once per connection (Connection.p_curvature: p - 1 steps of
+    one kernel recursion seeded at A, the first application) and returned
+    from there on every later call.  The result holds N - p + 1 orders.
     """
     return conn.p_curvature
 

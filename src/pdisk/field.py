@@ -7,9 +7,9 @@ the code is the residue itself and no modulus is needed.
 
 The encoding keeps series coefficients hashable and cheap to hand to the
 series kernels in ``pdisk._kernels_py``.  The module-level ``decode``,
-``encode``, ``ext_add``, ``ext_neg`` and ``ext_mul`` are the one
-implementation of F_{p^k} digit arithmetic: ``FieldSpec`` and the k > 1
-kernel loops both call them.
+``encode``, ``ext_add``, ``ext_neg``, ``ext_scalar_mul`` and ``ext_mul``
+are the one implementation of F_{p^k} digit arithmetic: ``FieldSpec`` and
+the k > 1 kernel loops both call them.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ def ext_add(a: int, b: int, p: int, k: int) -> int:
 
 def ext_neg(a: int, p: int, k: int) -> int:
     return encode([-x for x in decode(a, p, k)], p)
+
+
+def ext_scalar_mul(c: int, a: int, p: int, k: int) -> int:
+    """The integer multiple c * a, through the prime subfield: each digit times c."""
+    return encode([c * x for x in decode(a, p, k)], p)
 
 
 def ext_mul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
@@ -179,10 +184,9 @@ class FieldSpec(Value):
         return ext_mul(a, b, self.p, self.k, self.modulus)
 
     def scalar_mul(self, c: int, a: int) -> int:
-        c %= self.p
         if self.k == 1:
             return (c * a) % self.p
-        return self.encode([(c * x) % self.p for x in self.decode(a)])
+        return ext_scalar_mul(c, a, self.p, self.k)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -40,7 +40,7 @@ from .errors import (
 from .field import Value
 from .hitchin import descend_certified, descend_invariants, frobenius_base_pullback, phitchin
 from .matrix import InvariantTuple, SeriesMatrix
-from .series import TruncSeries, VAR_TWIST, dot
+from .series import TruncSeries, VAR_TWIST, dot, pcurv_steps
 from .spectral import SpectralElement, SpectralRing, check_residue_split, eval_at, hensel_eigen
 
 
@@ -52,18 +52,31 @@ def pcurv_in_ring(theta: SpectralElement) -> SpectralElement:
     """p-curvature of the scalar connection d + theta inside its ring.
 
     Computed the same way as the matrix p-curvature: p-fold application
-    of r -> dr + theta*r to 1.  The first step gives theta exactly (d1 = 0,
-    theta*1 = theta), at the precision it would have had when 1 is taken at
-    the ring's precision, so the loop is seeded there and runs p - 1 times.
-    Output precision: theta's minus p - 1, or the ring's minus p if lower.
+    of r -> D(r) + theta*r to 1, with D the ring's derivation.  The first
+    step gives theta exactly (D1 = 0, theta*1 = theta), at the precision it
+    would have had when 1 is taken at the ring's precision, so the
+    recursion is seeded there and runs p - 1 times, as one pcurv_steps call
+    on theta's coordinates.  In coordinates D(r) = r' + rep(dt) S r, where
+    r' is coefficientwise, dt = ring.derivation() and S is d/dt (S[i-1][i] =
+    i), so each step is r -> r' + m r with m = rep(theta) + rep(dt) S;
+    over a pulled-back base dt = 0 and m = rep(theta).  A ring without a
+    derivation refuses first (DerivationUnavailable), then a seed shorter
+    than p - 1 (ZeroPrecision).  Output precision: theta's minus p - 1, or
+    the ring's minus p if lower.
     """
     ring = theta.ring
     # the step from 1 differentiates first, so a ring without a derivation refuses first
-    ring.derivation()
-    r = theta.truncate(max(0, min(theta.precision, ring.precision - 1)))
-    for _ in range(ring.field.p - 1):
-        r = r.derivative() + theta * r
-    return r
+    dt = ring.derivation()
+    m = theta.rep.entries
+    if not dt.is_zero():
+        d = dt.rep.entries
+        m = [
+            [e + d[i][j - 1].scale_int(j) if j else e for j, e in enumerate(row)]
+            for i, row in enumerate(m)
+        ]
+    seed = theta.truncate(max(0, min(theta.precision, ring.precision - 1)))
+    column = pcurv_steps(m, [[c] for c in seed.coeffs], ring.field.p - 1)
+    return ring.element([row[0] for row in column])
 
 
 def frame_for_rank(rank: int) -> str:

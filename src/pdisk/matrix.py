@@ -1,8 +1,10 @@
 """Dense square matrices of truncated series, all entries at one precision.
 
 ``SeriesMatrix(...)`` and ``map_entries`` check shape, field, variable and
-precision; a sum, difference, product or inverse of checked operands is
-built by ``SeriesMatrix._computed`` without a second check.
+precision, and ``diagonal`` (so ``identity`` and ``zero``) checks its
+entries the same way; a sum, difference, product or inverse of checked
+operands, and the zeros a diagonal matrix is filled with, are built by
+``SeriesMatrix._computed`` without a second check.
 
 A matrix's inverse and characteristic invariants are computed once and
 kept beside its entries (field.Value).  The inverse holds the matrix as its
@@ -35,6 +37,18 @@ from .series import TruncSeries, dot
 MAX_RANK = 8
 
 
+def _check_agree(entries: Sequence[TruncSeries]) -> None:
+    """Every entry has the first one's field, variable and precision, checked in order."""
+    first = entries[0]
+    field = first.field
+    precision = len(first.coeffs)
+    for e in entries:
+        if (e.field is not field and e.field != field) or e.var != first.var:
+            raise DimensionMismatch("entries disagree on field or variable")
+        if len(e.coeffs) != precision:
+            raise DimensionMismatch("entries disagree on precision")
+
+
 @dataclass(frozen=True)
 class SeriesMatrix(Value):
     """An n x n matrix over the truncated series ring."""
@@ -47,15 +61,7 @@ class SeriesMatrix(Value):
             raise DimensionMismatch("rank must be at least 1")
         if any(len(row) != n for row in self.entries):
             raise DimensionMismatch("matrix is not square")
-        first = self.entries[0][0]
-        field = first.field
-        precision = len(first.coeffs)
-        for row in self.entries:
-            for e in row:
-                if (e.field is not field and e.field != field) or e.var != first.var:
-                    raise DimensionMismatch("entries disagree on field or variable")
-                if len(e.coeffs) != precision:
-                    raise DimensionMismatch("entries disagree on precision")
+        _check_agree([e for row in self.entries for e in row])
 
     @classmethod
     def _computed(cls, entries: tuple[tuple[TruncSeries, ...], ...]) -> "SeriesMatrix":
@@ -78,11 +84,15 @@ class SeriesMatrix(Value):
 
     @classmethod
     def diagonal(cls, diag: Sequence[TruncSeries]) -> "SeriesMatrix":
+        """The diagonal matrix of checked series, which must agree as the constructor requires."""
         if not diag:
             raise DimensionMismatch("rank must be at least 1")
+        _check_agree(diag)
         zero = TruncSeries.zero(diag[0].field, diag[0].var, diag[0].precision)
         n = len(diag)
-        return cls(tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)))
+        return cls._computed(
+            tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     # -- basics -----------------------------------------------------------
 

@@ -8,6 +8,7 @@ is ever silently zero-filled.
     add, sub, mul, dot   min(N_a, N_b, ...)
     inverse              N_a           (unit constant term required)
     derivative           N_a - 1
+    pcurv_steps          N_x - steps   (one order per derivative)
     descend              ceil(N / p)   (see descend_pth_power)
 
 This arithmetic, with ``SeriesMatrix`` built on it, is the one place
@@ -47,6 +48,14 @@ from .field import FieldSpec
 
 VAR_DISK = "z"
 VAR_TWIST = "z'"
+
+
+def _check_constant(var: str, precision: int) -> None:
+    """The refusals of a constant series, in the order ``make`` and the constructor raise them."""
+    if precision < 0:
+        raise ZeroPrecision(f"negative precision {precision}")
+    if var not in (VAR_DISK, VAR_TWIST):
+        raise VarMismatch(f"unknown variable {var!r}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,13 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":
-        return cls.make(field, var, (), precision)
+        _check_constant(var, precision)
+        return cls._computed(field, var, (0,) * precision)
 
     @classmethod
     def one(cls, field: FieldSpec, var: str, precision: int) -> "TruncSeries":
-        return cls.constant(field, var, 1, precision)
+        _check_constant(var, precision)
+        return cls._computed(field, var, ((1,) + (0,) * (precision - 1)) if precision else ())
 
     @classmethod
     def constant(cls, field: FieldSpec, var: str, c: int, precision: int) -> "TruncSeries":
@@ -208,10 +219,8 @@ class TruncSeries:
         if self.precision == 0:
             raise ZeroPrecision("cannot differentiate a precision-0 series")
         f = self.field
-        out = tuple(
-            f.scalar_mul(m + 1, self.coeffs[m + 1]) for m in range(self.precision - 1)
-        )
-        return TruncSeries._computed(f, self.var, out)
+        out = impl.series_derivative(self.coeffs, f.p, f.k, f.modulus)
+        return TruncSeries._computed(f, self.var, tuple(out))
 
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:
@@ -295,6 +304,31 @@ def dot(xs: Iterable[TruncSeries], ys: Iterable[TruncSeries]) -> TruncSeries:
     nout = min(min(len(a), len(b)) for a, b in cs)
     out = impl.series_sum_mul(cs, nout, f.p, f.k, f.modulus)
     return TruncSeries._computed(f, x0.var, tuple(out))
+
+
+def pcurv_steps(m, x, steps: int) -> tuple[tuple[TruncSeries, ...], ...]:
+    """x -> dx/dz + m x applied ``steps`` times to the columns of x, by one kernel call.
+
+    m is an n x n and x an n x c array of series (rows of entries) over one
+    field and variable; x's entries share one precision P, and m's are
+    known to at least P - 1.  Each step differentiates, so it keeps
+    one order fewer: the result has x's precision minus ``steps``, and
+    ZeroPrecision when ``steps`` exceeds it.
+    """
+    x0 = x[0][0]
+    m[0][0]._check_peer(x0)
+    if steps > x0.precision:
+        raise ZeroPrecision("cannot differentiate a precision-0 series")
+    f, var = x0.field, x0.var
+    out = impl.series_pcurv(
+        [[e.coeffs for e in row] for row in m],
+        [[e.coeffs for e in row] for row in x],
+        steps,
+        f.p,
+        f.k,
+        f.modulus,
+    )
+    return tuple(tuple(TruncSeries._computed(f, var, tuple(cs)) for cs in row) for row in out)
 
 
 def format_element(field: FieldSpec, a: int) -> str:

@@ -276,10 +276,18 @@ class SpectralElement(Value):
         return self.ring.element([inv.entry(i, 0) for i in range(self.ring.rank)])
 
     def derivative(self) -> "SpectralElement":
-        """The extended z-derivation: coefficientwise d/dz plus dt/dz (kept matrix) d/dt."""
+        """The extended z-derivation: coefficientwise d/dz plus dt/dz (kept matrix) d/dt.
+
+        Over a pulled-back base dt/dz is zero and the coefficientwise part is
+        the whole: the same bytes and precision, since an element is never
+        more precise than its ring and dt/dz has the ring's precision less one.
+        """
         ring = self.ring
         dz_part = ring.element([c.derivative() for c in self.coeffs])
-        return dz_part + ring.derivation() * ring.element(t_derivative(self.coeffs))
+        dt = ring.derivation()
+        if dt.is_zero():
+            return dz_part
+        return dz_part + dt * ring.element(t_derivative(self.coeffs))
 
     # -- evaluation -------------------------------------------------------
 

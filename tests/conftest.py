@@ -139,6 +139,33 @@ def full_precision_eigenvalues(ring: SpectralRing) -> tuple[TruncSeries, ...]:
     return tuple(mus)
 
 
+def pcurv_loop(a: SeriesMatrix, x: SeriesMatrix, steps: int) -> SeriesMatrix:
+    """X -> dX/dz + A X applied ``steps`` times to X, one matrix operation at a time.
+
+    The loop Connection.p_curvature ran before the recursion became one
+    kernel call: pcurv_loop(A, A, p - 1) is the p-curvature.  An oracle for
+    _kernels_py.series_pcurv with c = n.
+    """
+    for _ in range(steps):
+        x = x.derivative() + a @ x
+    return x
+
+
+def pcurv_in_ring_loop(theta):
+    """r -> D(r) + theta r applied p - 1 times to theta, one ring operation at a time.
+
+    The loop pcurv_in_ring ran before it became one kernel call: seeded at
+    theta cut to min(its precision, the ring's - 1), with the same errors in
+    the same order.  An oracle for pcurv_in_ring.
+    """
+    ring = theta.ring
+    ring.derivation()
+    r = theta.truncate(max(0, min(theta.precision, ring.precision - 1)))
+    for _ in range(ring.field.p - 1):
+        r = r.derivative() + theta * r
+    return r
+
+
 @pytest.fixture
 def f2() -> FieldSpec:
     return FieldSpec(2)

@@ -8,7 +8,11 @@ crossover and for moduli beyond machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
 field's own arithmetic.  series_dot is checked over both kinds of field
 against a sum of FieldSpec products, and series_sum_mul against sums of
-series_mul products taken one series_add at a time.
+series_mul products taken one series_add at a time.  series_derivative is
+checked against FieldSpec integer multiples, and series_pcurv against the
+object-level loops of tests/conftest.py (pcurv_loop, and apply for a single
+column), over F_p and F_{p^k}; pcurv_in_ring, its caller, against
+pcurv_in_ring_loop on rings with and without a zero derivation.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ import pytest
 
 import pdisk._kernels_py as kernels
 from pdisk.backend import BACKEND, impl
+from pdisk.connection import Connection
+from pdisk.errors import DerivationUnavailable, PdiskError
 from pdisk.field import FieldSpec
+from pdisk.harmonic import pcurv_in_ring
+from pdisk.hitchin import frobenius_base_pullback
+from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
+from pdisk.series import VAR_DISK, VAR_TWIST
+from pdisk.spectral import SpectralRing
 
-from conftest import schoolbook_mul
+from conftest import apply, pcurv_in_ring_loop, pcurv_loop, schoolbook_mul
 
 PRIMES = [2, 3, 5, 7, 2**31 - 1, 4294967311]
 CROSS = kernels.KRONECKER_MIN
@@ -229,3 +240,95 @@ def test_series_sum_mul_full_slots_at_width_boundaries(p: int) -> None:
             nout = lengths[0]
             want = sum_mul_oracle(pairs, nout, p, 1, None)
             assert impl.series_sum_mul(pairs, nout, p, 1, None) == want
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
+def test_series_derivative_matches_integer_multiples(field: FieldSpec) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(790 + field.q % 1000)
+    assert impl.series_derivative([], p, k, mod) == []
+    # lengths around p, where a multiple of p first meets a coefficient, for the small primes
+    around_p = (p - 1, p, p + 1, 3 * p + 2) if p < 100 else ()
+    for n in (1, 2, 3, CROSS, 40, *around_p):
+        for a in (draw(rng, field.q, n), (field.q - 1,) * n):
+            want = [field.scalar_mul(m, a[m]) for m in range(1, n)]
+            assert impl.series_derivative(a, p, k, mod) == want
+
+
+PCURV_FIELDS = [FieldSpec(p) for p in (2, 3, 5, 7, 11)] + [
+    FieldSpec(2, 2, (1, 1, 1)),
+    FieldSpec(3, 2, (1, 0, 1)),
+]
+
+
+def pcurv_lengths(p: int) -> list[int]:
+    """From p + 1 up to both sides of the Kronecker crossover, and 160."""
+    short = sorted({p + 1, p + 2, CROSS - 1, CROSS, CROSS + 1} - set(range(p + 1)))
+    return short + [160]
+
+
+@pytest.mark.parametrize("field", PCURV_FIELDS, ids=str)
+def test_series_pcurv_matches_the_loops(field: FieldSpec) -> None:
+    p, k, mod = field.p, field.k, field.modulus
+    steps = p - 1
+    rng = SplitMix64(890 + field.q)
+    for n in (1, 2, 3):
+        for length in pcurv_lengths(p):
+            # over F_{p^k} a step is quadratic in ext_mul calls: at length 160
+            # only ranks 1 and 2 and the seed A
+            deep_ext = k > 1 and length == 160
+            if deep_ext and n == 3:
+                continue
+            a = rng.matrix(field, VAR_DISK, n, length)
+            rows = [[e.coeffs for e in row] for row in a.entries]
+            # c = n: the matrix loop from a random seed, and from A (the p-curvature)
+            seeds = [a] if deep_ext else [rng.matrix(field, VAR_DISK, n, length), a]
+            for x in seeds:
+                want = pcurv_loop(a, x, steps)
+                seed = [[e.coeffs for e in row] for row in x.entries]
+                got = impl.series_pcurv(rows, seed, steps, p, k, mod)
+                assert got == [[list(e.coeffs) for e in row] for row in want.entries]
+            if deep_ext:
+                continue
+            # c = 1: the connection applied to one column, m longer than x by one order
+            conn = Connection(a)
+            col = [rng.series(field, VAR_DISK, length - 1) for _ in range(n)]
+            got = impl.series_pcurv(rows, [[c.coeffs] for c in col], steps, p, k, mod)
+            for _ in range(steps):
+                col = apply(conn, col)
+            assert got == [[list(c.coeffs)] for c in col]
+            assert len(got[0][0]) == length - 1 - steps
+
+
+def _outcome(compute, theta):
+    try:
+        return compute(theta)
+    except PdiskError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", PCURV_FIELDS, ids=str)
+def test_pcurv_in_ring_matches_the_loop(field: FieldSpec, n: int) -> None:
+    # general bases carry a nonzero derivation, pulled-back ones a zero one;
+    # theta at the ring's precision and below it, and errors compared too
+    p = field.p
+    rng = SplitMix64(990 + 10 * field.q + n)
+    seen = set()
+    for trial in range(24):
+        prec = [p - 1, p, p + 1, 2 * p + 3, 19][trial % 5]
+        if trial % 2:
+            twist = tuple(rng.series(field, VAR_TWIST, -(-prec // p)) for _ in range(n))
+            b = frobenius_base_pullback(InvariantTuple(twist)).truncate(prec)
+        else:
+            b = InvariantTuple(tuple(rng.series(field, VAR_DISK, prec) for _ in range(n)))
+        ring = SpectralRing(b)
+        for cut in (0, 1, p):
+            theta = ring.element([rng.series(field, VAR_DISK, max(0, prec - cut)) for _ in range(n)])
+            want = _outcome(pcurv_in_ring_loop, theta)
+            assert _outcome(pcurv_in_ring, theta) == want
+        try:
+            seen.add(ring.derivation().is_zero())
+        except DerivationUnavailable:
+            seen.add(None)
+    assert {True, False} <= seen

@@ -252,6 +252,30 @@ def test_horizontality_precision_guard() -> None:
         check_horizontality(conn, pcurv(conn))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pcurv_refusal_names_p_plus_one(p: int) -> None:
+    # the bound is p + 1, and the message says so: N = p is refused, N = p + 1 accepted
+    f = FieldSpec(p)
+    rng = SplitMix64(60 + p)
+    with pytest.raises(InsufficientPrecision, match=rf"^need precision >= p \+ 1 = {p + 1}, have {p}$"):
+        pcurv(Connection(rng.matrix(f, VAR_DISK, 2, p)))
+    assert pcurv(Connection(rng.matrix(f, VAR_DISK, 2, p + 1))).matrix.precision == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_horizontality_guard_at_its_boundary(p: int) -> None:
+    # N = p + 2 is the least precision with a residual: zero there; N = p + 1 is refused
+    f = FieldSpec(p)
+    rng = SplitMix64(70 + p)
+    for rank in (1, 2):
+        conn = Connection(rng.matrix(f, VAR_DISK, rank, p + 2))
+        residual = check_horizontality(conn, pcurv(conn))
+        assert residual.is_zero() and residual.precision == 2
+        short = Connection(rng.matrix(f, VAR_DISK, rank, p + 1))
+        with pytest.raises(InsufficientPrecision, match="need precision >= p \\+ 2"):
+            check_horizontality(short, pcurv(short))
+
+
 def test_dlog_gauge_flat() -> None:
     # the gauge orbit of the trivial connection has vanishing composite
     for p in (2, 3, 5):

@@ -293,6 +293,7 @@ CLI_DOCUMENTS = {
     "form": {"p": 3, "var": "z", "precision": 6, "coefficient": "1 + z^2 + z^5"},
     "zeta9": dict(F9_HEADER, element=[1, 2]),
     "form9": dict(F9_HEADER, var="z", precision=6, coefficient="[1,1] + z^2"),
+    "unit9": dict(F9_HEADER, var="z", precision=5, series="[1,1] + [0,2]*z + z^3"),
     "target": {"p": 3, "var": "z'", "precision": 3, "coefficient": "1 + z"},
     "unit": {"p": 3, "var": "z", "precision": 5, "series": "1 + z"},
     "power": {"p": 3, "var": "z", "precision": 7, "series": "1 + 2*z^3"},
@@ -304,7 +305,7 @@ CLI_DOCUMENTS = {
 
 
 def cli_traffic(tmp_path: Path) -> None:
-    """cli.main once per subcommand on small documents: one over F_9, one malformed, one refused."""
+    """cli.main once per subcommand on small documents: two over F_9, one malformed, one refused."""
     path = {name: tmp_path / f"{name}.json" for name in [*CLI_DOCUMENTS, "pkg", "datum", "higgs", "inverse"]}
     for name, doc in CLI_DOCUMENTS.items():
         path[name].write_text(json.dumps(doc))
@@ -322,6 +323,7 @@ def cli_traffic(tmp_path: Path) -> None:
         (["hp", "-i", path["zeta9"], "-i", path["form9"]], 0),
         (["solve-hp", "-i", path["target"]], 0),
         (["dlog", "-i", path["unit"]], 0),
+        (["dlog", "-i", path["unit9"]], 0),
         (["descend", "-i", path["power"]], 0),
         (["descend", "-i", path["no-power"]], 1),
         (["pcurv", "-i", path["malformed"]], 2),
@@ -354,10 +356,12 @@ def test_every_member_is_reached(tmp_path: Path, capsys) -> None:
 
 def test_reached_counts_only_calls_from_the_package() -> None:
     m = pdisk.SeriesMatrix.identity(pdisk.FieldSpec(3), "z", 2, 4)
-    reached = reached_from_package(lambda: m.inverse())
-    # the test's own call does not count; the elimination inverse runs does, and so
-    # do __post_init__ through the dataclass __init__ and is_unit of the pivots
+    reached = reached_from_package(lambda: m.inverse().truncate(3))
+    # the test's own calls do not count; the elimination inverse runs does, and so
+    # do is_unit of the pivots and, under truncate's map_entries, __post_init__
+    # through the dataclass __init__
     assert "matrix:SeriesMatrix.inverse" not in reached
+    assert "matrix:SeriesMatrix.truncate" not in reached
     assert {
         "matrix:SeriesMatrix._eliminate",
         "matrix:SeriesMatrix.__post_init__",

@@ -24,7 +24,14 @@ from pdisk.hitchin import (
 from pdisk.matrix import SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
-from pdisk.spectral import EigenData, SpectralRing, check_residue_split, eval_at, hensel_eigen
+from pdisk.spectral import (
+    EigenData,
+    SpectralRing,
+    check_residue_split,
+    eval_at,
+    hensel_eigen,
+    t_derivative,
+)
 
 from conftest import (
     M,
@@ -145,6 +152,43 @@ class TestBuildSpectral:
                     outcomes.add((pulled, reference.is_zero()))
         assert {(True, True), (False, False)} <= outcomes
         assert None in {zero for _, zero in outcomes}
+
+    @FIELDS
+    @BASES
+    def test_element_derivative_matches_the_full_formula(self, field: FieldSpec, pulled: bool) -> None:
+        # coefficientwise d/dz plus dt * d/dt, the product formed even when dt is
+        # zero; equal coefficient tuples, so equal bytes and precision
+        rng = SplitMix64(40 * field.q + pulled)
+        zeros = set()
+        for n in (1, 2, 3):
+            for prec in (1, field.p, 2 * field.p + 3):
+                ring = SpectralRing(random_base(rng, field, n, prec, pulled))
+                try:
+                    dt = ring.derivation()
+                except DerivationUnavailable:
+                    continue
+                zeros.add(dt.is_zero())
+                for cut in range(min(2, prec)):
+                    x = ring.element([rng.series(field, VAR_DISK, prec - cut) for _ in range(n)])
+                    dz_part = ring.element([c.derivative() for c in x.coeffs])
+                    full = dz_part + dt * ring.element(t_derivative(x.coeffs))
+                    assert x.derivative() == full
+                    assert x.derivative().precision == full.precision == x.precision - 1
+        if pulled:
+            assert zeros == {True}
+        else:
+            # a general base known past order 0 has a nonzero derivation
+            assert False in zeros
+
+    def test_element_derivative_refusal_order(self) -> None:
+        # a precision-0 element refuses to differentiate before a ring without a
+        # derivation is asked for one, as the formula did
+        ring = SpectralRing(inv(F2, ["0", "z^2"], 9))
+        x = ring.element([TruncSeries.zero(F2, VAR_DISK, 0)] * 2)
+        with pytest.raises(ZeroPrecision):
+            x.derivative()
+        with pytest.raises(DerivationUnavailable):
+            ring.tautological().derivative()
 
     def test_reduction_mod_char(self) -> None:
         ring = artin_schreier_ring()
