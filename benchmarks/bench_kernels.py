@@ -7,8 +7,10 @@ checks the outputs agree, and reports per-call timings, the speedup, and
 which branch ``series_sum_mul`` picks at each length.  The first table
 times one product; the second times sums of 2 and 3 products at the short
 lengths where the crossover for sums lies.  The last table times
-``series_derivative`` of one entry and ``series_pcurv`` of a rank-2 matrix
-(m = x, p - 1 steps: the p-curvature) over F_5 and F_9 at N = 19 and 160.
+``series_derivative`` of one entry, ``series_pcurv`` of a rank-2 matrix
+(m = x, p - 1 steps: the p-curvature) and the matrix kernels
+``series_matmul``, ``series_matinv`` and ``series_charpoly`` of rank-2
+matrices over F_5 and F_9 at N = 19 and 160.
 Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -93,13 +95,28 @@ def main() -> None:
     finally:
         kernels.KRONECKER_MIN = crossover
     print()
-    print(f"{'field':>5} {'rank':>5} {'n':>5} {'series_derivative':>18} {'series_pcurv':>14}")
+    print(
+        f"{'field':>5} {'rank':>5} {'n':>5} {'series_derivative':>18} {'series_pcurv':>14}"
+        f" {'series_matmul':>14} {'series_matinv':>14} {'series_charpoly':>16}"
+    )
     for name, p, k, mod in RECURSION_FIELDS:
         for n in RECURSION_LENGTHS:
-            m = [[[rng.below(p**k) for _ in range(n)] for _ in range(2)] for _ in range(2)]
+            m, b = (
+                [[[rng.below(p**k) for _ in range(n)] for _ in range(2)] for _ in range(2)]
+                for _ in range(2)
+            )
+            # a unit constant term on the diagonal and zero below it: invertible
+            m[0][0][0] = m[1][1][0] = 1
+            m[1][0][0] = 0
             t_deriv, _ = clock(kernels.series_derivative, m[0][0], p, k, mod)
             t_pcurv, _ = clock(kernels.series_pcurv, m, m, p - 1, p, k, mod)
-            print(f"{name:>5} {2:>5} {n:>5} {fmt(t_deriv):>18} {fmt(t_pcurv):>14}")
+            t_matmul, _ = clock(kernels.series_matmul, m, b, p, k, mod)
+            t_matinv, _ = clock(kernels.series_matinv, m, p, k, mod)
+            t_charpoly, _ = clock(kernels.series_charpoly, m, p, k, mod)
+            print(
+                f"{name:>5} {2:>5} {n:>5} {fmt(t_deriv):>18} {fmt(t_pcurv):>14}"
+                f" {fmt(t_matmul):>14} {fmt(t_matinv):>14} {fmt(t_charpoly):>16}"
+            )
 
 
 if __name__ == "__main__":

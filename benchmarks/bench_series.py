@@ -6,10 +6,12 @@ their data; a result computed from checked operands skips that check, and
 the ``a + b`` column shows what such a result costs beside a checked build.
 This reports per-call timings (best of five, as ``bench_kernels.py``) over
 F_5 and F_9 at the lengths the workloads use: 4 to 19 on the verify grid,
-160 in the deep harmonic solve.  The last table times ``dot`` of two pairs
-and the matrix product ``@`` over F_5: at rank 2, the largest rank the
-workloads multiply, at N = 19 and N = 160, and at ranks 3 and 4, which no
-workload reaches, to show how the product scales.  The p-curvature table times
+160 in the deep harmonic solve.  The matrix table times ``dot`` of two
+pairs and, over F_5, the matrix product ``@``, the ``inverse`` and
+``char_invariants``: at rank 2, the largest rank the workloads reach, at
+N = 19 and N = 160, and at ranks 3, 4 and 8 (``MAX_RANK``), which no
+workload reaches, to show how each scales.  The inverse is timed on a
+fresh matrix per call, since a matrix keeps its inverse.  The p-curvature table times
 ``pcurv`` and ``pcurv_in_ring`` at rank 2 over F_5 at N = 19 and N = 160 and
 over F_9 at N = 19 (``time_pcurv``):
 ``pcurv`` on a fresh ``Connection`` per call, so the value a connection
@@ -41,7 +43,7 @@ from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring, solve_harmonic
 from pdisk.hitchin import char_invariants, companion_section
-from pdisk.matrix import InvariantTuple, SeriesMatrix
+from pdisk.matrix import MAX_RANK, InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
 from pdisk.spectral import SpectralElement, SpectralRing, check_residue_split
@@ -50,8 +52,8 @@ FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
 RANKS = [2, 3]
 MATRIX_PRECISION = 19
-# (rank, precision) of the timed matrix products over F_5
-PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160)]
+# (rank, precision) of the timed matrix products, inverses and invariants over F_5
+PRODUCT_SHAPES = [(2, 19), (2, 160), (3, 60), (4, 160), (MAX_RANK, 19)]
 DOT_PRECISION = 19
 # (field, precision) of the timed p-curvatures at rank 2
 PCURV_SHAPES = [("F5", 19), ("F5", 160), ("F9", 19)]
@@ -137,15 +139,19 @@ def main() -> None:
 
     xs, ys = [series(DOT_PRECISION) for _ in range(2)], [series(DOT_PRECISION) for _ in range(2)]
     t_dot, _ = clock(dot, xs, ys)
-    print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>12} {'time':>12}")
-    print(f"{'F5':>5} {'-':>5} {DOT_PRECISION:>5} {'dot, 2 pairs':>12} {fmt(t_dot):>12}")
+    print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>16} {'time':>12}")
+    print(f"{'F5':>5} {'-':>5} {DOT_PRECISION:>5} {'dot, 2 pairs':>16} {fmt(t_dot):>12}")
     for r, n in PRODUCT_SHAPES:
         a, b = (
             SeriesMatrix(tuple(tuple(series(n) for _ in range(r)) for _ in range(r)))
             for _ in range(2)
         )
+        u = rng.unit_matrix(f, VAR_DISK, r, n)
         t_matmul, _ = clock(a.__matmul__, b)
-        print(f"{'F5':>5} {r:>5} {n:>5} {'a @ b':>12} {fmt(t_matmul):>12}")
+        t_inv, _ = clock(lambda: SeriesMatrix(u.entries).inverse())
+        t_char, _ = clock(char_invariants, a)
+        for op, t in (("a @ b", t_matmul), ("inverse", t_inv), ("char_invariants", t_char)):
+            print(f"{'F5':>5} {r:>5} {n:>5} {op:>16} {fmt(t):>12}")
     print(f"{'field':>5} {'rank':>5} {'N':>5} {'op':>14} {'time':>12}")
     for name, n in PCURV_SHAPES:
         t_pcurv, t_ring = time_pcurv(rng, FIELDS[name], n)

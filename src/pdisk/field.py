@@ -9,7 +9,9 @@ The encoding keeps series coefficients hashable and cheap to hand to the
 series kernels in ``pdisk._kernels_py``.  The module-level ``decode``,
 ``encode``, ``ext_add``, ``ext_neg``, ``ext_scalar_mul`` and ``ext_mul``
 are the one implementation of F_{p^k} digit arithmetic: ``FieldSpec`` and
-the k > 1 kernel loops both call them.
+the k > 1 kernel loops both call them.  ``element_inv`` is the one field
+inverse, for k = 1 too: ``FieldSpec.inv`` and the pivots of the matrix
+inverse kernel call it.
 """
 
 from __future__ import annotations
@@ -101,6 +103,19 @@ def ext_mul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
             for j in range(k):
                 buf[i - k + j] = (buf[i - k + j] - c * mod[j]) % p
     return encode(buf[:k], p)
+
+
+def element_inv(a: int, p: int, k: int, mod: tuple[int, ...] | None) -> int:
+    """The inverse a^(q - 2) of a nonzero code; mod is None when k = 1."""
+    if k == 1:
+        return pow(a, p - 2, p)
+    r, e = 1, p**k - 2
+    while e:
+        if e & 1:
+            r = ext_mul(r, a, p, k, mod)
+        a = ext_mul(a, a, p, k, mod)
+        e >>= 1
+    return r
 
 
 class Value:
@@ -202,9 +217,7 @@ class FieldSpec(Value):
     def inv(self, a: int) -> int:
         if a == 0:
             raise NonUnit("0 is not invertible")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return element_inv(a, self.p, self.k, self.modulus)
 
     def frobenius(self, a: int) -> int:
         """The p-power map, an automorphism of order k (the identity on F_p)."""

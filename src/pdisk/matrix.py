@@ -2,9 +2,15 @@
 
 ``SeriesMatrix(...)`` and ``map_entries`` check shape, field, variable and
 precision, and ``diagonal`` (so ``identity`` and ``zero``) checks its
-entries the same way; a sum, difference, product or inverse of checked
-operands, and the zeros a diagonal matrix is filled with, are built by
+entries the same way; a sum, difference, product, inverse, truncation,
+derivative or Frobenius descent or expansion of checked operands, and the
+zeros a diagonal matrix is filled with, are built by
 ``SeriesMatrix._computed`` without a second check.
+
+The product, the inverse and the characteristic invariants each run as one
+kernel on the entries' coefficient lists (``_kernels_py.series_matmul``,
+``series_matinv`` and ``series_charpoly``): one peer check, one kernel call
+and one ``_computed`` build, with no series built per entry on the way.
 
 A matrix's inverse and characteristic invariants are computed once and
 kept beside its entries (field.Value).  The inverse holds the matrix as its
@@ -17,10 +23,11 @@ trace and b_n the determinant, both with no sign.
 
 The characteristic polynomial is computed by Berkowitz's recursion
 (Inform. Process. Lett. 18, 1984) from sums of products alone: each
-bordering step is a Toeplitz product, one dot per kept coefficient.  It is
-division-free, so valid over any commutative ring; nothing divides by
-1..n, so small p is safe.  The polynomial itself, as ascending
-t-coefficients, is SpectralRing.char.
+bordering step is a Toeplitz product, one sum of products per kept
+coefficient.  It is division-free, so valid over any commutative ring;
+nothing divides by 1..n, so small p is safe.  The polynomial itself, as
+ascending t-coefficients, is SpectralRing.char.  The inverse is Gauss-Jordan
+elimination on [A | I], whose pivots must be units of the series ring.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
+from .backend import impl
 from .errors import DimensionMismatch, RankTooLarge, SingularGauge
 from .field import FieldSpec, Value
-from .series import TruncSeries, dot
+from .series import TruncSeries
 
 MAX_RANK = 8
 
@@ -119,10 +127,23 @@ class SeriesMatrix(Value):
         return all(e.is_zero() for row in self.entries for e in row)
 
     def map_entries(self, fn: Callable[[TruncSeries], TruncSeries]) -> "SeriesMatrix":
+        """fn of every entry, checked as the constructor checks."""
         return SeriesMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
+    def _map(self, fn: Callable[[TruncSeries], TruncSeries]) -> "SeriesMatrix":
+        """fn of every entry, for an fn that keeps agreeing entries agreeing: not checked again."""
+        return SeriesMatrix._computed(tuple(tuple(fn(e) for e in row) for row in self.entries))
+
+    def _coefficients(self) -> list[list[tuple[int, ...]]]:
+        return [[e.coeffs for e in row] for row in self.entries]
+
+    def _built(self, rows) -> tuple[tuple[TruncSeries, ...], ...]:
+        """Series of this matrix's field and variable from a kernel's coefficient lists."""
+        f, var = self.field, self.var
+        return tuple([tuple([TruncSeries._computed(f, var, tuple(cs)) for cs in row]) for row in rows])
+
     def truncate(self, precision: int) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.truncate(precision))
+        return self._map(lambda e: e.truncate(precision))
 
     def _check_peer(self, other: "SeriesMatrix") -> None:
         if self.rank != other.rank:
@@ -150,20 +171,29 @@ class SeriesMatrix(Value):
         )
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        """The product at the smaller precision: one ``dot`` per entry."""
+        """The product at the smaller precision: one ``series_matmul`` call."""
         self._check_peer(other)
-        cols = tuple(zip(*other.entries))
-        return SeriesMatrix._computed(
-            tuple(tuple(dot(row, col) for col in cols) for row in self.entries)
-        )
+        f = self.field
+        out = impl.series_matmul(self._coefficients(), other._coefficients(), f.p, f.k, f.modulus)
+        return SeriesMatrix._computed(self._built(out))
 
     def matvec(self, vec: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
+        """The product with a column of series at the least precision: ``series_matmul``, c = 1.
+
+        Each entry of vec is checked against the matrix's field and variable, in order.
+        """
         if len(vec) != self.rank:
             raise DimensionMismatch("vector length does not match rank")
-        return tuple(dot(row, vec) for row in self.entries)
+        e00 = self.entries[0][0]
+        for v in vec:
+            e00._check_peer(v)
+        f = self.field
+        column = [[v.coeffs] for v in vec]
+        out = impl.series_matmul(self._coefficients(), column, f.p, f.k, f.modulus)
+        return tuple(row[0] for row in self._built(out))
 
     def derivative(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.derivative())
+        return self._map(lambda e: e.derivative())
 
     def inverse(self) -> "SeriesMatrix":
         """The inverse, eliminated once and kept; its own inverse is this matrix.
@@ -179,28 +209,17 @@ class SeriesMatrix(Value):
         return inv
 
     def _eliminate(self) -> "SeriesMatrix":
-        """Invert by elimination over the local ring; pivots must be units.
+        """Invert by elimination over the local ring (one ``series_matinv`` call); pivots are units.
 
         A unit pivot always exists in some row when the matrix is
         invertible over the series ring, i.e. when its constant-term
         matrix is invertible over the field; otherwise SingularGauge.
         """
-        n = self.rank
-        ident = SeriesMatrix.identity(self.field, self.var, n, self.precision).entries
-        rows = [list(a + e) for a, e in zip(self.entries, ident)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col].is_unit()), None)
-            if piv is None:
-                raise SingularGauge("constant-term matrix is singular")
-            rows[col], rows[piv] = rows[piv], rows[col]
-            ipiv = rows[col][col].inverse()
-            # a zero operand leaves its entry as it is: every entry has one precision
-            rows[col] = [e if e.is_zero() else e * ipiv for e in rows[col]]
-            for r in range(n):
-                f = rows[r][col]
-                if r != col and not f.is_zero():
-                    rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(rows[r], rows[col])]
-        return SeriesMatrix._computed(tuple(tuple(row[n:]) for row in rows))
+        f = self.field
+        out = impl.series_matinv(self._coefficients(), f.p, f.k, f.modulus)
+        if out is None:
+            raise SingularGauge("constant-term matrix is singular")
+        return SeriesMatrix._computed(self._built(out))
 
     def conjugate_by(self, g: "SeriesMatrix") -> "SeriesMatrix":
         """g^(-1) @ self @ g."""
@@ -222,10 +241,10 @@ class SeriesMatrix(Value):
         )
 
     def descend_pth_power(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.descend_pth_power())
+        return self._map(lambda e: e.descend_pth_power())
 
     def expand_pth_power(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.expand_pth_power())
+        return self._map(lambda e: e.expand_pth_power())
 
 
 @dataclass(frozen=True)
@@ -273,26 +292,10 @@ class InvariantTuple:
 
 
 def char_invariants(m: SeriesMatrix) -> InvariantTuple:
-    """Characteristic invariants of a matrix, by Berkowitz's recursion."""
+    """Characteristic invariants of a matrix by Berkowitz's recursion, one ``series_charpoly`` call."""
     n = m.rank
     if n > MAX_RANK:
         raise RankTooLarge(f"rank {n} exceeds the supported bound {MAX_RANK}")
-    e = m.entries
-    one = TruncSeries.one(m.field, m.var, m.precision)
-    # det(t I - A) of the leading k x k block A, descending in t.  Bordering
-    # A by row r, column c and corner a multiplies it by the Toeplitz matrix
-    # with first column 1, -a, -r c, -r A c, ..., -r A^(k-1) c.
-    charpoly = [one]
-    for k in range(n):
-        r = e[k][:k]
-        c = [row[k] for row in e[:k]]
-        column = [one, -e[k][k]]
-        for j in range(k):
-            if j:
-                c = [dot(row[:k], c) for row in e[:k]]
-            column.append(-dot(r, c))
-        # the Toeplitz product: the first k + 2 coefficients of column * charpoly
-        charpoly = [dot(column[: i + 1], charpoly[i::-1]) for i in range(k + 1)] + [
-            dot(column[1:], charpoly[::-1])
-        ]
-    return InvariantTuple(tuple(x if i % 2 == 0 else -x for i, x in enumerate(charpoly[1:], 1)))
+    f = m.field
+    out = impl.series_charpoly(m._coefficients(), f.p, f.k, f.modulus)
+    return InvariantTuple(m._built([out])[0])

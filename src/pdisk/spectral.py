@@ -249,7 +249,7 @@ class SpectralElement(Value):
         cols = [self.coeffs]
         for _ in range(n - 1):
             cols.append(ring.element([zero, *cols[-1]]).coeffs)
-        return SeriesMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
+        return SeriesMatrix._computed(tuple(tuple(col[i] for col in cols) for i in range(n)))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from pdisk.errors import DimensionMismatch, InternalInconsistency
+from pdisk.errors import DimensionMismatch, InternalInconsistency, SingularGauge
 from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
 from pdisk.matrix import InvariantTuple, SeriesMatrix
-from pdisk.series import TruncSeries
+from pdisk.series import TruncSeries, dot
 from pdisk.spectral import SpectralRing, check_residue_split, eval_at
 
 
@@ -164,6 +164,65 @@ def pcurv_in_ring_loop(theta):
     for _ in range(ring.field.p - 1):
         r = r.derivative() + theta * r
     return r
+
+
+def matmul_loop(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+    """a @ b with one ``dot`` per entry, at the smaller precision.
+
+    The product SeriesMatrix.__matmul__ formed before it became one
+    series_matmul call.  An oracle for _kernels_py.series_matmul.
+    """
+    cols = tuple(zip(*b.entries))
+    return SeriesMatrix.from_rows([[dot(row, col) for col in cols] for row in a.entries])
+
+
+def eliminate_loop(m: SeriesMatrix) -> SeriesMatrix:
+    """The inverse by elimination on [A | I], one series operation at a time.
+
+    The body SeriesMatrix._eliminate ran before it became one series_matinv
+    call: the pivot is the first row, from the diagonal down, whose entry is
+    a unit, and zero entries are skipped; SingularGauge when no pivot exists.
+    """
+    n = m.rank
+    ident = SeriesMatrix.identity(m.field, m.var, n, m.precision).entries
+    rows = [list(a + e) for a, e in zip(m.entries, ident)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col].is_unit()), None)
+        if piv is None:
+            raise SingularGauge("constant-term matrix is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        ipiv = rows[col][col].inverse()
+        rows[col] = [e if e.is_zero() else e * ipiv for e in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero():
+                rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(rows[r], rows[col])]
+    return SeriesMatrix.from_rows([row[n:] for row in rows])
+
+
+def char_invariants_loop(m: SeriesMatrix) -> InvariantTuple:
+    """Berkowitz's recursion with one ``dot`` per coefficient, as char_invariants ran it.
+
+    det(t I - A) of the leading k x k block A, descending in t: bordering A
+    by row r, column c and corner a multiplies it by the Toeplitz matrix
+    with first column 1, -a, -r c, -r A c, ..., -r A^(k-1) c.  An oracle for
+    _kernels_py.series_charpoly.
+    """
+    n, e = m.rank, m.entries
+    one = TruncSeries.one(m.field, m.var, m.precision)
+    charpoly = [one]
+    for k in range(n):
+        r = e[k][:k]
+        c = [row[k] for row in e[:k]]
+        column = [one, -e[k][k]]
+        for j in range(k):
+            if j:
+                c = [dot(row[:k], c) for row in e[:k]]
+            column.append(-dot(r, c))
+        charpoly = [dot(column[: i + 1], charpoly[i::-1]) for i in range(k + 1)] + [
+            dot(column[1:], charpoly[::-1])
+        ]
+    return InvariantTuple(tuple(x if i % 2 == 0 else -x for i, x in enumerate(charpoly[1:], 1)))
 
 
 @pytest.fixture

@@ -12,7 +12,11 @@ series_mul products taken one series_add at a time.  series_derivative is
 checked against FieldSpec integer multiples, and series_pcurv against the
 object-level loops of tests/conftest.py (pcurv_loop, and apply for a single
 column), over F_p and F_{p^k}; pcurv_in_ring, its caller, against
-pcurv_in_ring_loop on rings with and without a zero derivation.
+pcurv_in_ring_loop on rings with and without a zero derivation.  The matrix
+kernels series_matmul, series_matinv and series_charpoly are checked
+through their callers (@ and matvec, the inverse, char_invariants) against
+the object-level loops matmul_loop, eliminate_loop and char_invariants_loop,
+singular residues and their error included.
 """
 
 from __future__ import annotations
@@ -22,16 +26,24 @@ import pytest
 import pdisk._kernels_py as kernels
 from pdisk.backend import BACKEND, impl
 from pdisk.connection import Connection
-from pdisk.errors import DerivationUnavailable, PdiskError
+from pdisk.errors import DerivationUnavailable, PdiskError, SingularGauge
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring
 from pdisk.hitchin import frobenius_base_pullback
-from pdisk.matrix import InvariantTuple, SeriesMatrix
+from pdisk.matrix import InvariantTuple, SeriesMatrix, char_invariants
 from pdisk.rng import SplitMix64
-from pdisk.series import VAR_DISK, VAR_TWIST
+from pdisk.series import VAR_DISK, VAR_TWIST, TruncSeries, dot
 from pdisk.spectral import SpectralRing
 
-from conftest import apply, pcurv_in_ring_loop, pcurv_loop, schoolbook_mul
+from conftest import (
+    apply,
+    char_invariants_loop,
+    eliminate_loop,
+    matmul_loop,
+    pcurv_in_ring_loop,
+    pcurv_loop,
+    schoolbook_mul,
+)
 
 PRIMES = [2, 3, 5, 7, 2**31 - 1, 4294967311]
 CROSS = kernels.KRONECKER_MIN
@@ -332,3 +344,160 @@ def test_pcurv_in_ring_matches_the_loop(field: FieldSpec, n: int) -> None:
         except DerivationUnavailable:
             seen.add(None)
     assert {True, False} <= seen
+
+
+# -- the matrix kernels against the object-level loops --------------------------
+
+MATRIX_LENGTHS = [0, 1, 2, 9, 10, 11, 19, 160]
+
+
+def matrix_shapes(field: FieldSpec) -> list[tuple[int, int]]:
+    """(rank, N): ranks 1-4 and rank 8 at N <= 12.
+
+    N = 160 over the small prime fields only, as the large primes reach long
+    operands in the slot test below.  The k > 1 loops are quadratic in
+    ext_mul calls, so there ranks 3 and 4 take N = 0, 1, 2, 9 and 11, and
+    rank 8 stops at N = 2.
+    """
+    if field.k > 1:
+        short = [n for n in MATRIX_LENGTHS if n <= 11]
+        return [(r, n) for r in (1, 2) for n in short + [19]] + [
+            (r, n) for r in (3, 4) for n in short if n != 10
+        ] + [(8, n) for n in short if n <= 2]
+    lengths = [n for n in MATRIX_LENGTHS if n < 160 or field.p < 100]
+    return [(r, n) for r in (1, 2, 3, 4) for n in lengths] + [(8, n) for n in lengths if n <= 12]
+
+
+def _sparse(rng: SplitMix64, field: FieldSpec, rank: int, n: int) -> SeriesMatrix:
+    """A random matrix with about a third of its entries zero."""
+    zero = TruncSeries.zero(field, VAR_DISK, n)
+    return SeriesMatrix.from_rows(
+        [
+            [zero if rng.below(3) == 0 else rng.series(field, VAR_DISK, n) for _ in range(rank)]
+            for _ in range(rank)
+        ]
+    )
+
+
+def _with_residue(m: SeriesMatrix, residue) -> SeriesMatrix:
+    """m with its constant-term matrix replaced (at precision 0 there is none)."""
+    if not m.precision:
+        return m
+    return SeriesMatrix.from_rows(
+        [
+            [TruncSeries(e.field, e.var, (c,) + e.coeffs[1:]) for e, c in zip(row, res)]
+            for row, res in zip(m.entries, residue)
+        ]
+    )
+
+
+def _inverse(m: SeriesMatrix):
+    try:
+        # a fresh matrix keeps no inverse, so this runs the kernel
+        return SeriesMatrix(m.entries).inverse()
+    except PdiskError as exc:
+        return type(exc), str(exc)
+
+
+def _inverse_loop(m: SeriesMatrix):
+    try:
+        return eliminate_loop(m)
+    except PdiskError as exc:
+        return type(exc), str(exc)
+
+
+def _matrices(rng: SplitMix64, field: FieldSpec, rank: int, n: int) -> list[SeriesMatrix]:
+    """A dense and a sparse matrix, and two whose residues are set.
+
+    The first pivot of the third needs a row swap; the fourth's constant-term matrix is singular.
+    """
+    q = field.q
+    swap = [[rng.below(q) for _ in range(rank)] for _ in range(rank)]
+    swap[0][0] = 0
+    if rank > 1:
+        swap[1][0] = 1 + rng.below(q - 1)
+    # two equal rows make the constant-term matrix singular; at rank 1 a zero residue
+    singular = [[rng.below(q) for _ in range(rank)] for _ in range(rank)]
+    singular[-1] = singular[0] if rank > 1 else [0]
+    dense = rng.matrix(field, VAR_DISK, rank, n)
+    return [
+        dense,
+        _sparse(rng, field, rank, n),
+        _with_residue(rng.matrix(field, VAR_DISK, rank, n), swap),
+        _with_residue(rng.matrix(field, VAR_DISK, rank, n), singular),
+    ]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=str)
+def test_matrix_kernels_match_the_loops(field: FieldSpec) -> None:
+    rng = SplitMix64(1090 + field.q % 1000)
+    seen = set()
+    for rank, n in matrix_shapes(field):
+        matrices = _matrices(rng, field, rank, n)
+        for m in matrices:
+            other = _sparse(rng, field, rank, n)
+            assert m @ other == matmul_loop(m, other)
+            assert char_invariants(m) == char_invariants_loop(m)
+            got, want = _inverse(m), _inverse_loop(m)
+            assert got == want
+            seen.add(isinstance(want, tuple))
+        # operands of different precisions meet at the smaller one
+        m = matrices[0]
+        longer = rng.matrix(field, VAR_DISK, rank, n + 3)
+        assert m @ longer == matmul_loop(m, longer)
+        assert longer @ m == matmul_loop(longer, m)
+        if n:
+            shorter = m.truncate(n - 1)
+            assert shorter @ longer == matmul_loop(shorter, longer)
+        # matvec, its entries at mixed precisions
+        vec = [rng.series(field, VAR_DISK, n + i % 2) for i in range(rank)]
+        assert m.matvec(vec) == tuple(dot(row, vec) for row in m.entries)
+    # both outcomes of the elimination were compared: an inverse and SingularGauge
+    assert seen == {True, False}
+
+
+def test_singular_residues_raise_the_same_error() -> None:
+    f = FieldSpec(5)
+    rng = SplitMix64(1190)
+    for rank in (1, 2, 3):
+        for n in (0, 1, 4):
+            m = _matrices(rng, f, rank, n)[-1]
+            got = _inverse(m)
+            assert got == _inverse_loop(m)
+            assert got == (SingularGauge, "constant-term matrix is singular")
+
+
+def _full(field: FieldSpec, rank: int, n: int) -> SeriesMatrix:
+    """Every coefficient q - 1 (every digit p - 1): the largest products and sums."""
+    top = TruncSeries(field, VAR_DISK, (field.q - 1,) * n)
+    return SeriesMatrix.from_rows([[top] * rank for _ in range(rank)])
+
+
+def _triangular_full(field: FieldSpec, rank: int, n: int) -> SeriesMatrix:
+    """Every coefficient q - 1 on and above the diagonal, zero below: invertible."""
+    top = TruncSeries(field, VAR_DISK, (field.q - 1,) * n)
+    zero = TruncSeries.zero(field, VAR_DISK, n)
+    return SeriesMatrix.from_rows(
+        [[top if j >= i else zero for j in range(rank)] for i in range(rank)]
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_matrix_kernels_full_slots_at_width_boundaries(p: int) -> None:
+    # a slot of a product sums rank * N products (the inverse: N), each at most
+    # (p - 1)^2; N puts that bound just below, at and above a byte boundary
+    f = FieldSpec(p)
+    for bits in (8, 16, 32, 64, 72):
+        bound = (1 << bits) // (p - 1) ** 2
+        for rank in (1, 2, 3):
+            for per in (bound // rank, bound):
+                for n in (per - 1, per, per + 1):
+                    if not 1 <= n <= 300:
+                        continue
+                    m = _full(f, rank, n)
+                    if per == bound // rank:
+                        assert m @ m == matmul_loop(m, m)
+                        assert char_invariants(m) == char_invariants_loop(m)
+                    else:
+                        t = _triangular_full(f, rank, n)
+                        assert _inverse(t) == _inverse_loop(t)

@@ -4,7 +4,9 @@
 operands that were checked when they entered, without checking it again.
 Every operation that builds through them runs here over F_2, F_5, F_4 and
 F_9 on seeded operands, and each result must equal its rebuild through the
-checked public constructor, with every coefficient stored as an int.
+checked public constructor, with every coefficient stored as an int.  The
+matrix product, inverse and invariants, and spectral products and inverses
+through them, come from one kernel call on coefficient lists each.
 
 The planted defects show the check can fail: a kernel that writes q, one
 past the largest encoded element, into one slot of its output gives a
@@ -47,6 +49,31 @@ def _flat_frame(r: SplitMix64, f: FieldSpec, n: int) -> SeriesMatrix:
     return flat_matrix_section(gauge(g, Connection(SeriesMatrix.zero(f, Z, 2, n))))
 
 
+def _spectral_ring(r: SplitMix64, f: FieldSpec, n: int) -> SpectralRing:
+    return SpectralRing(InvariantTuple(tuple(r.series(f, Z, n) for _ in range(3))))
+
+
+def _spectral_element(r: SplitMix64, f: FieldSpec, n: int, ring: SpectralRing) -> SpectralElement:
+    return ring.element([r.series(f, Z, n) for _ in range(ring.rank)])
+
+
+def _spectral_product(r: SplitMix64, f: FieldSpec, n: int) -> SpectralElement:
+    ring = _spectral_ring(r, f, n)
+    return _spectral_element(r, f, n, ring) * _spectral_element(r, f, n, ring)
+
+
+def _spectral_inverse(r: SplitMix64, f: FieldSpec, n: int) -> SpectralElement:
+    ring = _spectral_ring(r, f, n)
+    while True:
+        x = _spectral_element(r, f, n, ring)
+        if x.is_unit():
+            return x.inverse()
+
+
+def _descended_matrix(r: SplitMix64, f: FieldSpec, n: int) -> SeriesMatrix:
+    return r.matrix(f, TW, 2, n).expand_pth_power().truncate(n * f.p - 1).descend_pth_power()
+
+
 def _theta_curvature(r: SplitMix64, f: FieldSpec, n: int) -> SpectralElement:
     # a rank-2 ring with a derivation, at a precision the p - 1 steps leave nonzero
     while True:
@@ -79,8 +106,17 @@ OPERATIONS = {
     "matrix-add": lambda r, f, n: r.matrix(f, Z, 2, n) + r.matrix(f, Z, 2, n),
     "matrix-sub": lambda r, f, n: r.matrix(f, Z, 2, n) - r.matrix(f, Z, 2, n),
     "matmul": lambda r, f, n: r.matrix(f, Z, 2, n) @ r.matrix(f, Z, 2, n),
+    "matvec": lambda r, f, n: r.matrix(f, Z, 3, n).matvec([r.series(f, Z, n) for _ in range(3)]),
     # a fresh matrix has kept no inverse, so this runs _eliminate
     "eliminate": lambda r, f, n: r.unit_matrix(f, Z, 3, n).inverse(),
+    "invariants": lambda r, f, n: r.matrix(f, Z, 3, n).invariants,
+    "matrix-truncate": lambda r, f, n: r.matrix(f, Z, 2, n).truncate(n // 2),
+    "matrix-derivative": lambda r, f, n: r.matrix(f, Z, 2, n).derivative(),
+    "matrix-descend_pth_power": _descended_matrix,
+    "matrix-expand_pth_power": lambda r, f, n: r.matrix(f, TW, 2, n).expand_pth_power(),
+    "rep": lambda r, f, n: _spectral_element(r, f, n, _spectral_ring(r, f, n)).rep,
+    "spectral-product": _spectral_product,
+    "spectral-inverse": _spectral_inverse,
     "zero": lambda r, f, n: TruncSeries.zero(f, TW, n),
     "one": lambda r, f, n: TruncSeries.one(f, Z, n),
     "diagonal": lambda r, f, n: SeriesMatrix.diagonal([r.series(f, Z, n) for _ in range(3)]),
@@ -96,12 +132,19 @@ def rebuilt(s: TruncSeries) -> TruncSeries:
     return TruncSeries(s.field, s.var, s.coeffs)
 
 
-def assert_rebuilds(result: TruncSeries | SeriesMatrix | SpectralElement) -> None:
-    """The result equals its rebuild through the checked constructor, which refuses bad data."""
+def assert_rebuilds(result) -> None:
+    """The result equals its rebuild through the checked constructor, which refuses bad data.
+
+    A result is a series, a matrix, a spectral element, invariants or a tuple of series.
+    """
     if isinstance(result, SeriesMatrix):
         assert result == SeriesMatrix(tuple(tuple(map(rebuilt, row)) for row in result.entries))
     elif isinstance(result, SpectralElement):
         assert result.coeffs == tuple(map(rebuilt, result.coeffs))
+    elif isinstance(result, InvariantTuple):
+        assert result == InvariantTuple(tuple(map(rebuilt, result.entries)))
+    elif isinstance(result, tuple):
+        assert result == tuple(map(rebuilt, result))
     else:
         assert result == rebuilt(result)
 
@@ -119,20 +162,18 @@ def test_computed_result_passes_the_check(op, field: FieldSpec, n: int) -> None:
 
 
 def _writes_q(kernel):
+    """The kernel, with q written into the middle of its first coefficient list.
+
+    A kernel returns one coefficient list, a list of them (the invariants)
+    or rows of them (matrices).
+    """
+
     def planted(*args):
         out = kernel(*args)
         p, k = args[-3], args[-2]
-        out[len(out) // 2] = p**k
-        return out
-
-    return planted
-
-
-def _writes_q_in_first_entry(kernel):
-    def planted(*args):
-        out = kernel(*args)
-        p, k = args[-3], args[-2]
-        entry = out[0][0]
+        entry = out
+        while isinstance(entry[0], list):
+            entry = entry[0]
         entry[len(entry) // 2] = p**k
         return out
 
@@ -144,18 +185,20 @@ PLANTED = {
     "series_add": ["add", "matrix-add"],
     "series_sub": ["sub", "matrix-sub"],
     "series_neg": ["neg"],
-    "series_sum_mul": ["mul", "dot", "matmul"],
+    "series_sum_mul": ["mul", "dot"],
     "series_inv": ["inverse"],
     "series_derivative": ["derivative"],
     "series_pcurv": ["pcurv", "pcurv_in_ring"],
+    "series_matmul": ["matmul", "matvec", "spectral-product"],
+    "series_matinv": ["eliminate", "spectral-inverse"],
+    "series_charpoly": ["invariants"],
 }
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
 @pytest.mark.parametrize("kernel, ops", PLANTED.items(), ids=PLANTED.keys())
 def test_planted_kernel_defect_is_refused(monkeypatch, kernel: str, ops, field: FieldSpec) -> None:
-    plant = _writes_q_in_first_entry if kernel == "series_pcurv" else _writes_q
-    monkeypatch.setattr(_kernels_py, kernel, plant(getattr(_kernels_py, kernel)))
+    monkeypatch.setattr(_kernels_py, kernel, _writes_q(getattr(_kernels_py, kernel)))
     for name in ops:
         result = OPERATIONS[name](SplitMix64(field.q), field, 12)
         with pytest.raises(ValueError, match="is not an encoded element"):
