@@ -1,16 +1,17 @@
 """Compare the two branches of ``series_sum_mul`` over F_p, and time the recursion kernels.
 
-Feeds identical inputs to the list branch of ``_kernels_py.series_sum_mul``
-(one schoolbook list, reduced once; forced at every length by raising
-``KRONECKER_MIN`` for the run) and to ``_kernels_py._kronecker_sum_mul``,
-checks the outputs agree, and reports per-call timings, the speedup, and
-which branch ``series_sum_mul`` picks at each length.  The first table
-times one product; the second times sums of 2 and 3 products at the short
-lengths where the crossover for sums lies.  The last table times
-``series_derivative`` of one entry, ``series_pcurv`` of a rank-2 matrix
-(m = x, p - 1 steps: the p-curvature) and the matrix kernels
-``series_matmul``, ``series_matinv`` and ``series_charpoly`` of rank-2
-matrices over F_5 and F_9 at N = 19 and 160.
+Feeds identical inputs to the two branches of ``_kernels_py.series_sum_mul``,
+each forced at every length by setting ``KRONECKER_MIN`` for its timing:
+the list branch (one schoolbook list, reduced once; ``KRONECKER_MIN`` raised
+to ``sys.maxsize``) and the packed branch (one ``_linear`` sum;
+``KRONECKER_MIN = 0``).  It checks the outputs agree, and reports per-call
+timings, the speedup, and which branch ``series_sum_mul`` picks at each
+length.  The first table times one product; the second times sums of 2
+and 3 products at the short lengths where the crossover for sums lies.
+The last table times ``series_derivative`` of one entry, ``series_pcurv``
+of a rank-2 matrix (m = x, p - 1 steps: the p-curvature) and the matrix
+kernels ``series_matmul``, ``series_matinv`` and ``series_charpoly`` of
+rank-2 matrices over F_5 and F_9 at N = 19 and 160.
 Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -54,9 +55,10 @@ def fmt(seconds: float) -> str:
     return f"{seconds * 1e3:8.2f} ms"
 
 
-def list_branch(pairs, nout: int, p: int) -> list[int]:
-    """series_sum_mul over F_p; the list branch while KRONECKER_MIN is raised."""
-    return kernels.series_sum_mul(pairs, nout, p, 1, None)
+def clock_branch(minimum: int, pairs, nout: int, p: int) -> tuple[float, object]:
+    """clock() of series_sum_mul over F_p with KRONECKER_MIN set to ``minimum``."""
+    kernels.KRONECKER_MIN = minimum
+    return clock(kernels.series_sum_mul, pairs, nout, p, 1, None)
 
 
 def row(rng: SplitMix64, crossover: int, npairs: int, p: int, n: int) -> str:
@@ -64,8 +66,8 @@ def row(rng: SplitMix64, crossover: int, npairs: int, p: int, n: int) -> str:
         ([rng.below(p) for _ in range(n)], [rng.below(p) for _ in range(n)])
         for _ in range(npairs)
     ]
-    t_list, out_list = clock(list_branch, pairs, n, p)
-    t_kron, out_kron = clock(kernels._kronecker_sum_mul, pairs, n, p)
+    t_list, out_list = clock_branch(sys.maxsize, pairs, n, p)
+    t_kron, out_kron = clock_branch(0, pairs, n, p)
     if out_list != out_kron:
         raise SystemExit(f"kernel mismatch: pairs={npairs} p={p} n={n}")
     used = "kronecker" if n >= crossover else "list"
@@ -80,7 +82,6 @@ def main() -> None:
     crossover = kernels.KRONECKER_MIN
     header = f"{'pairs':>5} {'p':>10} {'n':>5} {'list':>12} {'kronecker':>12} {'speedup':>8}  used"
     print(f"series_sum_mul uses Kronecker from nout = {crossover}")
-    kernels.KRONECKER_MIN = sys.maxsize
     try:
         print(header)
         for p in PRIMES:

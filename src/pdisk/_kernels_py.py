@@ -7,20 +7,21 @@ fork: callers pass p, k and mod and never branch on k themselves.  Over
 extension fields (k > 1) the loops use the element arithmetic of
 ``pdisk.field``.
 
-Over prime fields (k = 1) the quadratic work runs inside CPython's C code.
-``series_sum_mul`` gives the first nout coefficients of a sum of products.
-From ``KRONECKER_MIN`` output coefficients on it multiplies by Kronecker
-substitution: every operand is packed into one integer, one slot of whole
-bytes per coefficient, wide enough for the whole sum; the integer products
-are added and each slot of the sum is reduced mod p once.  A slot holds its
-sum exactly, so no carry crosses slots.  Shorter sums accumulate one
-schoolbook list and reduce it once, which is as fast there.  ``series_mul``
-is ``series_sum_mul`` of one pair, so products and ``series.dot`` share one
-implementation.  The tests check it against ``schoolbook_mul`` in
-``tests/conftest.py``, one product at a time, and
+A sum of products has one implementation, ``_linear``, the one place
+where it forks on k.  Over prime fields (k = 1) its quadratic work runs
+inside CPython's C code, by Kronecker substitution: every operand is
+packed into one integer, one slot of whole bytes per coefficient, wide
+enough for the whole sum; the integer products are added and each slot of
+the sum is reduced mod p once.  A slot holds its sum exactly, so no carry
+crosses slots.  Over F_{p^k} it accumulates one schoolbook list of field
+products.  ``series_sum_mul``
+gives the first nout coefficients of a sum of products as one ``_linear``
+sum, except over F_p below ``KRONECKER_MIN`` output coefficients, where
+one schoolbook list of integer products, reduced once, is as fast.
+``series_mul`` is ``series_sum_mul`` of one pair, so products and
+``series.dot`` share one implementation.  The tests check it against
+``schoolbook_mul`` in ``tests/conftest.py``, one product at a time, and
 ``benchmarks/bench_kernels.py`` times its two branches against each other.
-The packed sum itself, multiply, add, cut and unpack, is one helper,
-``_packed_sum_mul``, which the recursion and matrix kernels below share.
 
 ``series_dot`` sums the dot products of several coefficient sequences as
 integers and reduces mod p once; it gives one coefficient of a truncated
@@ -32,25 +33,23 @@ which ``kernel_unit`` runs through) compute their residuals.
 ``series_pcurv`` is the one p-curvature recursion, x -> x' + m x on the
 columns of an n x c array of coefficient lists, for
 ``Connection.p_curvature`` (m = x = A) and ``harmonic.pcurv_in_ring``
-(c = 1, m the matrix of theta plus the ring's derivation): over F_p it
-packs m once per call and each entry of x once per step, and sums each
-entry of m x as one integer; over F_{p^k} it runs the same recursion on
-``series_derivative``, ``series_sum_mul`` and ``series_add``.  The tests
-check it against the object-level loops in ``tests/conftest.py``.
+(c = 1, m the matrix of theta plus the ring's derivation), written once on
+``_linear``: it packs m once per call and each entry of x once per step,
+and each entry of m x is one sum with the derivative added (over F_p
+before the one reduction mod p).  The tests check it against the
+object-level loops in ``tests/conftest.py``.
 
 The matrix kernels take rows of coefficient lists and return rows of
 coefficient lists, one kernel call per ``SeriesMatrix`` fact:
 ``series_matmul`` for ``@`` and ``matvec`` (so for spectral products),
 ``series_matinv`` for the inverse (Gauss-Jordan elimination on [A | I],
 None for a singular residue) and ``series_charpoly`` for the
-characteristic invariants (Berkowitz's recursion).  Over F_p they pack
-every entry once, at every length: unlike ``series_sum_mul`` there is no
-list branch, since a matrix reuses each packed entry across a row or a
-column.  Each output entry is one packed sum, unpacked and reduced mod p
-once.  Over F_{p^k} each runs the same algorithm on ``series_sum_mul``,
-``series_neg``, ``series_add`` and ``series_inv``; ``_linear`` holds that
-fork, so each algorithm is written once.  The tests check them against
-the object-level loops in ``tests/conftest.py``.
+characteristic invariants (Berkowitz's recursion).  Each is written once on
+``_linear``.  Over F_p they pack every entry once, at every length: unlike
+``series_sum_mul`` there is no list branch, since a matrix reuses each
+packed entry across a row or a column.  Each output entry is one sum,
+reduced mod p once.  The tests check them against the object-level loops
+in ``tests/conftest.py``.
 
 BACKEND tells the benchmark and tests which implementation they got.
 """
@@ -99,7 +98,7 @@ def series_neg(a, p: int, k: int, mod) -> list[int]:
     return [ext_neg(c, p, k) for c in a]
 
 
-def _pack(cs, width: int) -> int:
+def _pack(width: int, cs) -> int:
     """sum cs[i] * 256**(width * i): coefficient i in byte slot i."""
     if width == 1:  # bytes() is about twice as fast as array('B') here
         return int.from_bytes(bytes(cs), "little")
@@ -136,24 +135,55 @@ def _slot_width(terms: int, p: int) -> int:
     return _SLOT_WIDTHS[need] if need < len(_SLOT_WIDTHS) else need
 
 
-def _packed_sum_mul(xs, ys, width: int, nout: int):
-    """Slots 0 .. nout-1 of the sum of x * y over operands packed at ``width``, not reduced.
+def _linear(nout: int, terms: int, p: int, k: int, mod):
+    """(pack, lin, derivative): the one sum of products, on series of nout coefficients.
 
-    The one packed sum of products, which ``series_sum_mul``, ``series_pcurv``
-    and the matrix kernels unpack through.  The width must hold each slot's
-    sum; slots from nout on are cut off, so longer operands do no harm.
+    ``lin(xs, ys, adds=(), negate=False)`` is the list sum(adds) + s * sum of
+    x * y over the operands xs, ys that ``pack`` made, s = -1 if negate else
+    1, to nout coefficients, or to the length of a shorter add; the products
+    of one sum add up to at most ``terms`` coefficient products per slot.
+    ``derivative(e)`` is d/dz of one coefficient sequence, as an add.  It is
+    the one place where a sum of products forks on k.  Over F_p ``pack``
+    packs at a width for ``terms`` products, at every length, and ``lin`` is
+    one packed sum: the integer products are added, cut to nout slots and
+    unpacked, and the adds join the slots before the one reduction mod p,
+    so an add need not be reduced and ``derivative`` leaves its integer
+    multiples as they are.  Over F_{p^k} ``pack`` keeps the sequence,
+    ``lin`` accumulates one schoolbook list of ``ext_mul`` products and
+    ``derivative`` is series_derivative.
     """
-    return _unpack(sum(map(mul, xs, ys)) & ((1 << 8 * width * nout) - 1), width, nout)
+    if k > 1:
 
+        def lin(xs, ys, adds=(), negate=False):
+            n = min([nout, *map(len, adds)])  # no product past a shorter add
+            out = [0] * n
+            for a, b in zip(xs, ys):
+                nb = len(b)
+                for i in range(min(len(a), n)):
+                    ai = a[i]
+                    if ai:
+                        for j in range(min(nb, n - i)):
+                            out[i + j] = ext_add(out[i + j], ext_mul(ai, b[j], p, k, mod), p, k)
+            if negate:
+                out = series_neg(out, p, k, mod)
+            for a in adds:
+                out = series_add(out, a, p, k, mod)
+            return out
 
-def _kronecker_sum_mul(pairs, nout: int, p: int) -> list[int]:
-    """The first nout coefficients of the sum of a * b over F_p by packed integers."""
-    pairs = [(a[:nout], b[:nout]) for a, b in pairs if len(a) and len(b)]
-    # A slot of the sum adds min(len) terms per product, each at most (p-1)^2.
-    width = _slot_width(sum([min(len(a), len(b)) for a, b in pairs]), p)
-    xs = [_pack(a, width) for a, _ in pairs]
-    ys = [_pack(b, width) for _, b in pairs]
-    return list(map(p.__rmod__, _packed_sum_mul(xs, ys, width, nout)))
+        return (lambda e: e), lin, (lambda e: series_derivative(e, p, k, mod))
+    width = _slot_width(terms, p)
+    mask = (1 << 8 * width * nout) - 1
+
+    def lin(xs, ys, adds=(), negate=False):
+        out = _unpack(sum(map(mul, xs, ys)) & mask, width, nout)
+        if negate:
+            out = map(neg, out)
+        for a in adds:
+            out = map(add, out, a)
+        return [c % p for c in out]
+
+    # (i + 1) e[i + 1] is the derivative's coefficient i
+    return partial(_pack, width), lin, (lambda e: map(mul, range(1, len(e)), e[1:]))
 
 
 def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
@@ -163,26 +193,24 @@ def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
 def series_sum_mul(pairs, nout: int, p: int, k: int, mod) -> list[int]:
     """The first nout coefficients of the sum of a * b over (a, b) in pairs.
 
-    Over F_p the products are summed as integers and reduced mod p once: from
-    ``KRONECKER_MIN`` output coefficients on as packed integers, below it as
-    one schoolbook list.  Over F_{p^k} the list accumulates field products.
+    One ``_linear`` sum of the pairs cut to nout coefficients; a slot of it
+    adds min(len a, len b) products per pair.  Over F_p below
+    ``KRONECKER_MIN`` output coefficients the integer products accumulate in
+    one schoolbook list instead, reduced mod p once, which is as fast there.
     """
-    if k == 1 and nout >= KRONECKER_MIN:
-        return _kronecker_sum_mul(pairs, nout, p)
-    out = [0] * nout
-    for a, b in pairs:
-        nb = len(b)
-        for i in range(min(len(a), nout)):
-            ai = a[i]
-            if not ai:
-                continue
-            if k == 1:
-                for j in range(min(nb, nout - i)):
-                    out[i + j] += ai * b[j]
-            else:
-                for j in range(min(nb, nout - i)):
-                    out[i + j] = ext_add(out[i + j], ext_mul(ai, b[j], p, k, mod), p, k)
-    return [c % p for c in out] if k == 1 else out
+    if k == 1 and nout < KRONECKER_MIN:
+        out = [0] * nout
+        for a, b in pairs:
+            nb = len(b)
+            for i in range(min(len(a), nout)):
+                ai = a[i]
+                if ai:
+                    for j in range(min(nb, nout - i)):
+                        out[i + j] += ai * b[j]
+        return [c % p for c in out]
+    pairs = [(a[:nout], b[:nout]) for a, b in pairs if len(a) and len(b)]
+    pack, lin, _ = _linear(nout, sum([min(len(a), len(b)) for a, b in pairs]), p, k, mod)
+    return lin([pack(a) for a, b in pairs], [pack(b) for a, b in pairs])
 
 
 def series_dot(pairs, p: int, k: int, mod) -> int:
@@ -227,84 +255,25 @@ def series_pcurv(m, x, steps: int, p: int, k: int, mod) -> list[list[list[int]]]
     m (n x n) and x (n x c) are rows of coefficient sequences, x's entries of
     one length.  A step keeps one coefficient fewer than x had, and m's
     entries must be at least that long, so the result's entries are
-    ``steps`` shorter than x's.  Over F_p the entries of m are packed once per
-    call, in slots wide enough for the n * len(x) products a slot of m x sums;
-    at each step every entry of x is packed once, each entry of m x is one
-    integer sum of n products, unpacked once, and the derivative joins it
-    before the one reduction mod p.  Over F_{p^k} a step is series_derivative
-    plus series_sum_mul, added by series_add.
+    ``steps`` shorter than x's.  One ``_linear`` serves every step, sized
+    for the first: the entries of m are packed once per call, every entry
+    of x once per step, and each entry of m x is one sum of n products with
+    the derivative as its add, which cuts it to the step's length (over F_p
+    the derivative joins the slots before the one reduction mod p).
     """
-    if k > 1:
-        for _ in range(steps):
-            nout = len(x[0][0]) - 1
-            cols = list(zip(*x))
-            x = [
-                [
-                    series_add(
-                        series_derivative(e, p, k, mod),
-                        series_sum_mul(zip(row, col), nout, p, k, mod),
-                        p,
-                        k,
-                        mod,
-                    )
-                    for e, col in zip(xrow, cols)
-                ]
-                for row, xrow in zip(m, x)
-            ]
-        return x
-    width = _slot_width(len(m) * len(x[0][0]), p)
-    packed_m = [[_pack(e, width) for e in row] for row in m]
+    nout = max(len(x[0][0]) - 1, 0)
+    pack, lin, derivative = _linear(nout, len(m) * (nout + 1), p, k, mod)
+    pm = [[pack(e) for e in row] for row in m]
     for _ in range(steps):
-        nout = len(x[0][0]) - 1
-        cols = list(zip(*[[_pack(e, width) for e in row] for row in x]))
-        new = []
-        for prow, xrow in zip(packed_m, x):
-            out = []
-            for e, col in zip(xrow, cols):
-                slots = _packed_sum_mul(prow, col, width, nout)
-                # (i + 1) e[i + 1] is the derivative's coefficient i; add stops at nout
-                out.append(list(map(p.__rmod__, map(add, slots, map(mul, range(1, len(e)), e[1:])))))
-            new.append(out)
-        x = new
+        cols = list(zip(*[map(pack, row) for row in x]))
+        x = [
+            [lin(prow, col, (derivative(e),)) for e, col in zip(xrow, cols)]
+            for prow, xrow in zip(pm, x)
+        ]
     return x
 
 
 # -- matrices over the series ring: rows of coefficient lists ------------------
-
-
-def _linear(nout: int, terms: int, p: int, k: int, mod):
-    """(pack, lin): the arithmetic of the matrix kernels on series of nout coefficients.
-
-    ``lin(xs, ys, adds=(), negate=False)`` is the list sum(adds) + s * sum of
-    x * y over the operands xs, ys that ``pack`` made, s = -1 if negate else
-    1, to nout coefficients; the products of one sum add up to at most
-    ``terms`` coefficient products per slot.  Over F_p ``pack`` packs at a
-    width for ``terms`` products, at every length, and ``lin`` is one packed
-    sum, unpacked and reduced mod p once.  Over F_{p^k} ``pack`` keeps the
-    sequence and ``lin`` runs series_sum_mul, series_neg and series_add.
-    """
-    if k > 1:
-
-        def lin(xs, ys, adds=(), negate=False):
-            out = series_sum_mul(zip(xs, ys), nout, p, k, mod)
-            if negate:
-                out = series_neg(out, p, k, mod)
-            for a in adds:
-                out = series_add(out, a, p, k, mod)
-            return out
-
-        return (lambda e: e), lin
-    width = _slot_width(terms, p)
-
-    def lin(xs, ys, adds=(), negate=False):
-        out = _packed_sum_mul(xs, ys, width, nout)
-        if negate:
-            out = map(neg, out)
-        for a in adds:
-            out = map(add, out, a)
-        return [c % p for c in out]
-
-    return partial(_pack, width=width), lin
 
 
 def series_matmul(a, b, p: int, k: int, mod) -> list[list[list[int]]]:
@@ -318,7 +287,7 @@ def series_matmul(a, b, p: int, k: int, mod) -> list[list[list[int]]]:
     once.
     """
     nout = min(map(len, chain(chain.from_iterable(a), chain.from_iterable(b))))
-    pack, lin = _linear(nout, len(b) * nout, p, k, mod)
+    pack, lin, _ = _linear(nout, len(b) * nout, p, k, mod)
     rows = [list(map(pack, row)) for row in a]
     cols = list(zip(*[map(pack, row) for row in b]))
     return [[lin(row, col) for col in cols] for row in rows]
@@ -340,7 +309,7 @@ def series_matinv(a, p: int, k: int, mod) -> list[list[list[int]]] | None:
     n, nout = len(a), len(a[0][0])
     if not nout:
         return None
-    pack, lin = _linear(nout, nout, p, k, mod)
+    pack, lin, _ = _linear(nout, nout, p, k, mod)
     one, zero = [1] + [0] * (nout - 1), [0] * nout
     rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
@@ -380,7 +349,7 @@ def series_charpoly(a, p: int, k: int, mod) -> list[list[int]]:
     product; every other coefficient is one sum of products.
     """
     n, nout = len(a), len(a[0][0])
-    pack, lin = _linear(nout, n * nout, p, k, mod)
+    pack, lin, _ = _linear(nout, n * nout, p, k, mod)
     pa = [[pack(e) for e in row] for row in a]
     poly, ppoly = [], []  # coefficients 1 .. j of the block's polynomial, as lists and packed
     for j in range(n):

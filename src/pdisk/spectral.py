@@ -108,14 +108,10 @@ class SpectralRing(Value):
     # -- element construction ---------------------------------------------
 
     def element(self, coeffs: list[TruncSeries]) -> "SpectralElement":
-        n = self.rank
-        coeffs = list(coeffs)
-        if len(coeffs) > n:
-            coeffs = self._reduce(coeffs)
+        coeffs = self._reduce(coeffs)
         prec = min([c.precision for c in coeffs] + [self.precision])
         padded = [c.truncate(prec) for c in coeffs]
-        if len(padded) < n:
-            padded += [TruncSeries.zero(self.field, self.var, prec)] * (n - len(padded))
+        padded += [TruncSeries.zero(self.field, self.var, prec)] * (self.rank - len(padded))
         return SpectralElement(self, tuple(padded))
 
     def one(self) -> "SpectralElement":
@@ -131,12 +127,12 @@ class SpectralRing(Value):
     def _reduce(self, coeffs: list[TruncSeries]) -> list[TruncSeries]:
         """Reduce a t-polynomial by monic char_b; a constant-one lead forms no product."""
         n = self.rank
-        q = self.char
         out = list(coeffs)
         for i in range(len(out) - 1, n - 1, -1):
             lead = out.pop()
             if lead.is_zero():
                 continue
+            q = self.char
             one = lead.coeffs[0] == 1 and not any(lead.coeffs[1:])
             for j in range(n):
                 term = q[j].truncate(min(lead.precision, q[j].precision)) if one else lead * q[j]

@@ -1,17 +1,19 @@
 """The series kernels against slow oracles.
 
-Over F_p the Kronecker product (series_mul from the crossover on, and the
-packed sum _kronecker_sum_mul of one pair at every length) is checked
-against the schoolbook loop and the dot-product inversion against the
-scalar triangular recursion below, on both sides of the Kronecker
-crossover and for moduli beyond machine words.
+Over F_p the Kronecker product (series_mul from the crossover on, and
+series_sum_mul of one pair at every length, its list branch switched off
+by patching KRONECKER_MIN to 0) is checked against the schoolbook loop
+and the dot-product inversion against the scalar triangular recursion
+below, on both sides of the Kronecker crossover and for moduli beyond
+machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
 field's own arithmetic.  series_dot is checked over both kinds of field
 against a sum of FieldSpec products, and series_sum_mul against sums of
 series_mul products taken one series_add at a time.  series_derivative is
 checked against FieldSpec integer multiples, and series_pcurv against the
 object-level loops of tests/conftest.py (pcurv_loop, and apply for a single
-column), over F_p and F_{p^k}; pcurv_in_ring, its caller, against
+column), over F_p and F_{p^k}, also at 0 steps, 1 step and as many steps
+as x has coefficients; pcurv_in_ring, its caller, against
 pcurv_in_ring_loop on rings with and without a zero derivation.  The matrix
 kernels series_matmul, series_matinv and series_charpoly are checked
 through their callers (@ and matvec, the inverse, char_invariants) against
@@ -83,6 +85,13 @@ def field_dot(field: FieldSpec, pairs) -> int:
     return acc
 
 
+def packed_sum_mul(pairs, nout: int, p: int, monkeypatch) -> list[int]:
+    """series_sum_mul over F_p on its packed branch, whatever nout is."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "KRONECKER_MIN", 0)
+        return impl.series_sum_mul(pairs, nout, p, 1, None)
+
+
 def draw(rng: SplitMix64, q: int, n: int) -> list[int]:
     return [rng.below(q) for _ in range(n)]
 
@@ -93,19 +102,19 @@ def test_backend_is_the_python_kernels() -> None:
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_kronecker_matches_schoolbook(p: int) -> None:
+def test_kronecker_matches_schoolbook(p: int, monkeypatch) -> None:
     rng = SplitMix64(90 + p % 1000)
     lengths = [1, CROSS - 1, CROSS, CROSS + 1, 2 * CROSS, 64, 200]
     for n in lengths:
         for _ in range(4):
             a, b = draw(rng, p, n), draw(rng, p, n)
             want = schoolbook_mul(a, b, n, p)
-            assert kernels._kronecker_sum_mul([(a, b)], n, p) == want
             assert impl.series_mul(a, b, n, p, 1, None) == want
+            assert packed_sum_mul([(a, b)], n, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_uneven_lengths_and_short_outputs(p: int) -> None:
+def test_uneven_lengths_and_short_outputs(p: int, monkeypatch) -> None:
     # operands of different lengths, nout below, between and above them
     rng = SplitMix64(190 + p % 1000)
     for _ in range(60):
@@ -113,23 +122,23 @@ def test_uneven_lengths_and_short_outputs(p: int) -> None:
         nout = rng.below(3 * CROSS)
         a, b = draw(rng, p, na), draw(rng, p, nb)
         want = schoolbook_mul(a, b, nout, p)
-        assert kernels._kronecker_sum_mul([(a, b)], nout, p) == want
         assert impl.series_mul(a, b, nout, p, 1, None) == want
         assert impl.series_mul(tuple(a), tuple(b), nout, p, 1, None) == want
+        assert packed_sum_mul([(a, b)], nout, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_empty_inputs(p: int) -> None:
+def test_empty_inputs(p: int, monkeypatch) -> None:
     for nout in (0, CROSS - 1, CROSS, 2 * CROSS):
         assert impl.series_mul([], [1], nout, p, 1, None) == [0] * nout
         assert impl.series_mul([1, 2 % p], [], nout, p, 1, None) == [0] * nout
-        assert kernels._kronecker_sum_mul([([], [])], nout, p) == [0] * nout
+        assert packed_sum_mul([([], [])], nout, p, monkeypatch) == [0] * nout
     assert impl.series_add([], [], p, 1, None) == []
     assert impl.series_neg([], p, 1, None) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
-def test_full_slots_at_width_boundaries(p: int) -> None:
+def test_full_slots_at_width_boundaries(p: int, monkeypatch) -> None:
     # all coefficients p - 1 fill every slot to its bound; the lengths put the
     # bound just below and just above a whole number of bytes
     for bits in (8, 16, 32, 64, 72):
@@ -141,8 +150,8 @@ def test_full_slots_at_width_boundaries(p: int) -> None:
                 continue
             a = [p - 1] * m
             want = schoolbook_mul(a, a, m, p)
-            assert kernels._kronecker_sum_mul([(a, a)], m, p) == want
             assert impl.series_mul(a, a, m, p, 1, None) == want
+            assert packed_sum_mul([(a, a)], m, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -310,6 +319,27 @@ def test_series_pcurv_matches_the_loops(field: FieldSpec) -> None:
                 col = apply(conn, col)
             assert got == [[list(c.coeffs)] for c in col]
             assert len(got[0][0]) == length - 1 - steps
+
+
+@pytest.mark.parametrize("field", [FieldSpec(5), FieldSpec(3, 2, (1, 0, 1))], ids=str)
+def test_series_pcurv_at_no_one_and_every_step(field: FieldSpec) -> None:
+    # 0 steps return x, 1 step is one loop step, and as many steps as x's
+    # entries have coefficients leave every entry empty
+    p, k, mod = field.p, field.k, field.modulus
+    rng = SplitMix64(1090 + field.q)
+    for n in (1, 2):
+        for length in (1, 2, 3, CROSS, CROSS + 1):
+            a = rng.matrix(field, VAR_DISK, n, length)
+            x = rng.matrix(field, VAR_DISK, n, length)
+            rows = [[e.coeffs for e in row] for row in a.entries]
+            seed = [[e.coeffs for e in row] for row in x.entries]
+            assert impl.series_pcurv(rows, seed, 0, p, k, mod) == seed
+            if length > 1:
+                want = pcurv_loop(a, x, 1)
+                got = impl.series_pcurv(rows, seed, 1, p, k, mod)
+                assert got == [[list(e.coeffs) for e in row] for row in want.entries]
+            got = impl.series_pcurv(rows, seed, length, p, k, mod)
+            assert got == [[[]] * n for _ in range(n)]
 
 
 def _outcome(compute, theta):

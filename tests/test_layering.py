@@ -14,6 +14,8 @@ traffic also runs under a profiler, and every function the package defines
 must be entered from the package's own code.  Every imported name is used or
 exported.  The scripts in ``benchmarks/`` run outside the test suite, so
 every pdisk name they import or read off a pdisk module is checked to exist.
+Within the kernels, only an allow-listed set of functions compares k, so a
+sum of products forks on the kind of field in ``_linear`` alone.
 """
 
 from __future__ import annotations
@@ -417,7 +419,7 @@ def test_a_stale_benchmark_name_is_found() -> None:
         "from pdisk import series\n"
         "from pdisk.matrix import SeriesMatrix, gone_helper\n"
         "kernels.KRONECKER_MIN = 0\n"
-        "kernels._kronecker_sum_mul([], 0, 2)\n"
+        "kernels._linear(0, 0, 2, 1, None)\n"
         "kernels.gone_oracle([], [], 0, 2)\n"
         "series.dot\n"
     )
@@ -425,3 +427,46 @@ def test_a_stale_benchmark_name_is_found() -> None:
         "pdisk.matrix.gone_helper",
         "pdisk._kernels_py.gone_oracle",
     ]
+
+
+# The functions of _kernels_py that may compare k: the elementwise kernels,
+# series_sum_mul's size selection and _linear, the one sum of products that
+# series_sum_mul, series_pcurv and the matrix kernels run through.
+K_FORKS_ALLOWED = {
+    "series_add",
+    "series_sub",
+    "series_neg",
+    "series_derivative",
+    "series_dot",
+    "series_inv",
+    "series_sum_mul",
+    "_linear",
+}
+
+
+def k_forks(tree: ast.Module) -> set[str]:
+    """The module-level functions with a comparison of the name ``k`` anywhere in their body."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(c, ast.Compare)
+            and any(isinstance(x, ast.Name) and x.id == "k" for x in (c.left, *c.comparators))
+            for c in ast.walk(node)
+        )
+    }
+
+
+def test_sums_of_products_fork_on_k_in_linear_only() -> None:
+    tree = ast.parse((SRC / "_kernels_py.py").read_text())
+    assert k_forks(tree) == K_FORKS_ALLOWED
+
+
+def test_a_k_fork_in_the_recursion_is_found() -> None:
+    tree = ast.parse((SRC / "_kernels_py.py").read_text())
+    pcurv = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "series_pcurv"
+    )
+    pcurv.body.insert(1, ast.parse("if k > 1:\n    return x").body[0])
+    assert k_forks(tree) == K_FORKS_ALLOWED | {"series_pcurv"}
