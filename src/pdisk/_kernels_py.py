@@ -14,14 +14,12 @@ packed into one integer, one slot of whole bytes per coefficient, wide
 enough for the whole sum; the integer products are added and each slot of
 the sum is reduced mod p once.  A slot holds its sum exactly, so no carry
 crosses slots.  Over F_{p^k} it accumulates one schoolbook list of field
-products.  ``series_sum_mul``
-gives the first nout coefficients of a sum of products as one ``_linear``
-sum, except over F_p below ``KRONECKER_MIN`` output coefficients, where
-one schoolbook list of integer products, reduced once, is as fast.
-``series_mul`` is ``series_sum_mul`` of one pair, so products and
-``series.dot`` share one implementation.  The tests check it against
-``schoolbook_mul`` in ``tests/conftest.py``, one product at a time, and
-``benchmarks/bench_kernels.py`` times its two branches against each other.
+products.  ``series_sum_mul`` gives the first nout coefficients of a sum
+of products as one ``_linear`` sum, at every length, and ``series_mul``
+is its one-pair case, so products and ``series.dot`` share one
+implementation.  The tests check it against ``schoolbook_mul`` in
+``tests/conftest.py``, one product at a time, and
+``benchmarks/bench_kernels.py`` times it per call.
 
 ``series_dot`` sums the dot products of several coefficient sequences as
 integers and reduces mod p once; it gives one coefficient of a truncated
@@ -45,11 +43,10 @@ coefficient lists, one kernel call per ``SeriesMatrix`` fact:
 ``series_matinv`` for the inverse (Gauss-Jordan elimination on [A | I],
 None for a singular residue) and ``series_charpoly`` for the
 characteristic invariants (Berkowitz's recursion).  Each is written once on
-``_linear``.  Over F_p they pack every entry once, at every length: unlike
-``series_sum_mul`` there is no list branch, since a matrix reuses each
-packed entry across a row or a column.  Each output entry is one sum,
-reduced mod p once.  The tests check them against the object-level loops
-in ``tests/conftest.py``.
+``_linear``.  Over F_p they pack every entry once, at every length, and
+reuse each packed entry across a row or a column.  Each output entry is
+one sum, reduced mod p once.  The tests check them against the
+object-level loops in ``tests/conftest.py``.
 
 BACKEND tells the benchmark and tests which implementation they got.
 """
@@ -65,11 +62,6 @@ from operator import add, mul, neg
 from .field import element_inv, ext_add, ext_mul, ext_neg, ext_scalar_mul
 
 BACKEND = "python"
-
-# Output length from which k = 1 products use Kronecker substitution.  Below it
-# the schoolbook loop is as fast or faster: benchmarks/bench_kernels.py puts the
-# break-even between 6 and 10 output coefficients for p in {2, 3, 5, 7}.
-KRONECKER_MIN = 10
 
 # Array typecode for each slot width in bytes that a machine integer type has,
 # and the slot width used for a slot that needs a given number of bytes.
@@ -193,22 +185,10 @@ def series_mul(a, b, nout: int, p: int, k: int, mod) -> list[int]:
 def series_sum_mul(pairs, nout: int, p: int, k: int, mod) -> list[int]:
     """The first nout coefficients of the sum of a * b over (a, b) in pairs.
 
-    One ``_linear`` sum of the pairs cut to nout coefficients; a slot of it
-    adds min(len a, len b) products per pair.  Over F_p below
-    ``KRONECKER_MIN`` output coefficients the integer products accumulate in
-    one schoolbook list instead, reduced mod p once, which is as fast there.
+    One ``_linear`` sum of the pairs cut to nout coefficients, at every
+    length; a slot of it adds min(len a, len b) products per pair.
     """
-    if k == 1 and nout < KRONECKER_MIN:
-        out = [0] * nout
-        for a, b in pairs:
-            nb = len(b)
-            for i in range(min(len(a), nout)):
-                ai = a[i]
-                if ai:
-                    for j in range(min(nb, nout - i)):
-                        out[i + j] += ai * b[j]
-        return [c % p for c in out]
-    pairs = [(a[:nout], b[:nout]) for a, b in pairs if len(a) and len(b)]
+    pairs = [(a[:nout], b[:nout]) for a, b in pairs]
     pack, lin, _ = _linear(nout, sum([min(len(a), len(b)) for a, b in pairs]), p, k, mod)
     return lin([pack(a) for a, b in pairs], [pack(b) for a, b in pairs])
 
@@ -245,7 +225,7 @@ def series_inv(a, nout: int, c0inv: int, p: int, k: int, mod) -> list[int]:
 def series_derivative(a, p: int, k: int, mod) -> list[int]:
     """d/dz: coefficient m of the result is (m + 1) * a[m + 1], one coefficient fewer than a."""
     if k == 1:
-        return list(map(p.__rmod__, map(mul, range(1, len(a)), a[1:])))
+        return [c % p for c in map(mul, range(1, len(a)), a[1:])]
     return [ext_scalar_mul(m, a[m], p, k) for m in range(1, len(a))]
 
 

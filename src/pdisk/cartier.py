@@ -30,6 +30,7 @@ from __future__ import annotations
 from .backend import impl
 from .connection import Connection
 from .errors import NonzeroPCurvature, VarMismatch, ZeroPrecision
+from .field import element_inv
 from .matrix import SeriesMatrix
 from .series import TruncSeries, VAR_DISK, VAR_TWIST
 
@@ -141,7 +142,9 @@ def flat_matrix_section(conn: Connection) -> SeriesMatrix:
                 for entry in row:
                     entry.append(0)
         else:
-            inv = pow(m + 1, p - 2, p)
+            # m + 1 is a prime-field element, coded by its residue mod p over
+            # every F_{p^k}, so the k = 1 inverse serves
+            inv = element_inv(m + 1, p, 1, None)
             for i in range(n):
                 for j in range(n):
                     h[i][j].append(f.mul(inv, f.neg(resid[i][j])))

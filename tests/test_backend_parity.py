@@ -1,11 +1,10 @@
 """The series kernels against slow oracles.
 
-Over F_p the Kronecker product (series_mul from the crossover on, and
-series_sum_mul of one pair at every length, its list branch switched off
-by patching KRONECKER_MIN to 0) is checked against the schoolbook loop
-and the dot-product inversion against the scalar triangular recursion
-below, on both sides of the Kronecker crossover and for moduli beyond
-machine words.
+Over F_p the Kronecker product (series_mul, the one-pair case of
+series_sum_mul, packed at every length) is checked against the schoolbook
+loop and the dot-product inversion against the scalar triangular
+recursion below, at the short lengths where verify-default's sums sit,
+at long ones and for moduli beyond machine words.
 Over F_{p^k} the kernels are checked against convolutions built from the
 field's own arithmetic.  series_dot is checked over both kinds of field
 against a sum of FieldSpec products, and series_sum_mul against sums of
@@ -48,7 +47,9 @@ from conftest import (
 )
 
 PRIMES = [2, 3, 5, 7, 2**31 - 1, 4294967311]
-CROSS = kernels.KRONECKER_MIN
+# Output lengths around SHORT are where verify-default's sums sit: most of
+# them have 2 to 9 coefficients.
+SHORT = 10
 EXTENSIONS = [FieldSpec(3, 2, (1, 0, 1)), FieldSpec(2, 3, (1, 1, 0, 1))]
 DOT_FIELDS = [FieldSpec(p) for p in PRIMES] + [
     FieldSpec(2, 2, (1, 1, 1)),
@@ -85,13 +86,6 @@ def field_dot(field: FieldSpec, pairs) -> int:
     return acc
 
 
-def packed_sum_mul(pairs, nout: int, p: int, monkeypatch) -> list[int]:
-    """series_sum_mul over F_p on its packed branch, whatever nout is."""
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "KRONECKER_MIN", 0)
-        return impl.series_sum_mul(pairs, nout, p, 1, None)
-
-
 def draw(rng: SplitMix64, q: int, n: int) -> list[int]:
     return [rng.below(q) for _ in range(n)]
 
@@ -102,43 +96,41 @@ def test_backend_is_the_python_kernels() -> None:
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_kronecker_matches_schoolbook(p: int, monkeypatch) -> None:
+def test_kronecker_matches_schoolbook(p: int) -> None:
     rng = SplitMix64(90 + p % 1000)
-    lengths = [1, CROSS - 1, CROSS, CROSS + 1, 2 * CROSS, 64, 200]
+    lengths = [1, 2, 4, SHORT - 1, SHORT, SHORT + 1, 2 * SHORT, 64, 200]
     for n in lengths:
         for _ in range(4):
             a, b = draw(rng, p, n), draw(rng, p, n)
             want = schoolbook_mul(a, b, n, p)
             assert impl.series_mul(a, b, n, p, 1, None) == want
-            assert packed_sum_mul([(a, b)], n, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_uneven_lengths_and_short_outputs(p: int, monkeypatch) -> None:
+def test_uneven_lengths_and_short_outputs(p: int) -> None:
     # operands of different lengths, nout below, between and above them
     rng = SplitMix64(190 + p % 1000)
     for _ in range(60):
-        na, nb = rng.below(3 * CROSS), rng.below(3 * CROSS)
-        nout = rng.below(3 * CROSS)
+        na, nb = rng.below(3 * SHORT), rng.below(3 * SHORT)
+        nout = rng.below(3 * SHORT)
         a, b = draw(rng, p, na), draw(rng, p, nb)
         want = schoolbook_mul(a, b, nout, p)
         assert impl.series_mul(a, b, nout, p, 1, None) == want
         assert impl.series_mul(tuple(a), tuple(b), nout, p, 1, None) == want
-        assert packed_sum_mul([(a, b)], nout, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_empty_inputs(p: int, monkeypatch) -> None:
-    for nout in (0, CROSS - 1, CROSS, 2 * CROSS):
+def test_empty_inputs(p: int) -> None:
+    for nout in (0, SHORT - 1, SHORT, 2 * SHORT):
         assert impl.series_mul([], [1], nout, p, 1, None) == [0] * nout
         assert impl.series_mul([1, 2 % p], [], nout, p, 1, None) == [0] * nout
-        assert packed_sum_mul([([], [])], nout, p, monkeypatch) == [0] * nout
+        assert impl.series_sum_mul([([], [])], nout, p, 1, None) == [0] * nout
     assert impl.series_add([], [], p, 1, None) == []
     assert impl.series_neg([], p, 1, None) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
-def test_full_slots_at_width_boundaries(p: int, monkeypatch) -> None:
+def test_full_slots_at_width_boundaries(p: int) -> None:
     # all coefficients p - 1 fill every slot to its bound; the lengths put the
     # bound just below and just above a whole number of bytes
     for bits in (8, 16, 32, 64, 72):
@@ -151,14 +143,13 @@ def test_full_slots_at_width_boundaries(p: int, monkeypatch) -> None:
             a = [p - 1] * m
             want = schoolbook_mul(a, a, m, p)
             assert impl.series_mul(a, a, m, p, 1, None) == want
-            assert packed_sum_mul([(a, a)], m, p, monkeypatch) == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_inverse_matches_scalar_recursion(p: int) -> None:
     field = FieldSpec(p)
     rng = SplitMix64(290 + p % 1000)
-    for n in (1, 2, CROSS - 1, CROSS, CROSS + 1, 40, 100):
+    for n in (1, 2, SHORT - 1, SHORT, SHORT + 1, 40, 100):
         for _ in range(3):
             a = [1 + rng.below(p - 1)] + draw(rng, p, n - 1)
             c0inv = field.inv(a[0])
@@ -231,16 +222,16 @@ def test_series_sum_mul_matches_products(field: FieldSpec) -> None:
     p, k, mod = field.p, field.k, field.modulus
     rng = SplitMix64(690 + field.q % 1000)
     assert impl.series_sum_mul([], 0, p, k, mod) == []
-    assert impl.series_sum_mul([], CROSS + 1, p, k, mod) == [0] * (CROSS + 1)
-    top = 2 * CROSS if k > 1 else 3 * CROSS
+    assert impl.series_sum_mul([], SHORT + 1, p, k, mod) == [0] * (SHORT + 1)
+    top = 2 * SHORT if k > 1 else 3 * SHORT
     for trial in range(40 if k == 1 else 20):
         # uneven lengths and empty operands; nout below, between and above them,
-        # and on both sides of the Kronecker crossover
+        # and at the short lengths around SHORT
         pairs = [
             (draw(rng, field.q, rng.below(top)), tuple(draw(rng, field.q, rng.below(top))))
             for _ in range(rng.below(5))
         ]
-        for nout in (rng.below(top), CROSS - 1, CROSS, CROSS + 1):
+        for nout in (rng.below(top), SHORT - 1, SHORT, SHORT + 1):
             want = sum_mul_oracle(pairs, nout, p, k, mod)
             assert impl.series_sum_mul(pairs, nout, p, k, mod) == want
             assert impl.series_sum_mul(iter(pairs), nout, p, k, mod) == want
@@ -270,7 +261,7 @@ def test_series_derivative_matches_integer_multiples(field: FieldSpec) -> None:
     assert impl.series_derivative([], p, k, mod) == []
     # lengths around p, where a multiple of p first meets a coefficient, for the small primes
     around_p = (p - 1, p, p + 1, 3 * p + 2) if p < 100 else ()
-    for n in (1, 2, 3, CROSS, 40, *around_p):
+    for n in (1, 2, 3, SHORT, 40, *around_p):
         for a in (draw(rng, field.q, n), (field.q - 1,) * n):
             want = [field.scalar_mul(m, a[m]) for m in range(1, n)]
             assert impl.series_derivative(a, p, k, mod) == want
@@ -283,8 +274,8 @@ PCURV_FIELDS = [FieldSpec(p) for p in (2, 3, 5, 7, 11)] + [
 
 
 def pcurv_lengths(p: int) -> list[int]:
-    """From p + 1 up to both sides of the Kronecker crossover, and 160."""
-    short = sorted({p + 1, p + 2, CROSS - 1, CROSS, CROSS + 1} - set(range(p + 1)))
+    """From p + 1 up to the short lengths around SHORT, and 160."""
+    short = sorted({p + 1, p + 2, SHORT - 1, SHORT, SHORT + 1} - set(range(p + 1)))
     return short + [160]
 
 
@@ -328,7 +319,7 @@ def test_series_pcurv_at_no_one_and_every_step(field: FieldSpec) -> None:
     p, k, mod = field.p, field.k, field.modulus
     rng = SplitMix64(1090 + field.q)
     for n in (1, 2):
-        for length in (1, 2, 3, CROSS, CROSS + 1):
+        for length in (1, 2, 3, SHORT, SHORT + 1):
             a = rng.matrix(field, VAR_DISK, n, length)
             x = rng.matrix(field, VAR_DISK, n, length)
             rows = [[e.coeffs for e in row] for row in a.entries]

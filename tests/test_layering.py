@@ -418,7 +418,7 @@ def test_a_stale_benchmark_name_is_found() -> None:
         "import pdisk._kernels_py as kernels\n"
         "from pdisk import series\n"
         "from pdisk.matrix import SeriesMatrix, gone_helper\n"
-        "kernels.KRONECKER_MIN = 0\n"
+        "kernels.series_sum_mul\n"
         "kernels._linear(0, 0, 2, 1, None)\n"
         "kernels.gone_oracle([], [], 0, 2)\n"
         "series.dot\n"
@@ -429,9 +429,9 @@ def test_a_stale_benchmark_name_is_found() -> None:
     ]
 
 
-# The functions of _kernels_py that may compare k: the elementwise kernels,
-# series_sum_mul's size selection and _linear, the one sum of products that
-# series_sum_mul, series_pcurv and the matrix kernels run through.
+# The functions of _kernels_py that may compare k: the six elementwise
+# kernels and _linear, the one sum of products that series_sum_mul,
+# series_pcurv and the matrix kernels run through.
 K_FORKS_ALLOWED = {
     "series_add",
     "series_sub",
@@ -439,7 +439,6 @@ K_FORKS_ALLOWED = {
     "series_derivative",
     "series_dot",
     "series_inv",
-    "series_sum_mul",
     "_linear",
 }
 

@@ -22,7 +22,7 @@ def draw(rng: SplitMix64, p: int, n: int) -> list[int]:
 
 @pytest.mark.parametrize("p", [2, 5, 101])
 def test_mul_matches_sympy(p: int) -> None:
-    # lengths on both sides of the kernels' Kronecker crossover
+    # products of 1 to 46 coefficients: short ones, as on the verify grid, and long ones
     field, rng = FieldSpec(p), SplitMix64(p)
     for na, nb in [(1, 1), (1, 7), (3, 4), (6, 6), (9, 14), (30, 17)]:
         a, b = draw(rng, p, na), draw(rng, p, nb)
