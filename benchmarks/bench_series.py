@@ -25,10 +25,13 @@ the unit with a random element, once with the unit's multiplication matrix
 kept from an earlier product and once from a fresh copy of the unit that
 must form it, and ``char_invariants`` of that matrix.  The inverse, too, is
 timed on a fresh copy, since an element keeps its inverse.  The eigenvalue
-table times ``SpectralRing.eigenvalues`` over F_5 and F_9 at ranks 2 and 3,
-N = 19 and N = 160, on the invariants of a split p-curvature (as
-``hensel_eigen`` reads them), with a fresh ring per call, since a ring keeps
-its eigenvalues.  Run from the repository root:
+table times, over F_5 and F_9 at ranks 2 and 3, N = 19 and N = 160, on a
+split p-curvature and its invariants (as ``hensel_eigen`` reads them):
+``SpectralRing.eigenvalues`` and ``lagrange_basis`` (the lift and then the
+basis) on a fresh ring per call, since a ring keeps both; ``hensel_eigen`` on
+a fresh matrix per call, since a matrix keeps its invariants; and
+``eval_matrix`` of the first basis element at the p-curvature, one projector
+of the split.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_series.py
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 from bench_kernels import clock, fmt
 
 from pdisk import polyring
-from pdisk.connection import Connection, pcurv
+from pdisk.connection import Connection, FHiggs, pcurv
 from pdisk.errors import NonSplitResidue, RepeatedResidueRoot
 from pdisk.field import FieldSpec
 from pdisk.harmonic import pcurv_in_ring, solve_harmonic
@@ -46,7 +49,7 @@ from pdisk.hitchin import char_invariants, companion_section
 from pdisk.matrix import MAX_RANK, InvariantTuple, SeriesMatrix
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, dot
-from pdisk.spectral import SpectralElement, SpectralRing, check_residue_split
+from pdisk.spectral import SpectralElement, SpectralRing, check_residue_split, hensel_eigen
 
 FIELDS = {"F5": FieldSpec(5), "F9": FieldSpec(3, 2, (1, 0, 1))}
 LENGTHS = [4, 10, 19, 160]
@@ -61,8 +64,8 @@ PCURV_SHAPES = [("F5", 19), ("F5", 160), ("F9", 19)]
 SPECTRAL_PRECISIONS = [19, 160]
 
 
-def split_pcurv_invariants(rng: SplitMix64, f: FieldSpec, r: int, n: int) -> InvariantTuple:
-    """The invariants, at precision n, of a random connection's p-curvature that splits.
+def split_pcurv(rng: SplitMix64, f: FieldSpec, r: int, n: int) -> SeriesMatrix:
+    """A random connection's p-curvature, at precision n, that splits.
 
     The p-curvature's residue needs only the connection's first p + 1
     orders, so those are drawn until it splits and then continued to the
@@ -80,7 +83,7 @@ def split_pcurv_invariants(rng: SplitMix64, f: FieldSpec, r: int, n: int) -> Inv
         [TruncSeries(f, VAR_DISK, e.coeffs + rng.series(f, VAR_DISK, n - 2).coeffs) for e in row]
         for row in m.entries
     ]
-    return pcurv(Connection(SeriesMatrix.from_rows(rows))).matrix.invariants
+    return pcurv(Connection(SeriesMatrix.from_rows(rows))).matrix
 
 
 def time_pcurv(rng: SplitMix64, f: FieldSpec, n: int) -> tuple[float, float]:
@@ -186,13 +189,23 @@ def main() -> None:
                     f"{name:>5} {r:>5} {n:>5} {fmt(t_inv):>12} {fmt(t_comp):>12} {fmt(t_gcd):>12}"
                     f" {fmt(t_kept):>12} {fmt(t_fresh):>12} {fmt(t_char):>12}"
                 )
-    print(f"{'field':>5} {'rank':>5} {'N':>5} {'eigenvalues':>12}")
+    print(
+        f"{'field':>5} {'rank':>5} {'N':>5} {'eigenvalues':>12} {'lagrange_basis':>14}"
+        f" {'hensel_eigen':>12} {'eval_matrix':>12}"
+    )
     for name, f in FIELDS.items():
         for r in RANKS:
             for n in SPECTRAL_PRECISIONS:
-                b = split_pcurv_invariants(rng, f, r, n)
+                psi = split_pcurv(rng, f, r, n)
+                b = psi.invariants
                 t_eig, _ = clock(lambda: SpectralRing(b).eigenvalues)
-                print(f"{name:>5} {r:>5} {n:>5} {fmt(t_eig):>12}")
+                t_basis, _ = clock(lambda: SpectralRing(b).lagrange_basis)
+                t_split, _ = clock(lambda: hensel_eigen(FHiggs(SeriesMatrix(psi.entries))))
+                t_eval, _ = clock(SpectralRing(b).lagrange_basis[0].eval_matrix, psi)
+                print(
+                    f"{name:>5} {r:>5} {n:>5} {fmt(t_eig):>12} {fmt(t_basis):>14}"
+                    f" {fmt(t_split):>12} {fmt(t_eval):>12}"
+                )
 
 
 if __name__ == "__main__":

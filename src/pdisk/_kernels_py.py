@@ -48,6 +48,19 @@ reuse each packed entry across a row or a column.  Each output entry is
 one sum, reduced mod p once.  The tests check them against the
 object-level loops in ``tests/conftest.py``.
 
+The eigen split has three kernels, each written on ``_linear``.
+``series_hensel_roots`` lifts every simple residue root of a monic
+t-polynomial at precisions 1, 2, 4, ..., N by Newton's iteration: Horner
+on the packed root gives char(mu) and, as the quotient by t - mu
+evaluated at mu, char'(mu); 1/char'(mu) is kept by its own Newton step
+inv (2 - char'(mu) inv) from the residue inverse of ``field.element_inv``,
+and the roots are certified by char(mu) = 0 at N.  ``series_lagrange``
+gives the Lagrange basis at the roots as char(t) / (t - mu_i) times that
+kept inverse, by synthetic division.  ``series_polyval`` evaluates
+t-polynomials at one matrix: the powers are formed once and each entry of
+a result is one sum over the coefficients.  The tests check them against
+the object-level loops in ``tests/conftest.py``.
+
 BACKEND tells the benchmark and tests which implementation they got.
 """
 
@@ -349,3 +362,128 @@ def series_charpoly(a, p: int, k: int, mod) -> list[list[int]]:
         if j < n - 1:
             ppoly = [pack(x) for x in poly]
     return [series_neg(x, p, k, mod) if i % 2 else x for i, x in enumerate(poly, 1)]
+
+
+# -- the eigen split: roots of a monic t-polynomial over the series ring --------
+
+
+def _horner(poly, mu, pmu, pack, lin, p: int, k: int, mod) -> list:
+    """Horner's rule for a monic t-polynomial at mu, every partial value kept.
+
+    poly holds ascending coefficient lists, the last one 1, and pmu is
+    ``pack(mu)``.  h[j] = sum over i >= j of poly[i] mu^(i - j), so h[0] is
+    poly(mu) and h[1:] are the ascending coefficients of the quotient
+    (poly(t) - poly(mu)) / (t - mu): synthetic division by t - mu.  The
+    product by the leading 1 is an addition; every other step is one sum.
+    """
+    h = [poly[-1]]
+    for c in reversed(poly[:-1]):
+        h.append(lin((pack(h[-1]),), (pmu,), (c,)) if len(h) > 1 else series_add(c, mu, p, k, mod))
+    return h[::-1]
+
+
+def _newton_inverse(inv, d, pack, lin, p: int, k: int, mod) -> list:
+    """inv (2 - d inv): 1/d to twice the orders inv knows, cut to the sum's length.
+
+    inv must be 1/d at the residue, so d inv has constant term exactly 1.
+    """
+    pinv = pack(inv)
+    f = series_neg(lin((pack(d),), (pinv,)), p, k, mod)
+    f[0] = 1  # 2 - d inv
+    return lin((pinv,), (pack(f),))
+
+
+def series_hensel_roots(char, roots, nout: int, p: int, k: int, mod):
+    """The roots of a monic t-polynomial that lift simple residue roots, and 1/char' at them.
+
+    char holds the ascending t-coefficients (the last one 1), each known to
+    nout >= 1; roots are residue roots whose char' residue is nonzero.
+    Returns (mus, invs), the lifted roots and the inverses of char'(mu) as
+    coefficient lists of length nout, or None when the certificate
+    char(mu) = 0 at nout fails.  Newton's iteration lifts every root at
+    precisions 1, 2, 4, ..., nout, one ``_linear`` per precision shared by
+    the roots.  A step from P to P' evaluates char and char' at mu, zero
+    extended to P', by Horner (char' as the quotient of char by t - mu,
+    evaluated at mu), takes inv to 1/char'(mu) at P by its own Newton step
+    inv (2 - char'(mu) inv), and sets mu to mu - char(mu) inv at P'.  The
+    residue inverse comes from ``field.element_inv``.  The last evaluation,
+    at nout, is the certificate, and its char' takes inv to nout.
+    """
+    pack, lin, _ = _linear(1, 1, p, k, mod)
+
+    def values(mu):
+        pmu = pack(mu)
+        h = _horner(char, mu, pmu, pack, lin, p, k, mod)
+        return h[0], _horner(h[1:], mu, pmu, pack, lin, p, k, mod)[0]
+
+    mus = [[r] for r in roots]
+    invs = [[element_inv(values(mu)[1][0], p, k, mod)] for mu in mus]
+    prec = 1
+    while prec < nout:
+        nxt = min(2 * prec, nout)
+        lower = pack, lin
+        pack, lin, _ = _linear(nxt, nxt, p, k, mod)
+        for i, mu in enumerate(mus):
+            mu = mu + [0] * (nxt - prec)
+            c, d = values(mu)
+            invs[i] = inv = _newton_inverse(invs[i], d, *lower, p, k, mod)
+            mus[i] = lin((pack(c),), (pack(inv),), (mu,), True)
+        prec = nxt
+    for i, mu in enumerate(mus):
+        c, d = values(mu)
+        if any(c):
+            return None
+        invs[i] = _newton_inverse(invs[i], d, pack, lin, p, k, mod)
+    return mus, invs
+
+
+def series_lagrange(char, mus, invs, p: int, k: int, mod) -> list[list[list[int]]]:
+    """The Lagrange basis at the roots mus of a monic t-polynomial, given 1/char' at them.
+
+    Basis element i is the quotient char(t) / (t - mus[i]) times invs[i], as
+    its n ascending t-coefficients: it is 1 at mus[i] and 0 at the other
+    roots, since char'(mu_i) is the product of the differences mu_i - mu_j.
+    The quotient comes by synthetic division (Horner on char without its
+    constant term); its leading coefficient is 1, so the last coordinate is
+    invs[i] itself, and each other one is one sum.  Every list has length
+    nout, the shortest input's.
+    """
+    nout = min(map(len, chain(char, mus, invs)))
+    pack, lin, _ = _linear(nout, nout, p, k, mod)
+    basis = []
+    for mu, inv in zip(mus, invs):
+        quotient = _horner(char[1:], mu, pack(mu), pack, lin, p, k, mod)
+        pinv = pack(inv)
+        basis.append([lin((pinv,), (pack(q),)) for q in quotient[:-1]] + [list(inv[:nout])])
+    return basis
+
+
+def series_polyval(cs, m, p: int, k: int, mod) -> list[list[list[list[int]]]]:
+    """Each c in cs evaluated at an n x n array m: c_0 I + c_1 m + ... + c_d m^d.
+
+    Every entry of every result has the length nout of the shortest of the
+    c_l and the entries of m.  The powers m^2 .. m^d are formed once for all
+    of cs (series_matmul), each c_l and each entry of each power are packed
+    once, and each entry of a result is one sum of d products, with c_0 as
+    its add on the diagonal.
+    """
+    nout = min(map(len, chain(chain.from_iterable(cs), chain.from_iterable(m))))
+    degree = max(map(len, cs)) - 1
+    m = [[e[:nout] for e in row] for row in m]
+    powers = [m] if degree else []
+    for _ in range(degree - 1):
+        powers.append(series_matmul(powers[-1], m, p, k, mod))
+    pack, lin, _ = _linear(nout, max(degree, 1) * nout, p, k, mod)
+    entries = [[[pack(e) for e in row] for row in power] for power in powers]
+    n = len(m)
+    out = []
+    for c in cs:
+        pc = [pack(x) for x in c[1:]]
+        diagonal = (c[0],)
+        out.append(
+            [
+                [lin(pc, [e[i][j] for e in entries], diagonal if i == j else ()) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+    return out

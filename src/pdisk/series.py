@@ -120,10 +120,6 @@ class TruncSeries:
         return cls._computed(field, var, ((1,) + (0,) * (precision - 1)) if precision else ())
 
     @classmethod
-    def constant(cls, field: FieldSpec, var: str, c: int, precision: int) -> "TruncSeries":
-        return cls.monomial(field, var, 0, precision, c)
-
-    @classmethod
     def monomial(
         cls, field: FieldSpec, var: str, exponent: int, precision: int, coeff: int = 1
     ) -> "TruncSeries":

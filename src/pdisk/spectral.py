@@ -19,13 +19,19 @@ the cyclic frame (SpectralElement.rep), t by the companion matrix.  A
 product applies it to the right operand's coordinates; a unit (its residue
 prime to the residue of char_b) inverts through it: column 0 of its inverse.
 
-On the split stratum a spectral ring carries two more facts, each cached:
-its eigenvalues (the residue roots of char_b, lifted by Newton iteration
-at doubling precision) and the Lagrange basis at them.  hensel_eigen
-builds the ring of a p-curvature matrix's own invariants, evaluates that
-basis at the matrix to get its projectors and an eigenbasis, and keeps the
-ring; the preconditions (split, simple residue spectrum) are reported
-precisely when they fail.
+On the split stratum a spectral ring carries two more facts, each cached,
+and each one kernel call on coefficient lists: its eigenvalues (the
+residue roots of char_b, lifted by Newton iteration at doubling precision
+by series_hensel_roots, which also keeps 1/char_b' at each root) and the
+Lagrange basis at them (series_lagrange: char_b / (t - mu_i) by synthetic
+division, times that kept inverse).  hensel_eigen builds the ring of a
+p-curvature matrix's own invariants, evaluates that basis at the matrix
+(eval_matrices: one series_polyval call, the powers of the matrix formed
+once for the whole basis) to get its projectors and an eigenbasis, and
+keeps the ring; the preconditions (split, simple residue spectrum) are
+reported precisely when they fail.  The object-level loops these kernels
+replaced are the test oracles doubling_eigenvalues_loop,
+lagrange_basis_loop and eval_matrix_loop in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from math import lcm
 from typing import Sequence
 
 from . import polyring
+from .backend import impl
 from .connection import FHiggs
 from .errors import (
     BaseMismatch,
@@ -111,11 +118,9 @@ class SpectralRing(Value):
         coeffs = self._reduce(coeffs)
         prec = min([c.precision for c in coeffs] + [self.precision])
         padded = [c.truncate(prec) for c in coeffs]
-        padded += [TruncSeries.zero(self.field, self.var, prec)] * (self.rank - len(padded))
+        missing = self.rank - len(padded)
+        padded += [TruncSeries.zero(self.field, self.var, prec) for _ in range(missing)]
         return SpectralElement(self, tuple(padded))
-
-    def one(self) -> "SpectralElement":
-        return self.element([TruncSeries.one(self.field, self.var, self.precision)])
 
     def tautological(self) -> "SpectralElement":
         """The class of t; reduces to b_1 when n = 1."""
@@ -142,6 +147,17 @@ class SpectralRing(Value):
     # -- split stratum ----------------------------------------------------
 
     @cached_property
+    def _lift(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The roots of char_b and 1/char_b' at them, as coefficient lists: one kernel call."""
+        f = self.field
+        roots = check_residue_split(f, self.residue_char())
+        char = [c.coeffs for c in self.char]
+        lift = impl.series_hensel_roots(char, roots, self.precision, f.p, f.k, f.modulus)
+        if lift is None:
+            raise InternalInconsistency("Newton lifting failed to converge")
+        return lift
+
+    @cached_property
     def eigenvalues(self) -> tuple[TruncSeries, ...]:
         """The n roots of char_b in the series ring, at the ring's precision N.
 
@@ -150,37 +166,29 @@ class SpectralRing(Value):
         come ascending by field encoding, which fixes every downstream
         ordering.  A Newton step doubles the known orders of a simple root,
         so each residue root is lifted at precisions 1, 2, 4, ..., N and
-        certified at N: char_b(mu) = 0, else InternalInconsistency.
+        certified at N: char_b(mu) = 0, else InternalInconsistency.  The
+        lift is one series_hensel_roots call, which also keeps 1/char_b'(mu)
+        for the Lagrange basis.
         """
-        f, var, prec = self.field, self.var, self.precision
-        char, dchar = self.char, self.dchar
-        mus = []
-        for r in check_residue_split(f, self.residue_char()):
-            mu = TruncSeries.constant(f, var, r, 1)
-            while mu.precision < prec:
-                mu = TruncSeries._computed(f, var, (mu.coeffs + (0,) * mu.precision)[:prec])
-                mu = mu - eval_at(char, mu) * eval_at(dchar, mu).inverse()
-            if not eval_at(char, mu).is_zero():
-                raise InternalInconsistency("Newton lifting failed to converge")
-            mus.append(mu)
-        return tuple(mus)
+        f, var = self.field, self.var
+        return tuple(TruncSeries._computed(f, var, tuple(mu)) for mu in self._lift[0])
 
     @cached_property
     def lagrange_basis(self) -> tuple["SpectralElement", ...]:
         """The elements L_i with L_i(mu_j) = 1 if i = j, else 0, at the eigenvalues.
 
-        L_i = prod over j != i of (t - mu_j) / (mu_i - mu_j), at precision N
-        and of degree n - 1 in t; the differences are units on the split stratum.
+        L_i = char_b(t) / (t - mu_i) * char_b'(mu_i)^(-1), at precision N and
+        of degree n - 1 in t: char_b'(mu_i) is the product of the differences
+        mu_i - mu_j, units on the split stratum, and its inverse is the one
+        the lift keeps.  One series_lagrange call (synthetic division).
         """
-        basis = []
-        for i, mu in enumerate(self.eigenvalues):
-            elt = self.one()
-            for j, other in enumerate(self.eigenvalues):
-                if j != i:
-                    c = (mu - other).inverse()
-                    elt = elt * self.element([-(other * c), c])
-            basis.append(elt)
-        return tuple(basis)
+        f, var = self.field, self.var
+        mus, invs = self._lift
+        basis = impl.series_lagrange([c.coeffs for c in self.char], mus, invs, f.p, f.k, f.modulus)
+        return tuple(
+            SpectralElement(self, tuple(TruncSeries._computed(f, var, tuple(cs)) for cs in elt))
+            for elt in basis
+        )
 
     # -- derivation -------------------------------------------------------
 
@@ -288,16 +296,24 @@ class SpectralElement(Value):
     # -- evaluation -------------------------------------------------------
 
     def eval_matrix(self, m: SeriesMatrix) -> SeriesMatrix:
-        """Evaluate the representative at a matrix value of t (Horner).
+        """The representative evaluated at a matrix value of t (eval_matrices)."""
+        return eval_matrices((self,), m)[0]
 
-        As in eval_at, the leading coefficient is cut to m's precision.
-        """
-        n = m.rank
-        *rest, lead = self.coeffs
-        acc = SeriesMatrix.diagonal([lead.truncate(min(lead.precision, m.precision))] * n)
-        for c in reversed(rest):
-            acc = (acc @ m) + SeriesMatrix.diagonal([c] * n)
-        return acc
+
+def eval_matrices(elements: Sequence[SpectralElement], m: SeriesMatrix) -> tuple[SeriesMatrix, ...]:
+    """Representatives evaluated at a matrix value of t: one series_polyval call.
+
+    c_0 I + c_1 m + ... + c_(n-1) m^(n-1) for each element, with the powers
+    of m formed once for all, at the least precision among the coefficients
+    and m, as eval_at.  The elements' field and variable must be m's.
+    """
+    e00 = m.entries[0][0]
+    for x in elements:
+        x.coeffs[-1]._check_peer(e00)
+    f = m.field
+    cs = [[c.coeffs for c in x.coeffs] for x in elements]
+    out = impl.series_polyval(cs, m._coefficients(), f.p, f.k, f.modulus)
+    return tuple(SeriesMatrix._computed(m._built(rows)) for rows in out)
 
 
 @dataclass(frozen=True)
@@ -345,7 +361,7 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
     m = psi.matrix
     n = m.rank
     ring = SpectralRing(m.invariants)
-    projectors = [basis.eval_matrix(m) for basis in ring.lagrange_basis]
+    projectors = eval_matrices(ring.lagrange_basis, m)
 
     cols = []
     for i in range(n):
@@ -358,5 +374,5 @@ def hensel_eigen(psi: FHiggs) -> EigenData:
         if chosen is None:
             raise InternalInconsistency("projector has no unit column")
         cols.append(chosen)
-    g = SeriesMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    return EigenData(ring, tuple(projectors), g)
+    g = SeriesMatrix._computed(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    return EigenData(ring, projectors, g)

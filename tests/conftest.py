@@ -13,7 +13,7 @@ from pdisk.field import FieldSpec
 from pdisk.jsonio import parse_series
 from pdisk.matrix import InvariantTuple, SeriesMatrix
 from pdisk.series import TruncSeries, dot
-from pdisk.spectral import SpectralRing, check_residue_split, eval_at
+from pdisk.spectral import SpectralElement, SpectralRing, check_residue_split, eval_at
 
 
 def S(field: FieldSpec, text: str, precision: int, var: str = "z") -> TruncSeries:
@@ -120,6 +120,11 @@ def eigen_rep(elt, eigen) -> SeriesMatrix:
     return eigen.gauge @ diag @ eigen.gauge.inverse()
 
 
+def ring_one(ring: SpectralRing) -> SpectralElement:
+    """The unit of a spectral ring, at the ring's precision."""
+    return ring.element([TruncSeries.one(ring.field, ring.var, ring.precision)])
+
+
 def full_precision_eigenvalues(ring: SpectralRing) -> tuple[TruncSeries, ...]:
     """The roots of char_b by bit_length(N - 1) + 1 Newton steps, each at precision N.
 
@@ -130,13 +135,70 @@ def full_precision_eigenvalues(ring: SpectralRing) -> tuple[TruncSeries, ...]:
     prec = ring.precision
     mus = []
     for r in check_residue_split(ring.field, ring.residue_char()):
-        mu = TruncSeries.constant(ring.field, ring.var, r, prec)
+        mu = TruncSeries.monomial(ring.field, ring.var, 0, prec, r)
         for _ in range(max(1, (prec - 1).bit_length() + 1)):
             mu = mu - eval_at(ring.char, mu) * eval_at(ring.dchar, mu).inverse()
         if not eval_at(ring.char, mu).is_zero():
             raise InternalInconsistency("Newton lifting failed to converge")
         mus.append(mu)
     return tuple(mus)
+
+
+def doubling_eigenvalues_loop(ring: SpectralRing, roots=None) -> tuple[TruncSeries, ...]:
+    """The roots of char_b lifted at precisions 1, 2, 4, ..., N, one series operation at a time.
+
+    The loop SpectralRing.eigenvalues ran before it became one
+    series_hensel_roots call: each step zero-extends mu to min(2P, N) and
+    applies mu - char(mu) * char'(mu)^(-1), with a fresh series inverse, and
+    the roots are certified at N.  An oracle for the kernel.  The residue
+    roots are check_residue_split's unless given.
+    """
+    f, var, prec = ring.field, ring.var, ring.precision
+    if roots is None:
+        roots = check_residue_split(f, ring.residue_char())
+    mus = []
+    for r in roots:
+        mu = TruncSeries.monomial(f, var, 0, 1, r)
+        while mu.precision < prec:
+            mu = TruncSeries(f, var, (mu.coeffs + (0,) * mu.precision)[:prec])
+            mu = mu - eval_at(ring.char, mu) * eval_at(ring.dchar, mu).inverse()
+        if not eval_at(ring.char, mu).is_zero():
+            raise InternalInconsistency("Newton lifting failed to converge")
+        mus.append(mu)
+    return tuple(mus)
+
+
+def lagrange_basis_loop(ring: SpectralRing, roots=None) -> tuple[SpectralElement, ...]:
+    """L_i = prod over j != i of (t - mu_j) / (mu_i - mu_j), one ring product at a time.
+
+    The product form SpectralRing.lagrange_basis ran before it became one
+    series_lagrange call: n - 1 ring products and n - 1 series inverses per
+    basis element, at the roots of doubling_eigenvalues_loop.
+    """
+    mus = doubling_eigenvalues_loop(ring, roots)
+    basis = []
+    for i, mu in enumerate(mus):
+        elt = ring_one(ring)
+        for j, other in enumerate(mus):
+            if j != i:
+                c = (mu - other).inverse()
+                elt = elt * ring.element([-(other * c), c])
+        basis.append(elt)
+    return tuple(basis)
+
+
+def eval_matrix_loop(elt: SpectralElement, m: SeriesMatrix) -> SeriesMatrix:
+    """The representative evaluated at m by Horner, one matrix operation at a time.
+
+    The loop SpectralElement.eval_matrix ran before it became one
+    series_polyval call, with the leading coefficient cut to m's precision.
+    """
+    n = m.rank
+    *rest, lead = elt.coeffs
+    acc = SeriesMatrix.diagonal([lead.truncate(min(lead.precision, m.precision))] * n)
+    for c in reversed(rest):
+        acc = (acc @ m) + SeriesMatrix.diagonal([c] * n)
+    return acc
 
 
 def pcurv_loop(a: SeriesMatrix, x: SeriesMatrix, steps: int) -> SeriesMatrix:

@@ -5,8 +5,9 @@ operands that were checked when they entered, without checking it again.
 Every operation that builds through them runs here over F_2, F_5, F_4 and
 F_9 on seeded operands, and each result must equal its rebuild through the
 checked public constructor, with every coefficient stored as an int.  The
-matrix product, inverse and invariants, and spectral products and inverses
-through them, come from one kernel call on coefficient lists each.
+matrix product, inverse and invariants, spectral products and inverses
+through them, the eigenvalues, the Lagrange basis and a spectral element
+evaluated at a matrix come from one kernel call on coefficient lists each.
 
 The planted defects show the check can fail: a kernel that writes q, one
 past the largest encoded element, into one slot of its output gives a
@@ -70,6 +71,19 @@ def _spectral_inverse(r: SplitMix64, f: FieldSpec, n: int) -> SpectralElement:
             return x.inverse()
 
 
+def _split_ring(r: SplitMix64, f: FieldSpec, n: int) -> SpectralRing:
+    # the invariants of a rank-2 matrix with residue [[0, c], [0, 1]]: residue roots 0 and 1
+    rows = [[r.series(f, Z, n) for _ in range(2)] for _ in range(2)]
+    for i, j, c in ((0, 0, 0), (1, 0, 0), (1, 1, 1)):
+        rows[i][j] = TruncSeries(f, Z, (c,) + rows[i][j].coeffs[1:])
+    return SpectralRing(SeriesMatrix.from_rows(rows).invariants)
+
+
+def _eval_matrix(r: SplitMix64, f: FieldSpec, n: int) -> SeriesMatrix:
+    ring = _spectral_ring(r, f, n)
+    return _spectral_element(r, f, n, ring).eval_matrix(r.matrix(f, Z, ring.rank, n))
+
+
 def _descended_matrix(r: SplitMix64, f: FieldSpec, n: int) -> SeriesMatrix:
     return r.matrix(f, TW, 2, n).expand_pth_power().truncate(n * f.p - 1).descend_pth_power()
 
@@ -117,6 +131,9 @@ OPERATIONS = {
     "rep": lambda r, f, n: _spectral_element(r, f, n, _spectral_ring(r, f, n)).rep,
     "spectral-product": _spectral_product,
     "spectral-inverse": _spectral_inverse,
+    "eigenvalues": lambda r, f, n: _split_ring(r, f, n).eigenvalues,
+    "lagrange_basis": lambda r, f, n: _split_ring(r, f, n).lagrange_basis[0],
+    "eval_matrix": _eval_matrix,
     "zero": lambda r, f, n: TruncSeries.zero(f, TW, n),
     "one": lambda r, f, n: TruncSeries.one(f, Z, n),
     "diagonal": lambda r, f, n: SeriesMatrix.diagonal([r.series(f, Z, n) for _ in range(3)]),
@@ -192,6 +209,9 @@ PLANTED = {
     "series_matmul": ["matmul", "matvec", "spectral-product"],
     "series_matinv": ["eliminate", "spectral-inverse"],
     "series_charpoly": ["invariants"],
+    "series_hensel_roots": ["eigenvalues"],
+    "series_lagrange": ["lagrange_basis"],
+    "series_polyval": ["eval_matrix"],
 }
 
 
@@ -227,7 +247,7 @@ def test_constants_equal_their_checked_builds() -> None:
             for n in range(5):
                 assert TruncSeries.zero(f, var, n) == TruncSeries.make(f, var, (), n)
                 assert TruncSeries.one(f, var, n) == TruncSeries.make(f, var, (1,)[:n], n)
-                assert TruncSeries.one(f, var, n) == TruncSeries.constant(f, var, 1, n)
+                assert TruncSeries.one(f, var, n) == TruncSeries.monomial(f, var, 0, n, 1)
 
 
 def test_diagonal_refusals() -> None:

@@ -297,7 +297,7 @@ class TestDlog:
         assert dlog(TruncSeries.one(F3, VAR_DISK, 5)).is_zero()
 
     def test_constant(self) -> None:
-        assert dlog(TruncSeries.constant(F5, VAR_DISK, 3, 5)).is_zero()
+        assert dlog(TruncSeries.monomial(F5, VAR_DISK, 0, 5, 3)).is_zero()
 
     def test_geometric_pinned(self) -> None:
         u = S(F2, "1 + z", 8)

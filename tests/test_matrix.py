@@ -148,7 +148,7 @@ class TestArithmetic:
 
     def test_scale(self) -> None:
         a = SeriesMatrix.identity(F5, VAR_DISK, 2, 3)
-        s = TruncSeries.constant(F5, VAR_DISK, 3, 3)
+        s = TruncSeries.monomial(F5, VAR_DISK, 0, 3, 3)
         assert str(a.map_entries(lambda e: e * s).entry(0, 0)) == "3"
 
     def test_residue(self) -> None:

@@ -12,8 +12,9 @@ hand, on mutated copies: a sign flip in the ext_mul reduction, a dropped
 eval_at cut, theta left unnegated by inverse and theta^2 added to the
 in-ring p-curvature.  The last two are the instance_generation and
 cinv_cmap_identity cases below.  Finally, theta + t planted in the solver
-is still refused by its p-curvature certificate, and an eigenvalue lift one
-doubling short by the Newton certificate of SpectralRing.eigenvalues.
+is still refused by its p-curvature certificate, and an eigenvalue lift whose
+kept inverse of char' is never lifted by the Newton certificate of
+SpectralRing.eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 
 import pytest
 
-from pdisk import cartier, field as field_mod, harmonic, spectral, verify
+from pdisk import _kernels_py, cartier, field as field_mod, harmonic, spectral, verify
 from pdisk.cartier import flat_matrix_section, kernel_unit, solve_hp
 from pdisk.connection import Connection, FHiggs
 from pdisk.errors import CurvatureNonzero, InternalInconsistency, NonzeroPCurvature
@@ -321,19 +322,12 @@ def test_theta_plus_t_in_the_solver_is_refused(monkeypatch) -> None:
         solve_harmonic(conn)
 
 
-def test_lift_one_doubling_short_fails_its_certificate(monkeypatch) -> None:
-    # each residue root seeded at precision 2, though only its residue is
-    # known: every Newton step, the last included, ends one doubling short
+def test_lift_with_an_unlifted_inverse_fails_its_certificate(monkeypatch) -> None:
+    # the kept 1/char'(mu) never leaves its residue, so each Newton step of
+    # the lift gains one order instead of doubling the known ones
     f5 = FieldSpec(5)
     ring = spectral.SpectralRing(InvariantTuple((S(f5, "3 + z", 20), S(f5, "2 + z^2", 20))))
     assert [mu.coeff(0) for mu in ring.eigenvalues] == [1, 2]
-    ring = spectral.SpectralRing(ring.b)
-    ring.dchar  # char and dchar are kept before the seed goes wrong
-    constant = TruncSeries.constant
-    monkeypatch.setattr(
-        TruncSeries,
-        "constant",
-        classmethod(lambda cls, field, var, c, precision: constant(field, var, c, 2 * precision)),
-    )
+    monkeypatch.setattr(_kernels_py, "_newton_inverse", lambda inv, d, *rest: inv)
     with pytest.raises(InternalInconsistency, match="Newton lifting failed to converge"):
-        ring.eigenvalues
+        spectral.SpectralRing(ring.b).eigenvalues

@@ -207,6 +207,22 @@ def test_eval_at(data, field: FieldSpec, ns: list[int], nmu: int) -> None:
     assert_sound(out, eval_at([c for _, c in coeffs], mu_ext))
 
 
+@given(data=st.data(), field=fields, n=ranks, nb=precisions, na=precisions, nm=precisions)
+@settings(max_examples=40, deadline=None)
+def test_eval_matrix(data, field: FieldSpec, n: int, nb: int, na: int, nm: int) -> None:
+    """An element at a matrix holds the least precision of the element and the matrix."""
+    extra = data.draw(st.integers(1, 4))
+    b = [data.draw(series_pair(field, nb, extra=extra)) for _ in range(n)]
+    ring = SpectralRing(InvariantTuple(tuple(e for e, _ in b)))
+    ring_ext = SpectralRing(InvariantTuple(tuple(e for _, e in b)))
+    a = [data.draw(series_pair(field, na)) for _ in range(n)]
+    x, x_ext = ring.element([s for s, _ in a]), ring_ext.element([s for _, s in a])
+    m, m_ext = data.draw(matrix_pair(field, n, nm))
+    out = x.eval_matrix(m)
+    assert out.precision == min(na, nb, nm)
+    assert_sound(out, x_ext.eval_matrix(m_ext))
+
+
 # -- split stratum ------------------------------------------------------------
 
 

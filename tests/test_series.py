@@ -54,7 +54,7 @@ class TestConstruction:
         builders = [
             lambda: TruncSeries.zero(F3, VAR_DISK, -2),
             lambda: TruncSeries.one(F3, VAR_DISK, -2),
-            lambda: TruncSeries.constant(F9, VAR_TWIST, 5, -2),
+            lambda: TruncSeries.monomial(F9, VAR_TWIST, 0, -2, 5),
             lambda: TruncSeries.make(F3, VAR_DISK, [], -2),
             lambda: TruncSeries.make(F3, VAR_DISK, [1, 2], -2),
         ]
@@ -79,9 +79,9 @@ class TestConstruction:
             empty.descend_pth_power()
 
     def test_constants_at_precision_zero(self) -> None:
-        for s in (TruncSeries.one(F9, VAR_DISK, 0), TruncSeries.constant(F9, VAR_TWIST, 5, 0)):
+        for s in (TruncSeries.one(F9, VAR_DISK, 0), TruncSeries.monomial(F9, VAR_TWIST, 0, 0, 5)):
             assert s.precision == 0 and s.coeffs == ()
-        assert TruncSeries.constant(F9, VAR_DISK, 5, 2).coeffs == (5, 0)
+        assert TruncSeries.monomial(F9, VAR_DISK, 0, 2, 5).coeffs == (5, 0)
 
     def test_coeff_reads(self) -> None:
         s = S(F3, "1 + 2*z^2", 4)

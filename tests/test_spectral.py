@@ -8,10 +8,12 @@ from pdisk.connection import Connection, FHiggs, dlog, pcurv
 from pdisk.errors import (
     BaseMismatch,
     DerivationUnavailable,
+    FieldMismatch,
     NonSplitResidue,
     NonUnit,
     PdiskError,
     RepeatedResidueRoot,
+    VarMismatch,
     ZeroPrecision,
 )
 from pdisk.field import FieldSpec
@@ -22,10 +24,12 @@ from pdisk.hitchin import (
     frobenius_base_pullback,
 )
 from pdisk.matrix import SeriesMatrix
+from pdisk.backend import impl
 from pdisk.rng import SplitMix64
 from pdisk.series import TruncSeries, VAR_DISK, VAR_TWIST
 from pdisk.spectral import (
     EigenData,
+    SpectralElement,
     SpectralRing,
     check_residue_split,
     eval_at,
@@ -37,8 +41,12 @@ from conftest import (
     M,
     S,
     companion_layout,
+    doubling_eigenvalues_loop,
     eigen_rep,
+    eval_matrix_loop,
     full_precision_eigenvalues,
+    lagrange_basis_loop,
+    ring_one,
     scale,
     spectral_product,
 )
@@ -120,7 +128,7 @@ class TestBuildSpectral:
         # implicit differentiation: dt must solve (2t - 1) dt + 1 = 0
         dt = ring.derivation()
         two_t = t + t
-        one = ring.one()
+        one = ring_one(ring)
         assert ((two_t - one) * dt + one).is_zero()
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -227,7 +235,7 @@ class TestElements:
             if not cand.is_unit():
                 continue
             found += 1
-            assert (cand * cand.inverse() - ring.one()).is_zero()
+            assert (cand * cand.inverse() - ring_one(ring)).is_zero()
 
     @FIELDS
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -248,7 +256,7 @@ class TestElements:
                 units += 1
                 y = x.inverse()
                 assert y.precision == x.precision
-                assert x * y == ring.one().truncate(x.precision)
+                assert x * y == ring_one(ring).truncate(x.precision)
             # z is never a unit, and a precision-0 element has no residue
             z = ring.element([TruncSeries.monomial(field, VAR_DISK, 1, prec)])
             with pytest.raises(NonUnit, match="zero divisor at the residue"):
@@ -293,7 +301,7 @@ class TestElements:
         assert not t.is_unit()
         with pytest.raises(NonUnit):
             t.inverse()
-        other = t + ring.one()
+        other = t + ring_one(ring)
         assert (t * other).is_zero()
 
     def test_eval_series_is_horner(self) -> None:
@@ -310,15 +318,15 @@ class TestElements:
         assert got.agrees_with(expect)
 
     def test_peer_rings_checked(self) -> None:
-        a = artin_schreier_ring().one()
-        b = SpectralRing(inv(F2, ["0", "z^2"], 9)).one()
+        a = ring_one(artin_schreier_ring())
+        b = ring_one(SpectralRing(inv(F2, ["0", "z^2"], 9)))
         with pytest.raises(BaseMismatch):
             a + b
 
     def test_agrees_with_checks_the_ring(self) -> None:
         # equal coefficients over different ranks, and over different bases
-        one_1 = SpectralRing(inv(F5, ["1"], 6)).one()
-        one_2 = SpectralRing(inv(F5, ["1", "0"], 6)).one()
+        one_1 = ring_one(SpectralRing(inv(F5, ["1"], 6)))
+        one_2 = ring_one(SpectralRing(inv(F5, ["1", "0"], 6)))
         t = SpectralRing(inv(F5, ["1", "0"], 6)).tautological()
         other_t = SpectralRing(inv(F5, ["2", "1"], 6)).tautological()
         for x, y in ((one_1, one_2), (one_2, one_1), (t, other_t)):
@@ -523,6 +531,170 @@ def test_eigenvalues_at_precision_zero() -> None:
 
 
 # ==========================================================================
+# the eigen split on coefficient lists against the object-level loops
+# ==========================================================================
+
+# the primes of tests/test_backend_parity.py, then F_4 and F_9
+SPLIT_FIELDS = [FieldSpec(p) for p in (2, 3, 5, 7, 2**31 - 1, 4294967311)] + [F4, F9]
+SPLIT_PRECISIONS = [0, 1, 2, 3, 4, 5, 8, 13, 19, 160]
+# a series product over F_4 and F_9 is quadratic in scalar products: the
+# loops' ring and matrix products at rank 4 take about a second at N = 19
+EXTENSION_SPLIT_PRECISIONS = {1: [0, 1, 2, 5, 19], 2: [0, 1, 2, 5, 19], 3: [0, 1, 2, 5, 19], 4: [0, 1, 2, 5, 8]}
+SPLIT = pytest.mark.parametrize(
+    "field", SPLIT_FIELDS, ids=["F2", "F3", "F5", "F7", "F2^31-1", "F4294967311", "F4", "F9"]
+)
+
+
+def split_matrix(field: FieldSpec, n: int, precision: int, seed: int) -> tuple[SeriesMatrix, list[int]]:
+    """A seeded matrix whose residue is upper triangular, and its diagonal, distinct where q allows.
+
+    Its residue characteristic polynomial is the product of t minus the
+    diagonal, so it splits; over a field with fewer than n elements the
+    diagonal repeats, and the residue root with it.
+    """
+    rng = SplitMix64(seed)
+    m = rng.matrix(field, VAR_DISK, n, precision)
+    start = rng.below(field.q)
+    diagonal = [(start + i) % field.q for i in range(n)]
+    if not precision:
+        return m, diagonal
+    rows = [
+        [
+            TruncSeries(field, VAR_DISK, (diagonal[i] if i == j else e.coeff(0) if j > i else 0,) + e.coeffs[1:])
+            for j, e in enumerate(row)
+        ]
+        for i, row in enumerate(m.entries)
+    ]
+    return SeriesMatrix.from_rows(rows), diagonal
+
+
+def kernel_basis(ring: SpectralRing) -> tuple:
+    return ring.lagrange_basis
+
+
+def kernel_split(ring: SpectralRing, roots: list[int]) -> tuple:
+    """The roots and Lagrange basis from the two kernels, lifted from the given residue roots."""
+    f, var = ring.field, ring.var
+    char = [c.coeffs for c in ring.char]
+    mus, invs = impl.series_hensel_roots(char, roots, ring.precision, f.p, f.k, f.modulus)
+    basis = impl.series_lagrange(char, mus, invs, f.p, f.k, f.modulus)
+    return (
+        tuple(TruncSeries(f, var, tuple(mu)) for mu in mus),
+        tuple(SpectralElement(ring, tuple(TruncSeries(f, var, tuple(c)) for c in e)) for e in basis),
+    )
+
+
+@SPLIT
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigen_split_matches_the_loops(field: FieldSpec, n: int) -> None:
+    """Roots, basis and hensel_eigen equal the loops, precision included, or raise as they do.
+
+    Root finding tries every element of the field (polyring.roots), so over
+    the two large primes the residue roots come from the residue diagonal
+    and the kernels are called with them; the other fields, and N = 0, run
+    the ring's cached properties and hensel_eigen.
+    """
+    precisions = SPLIT_PRECISIONS if field.k == 1 else EXTENSION_SPLIT_PRECISIONS[n]
+    for prec in precisions:
+        m, diagonal = split_matrix(field, n, prec, 100 * n + prec)
+        b = m.invariants
+        if field.q > 2**16 and prec:
+            roots = sorted(diagonal)
+            ring = SpectralRing(b)
+            mus = doubling_eigenvalues_loop(ring, roots)
+            assert kernel_split(ring, roots) == (mus, lagrange_basis_loop(ring, roots)), prec
+            assert [mu.precision for mu in mus] == [prec] * n
+            continue
+        want = lifted(doubling_eigenvalues_loop, SpectralRing(b))
+        assert lifted(doubling, SpectralRing(b)) == want, prec
+        basis = lifted(lagrange_basis_loop, SpectralRing(b))
+        assert lifted(kernel_basis, SpectralRing(b)) == basis, prec
+        # F_2 and F_3 have too few elements for four distinct residue roots
+        assert isinstance(want, list) == (field.q >= n and prec > 0), prec
+        if isinstance(want, list):
+            eigen = hensel_eigen(FHiggs(SeriesMatrix(m.entries)))
+            projectors = [eval_matrix_loop(elt, m) for elt in basis]
+            assert (list(eigen.ring.eigenvalues), list(eigen.projectors)) == (want, projectors)
+            # the gauge: a unit column of each projector, as hensel_eigen picks it
+            cols = [next(c for c in zip(*pk.entries) if any(e.is_unit() for e in c)) for pk in projectors]
+            assert eigen.gauge == SeriesMatrix.from_rows(list(zip(*cols)))
+            assert {x.precision for x in (*want, *projectors, eigen.gauge)} == {prec}
+
+
+@pytest.mark.parametrize(
+    "field, texts, error, message",
+    [
+        (F5, ["2", "1"], RepeatedResidueRoot, "residue characteristic polynomial has a repeated root"),
+        (F9, ["0", "0", "0"], RepeatedResidueRoot, "residue characteristic polynomial has a repeated root"),
+        (F3, ["0", "1"], NonSplitResidue, "residue spectrum does not split over the coefficient field"),
+        (F7, ["0", "1"], NonSplitResidue, "residue spectrum does not split over the coefficient field"),
+        (F7, ["0", "1", "0"], NonSplitResidue, "residue spectrum does not split over the coefficient field"),
+        (F4, ["1", "[0,1]"], NonSplitResidue, "residue spectrum does not split over the coefficient field"),
+    ],
+    ids=["repeated-F5", "repeated-F9", "nonsplit-F3", "nonsplit-F7", "nonsplit-rank3", "nonsplit-F4"],
+)
+@pytest.mark.parametrize("prec", [1, 19])
+def test_eigen_split_refusals_match_the_loops(field, texts, error, message, prec: int) -> None:
+    b = inv(field, texts, prec)
+    for kernel, loop in ((doubling, doubling_eigenvalues_loop), (kernel_basis, lagrange_basis_loop)):
+        got = lifted(kernel, SpectralRing(b))
+        assert got == lifted(loop, SpectralRing(b))
+        assert (got[0], got[1]["message"]) == (error, message)
+    companion = companion_section(b)
+    with pytest.raises(error, match=message):
+        hensel_eigen(FHiggs(companion))
+
+
+def test_eigen_split_at_precision_zero_refuses_as_the_loops() -> None:
+    zero = TruncSeries.zero(F5, VAR_DISK, 0)
+    for kernel, loop in ((doubling, doubling_eigenvalues_loop), (kernel_basis, lagrange_basis_loop)):
+        got = lifted(kernel, SpectralRing(InvariantTuple((zero, zero))))
+        assert got == lifted(loop, SpectralRing(InvariantTuple((zero, zero))))
+        assert (got[0], got[1]["message"]) == (ZeroPrecision, "coefficient 0 beyond precision 0")
+
+
+def evaluated(elt, m: SeriesMatrix, evaluate):
+    """evaluate(elt, m), or the type and payload of the error it raises."""
+    try:
+        return evaluate(elt, m)
+    except PdiskError as exc:
+        return type(exc), exc.payload()
+
+
+@SPLIT
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eval_matrix_matches_horner(field: FieldSpec, n: int) -> None:
+    """Each element at each matrix equals the Horner loop, at the least precision."""
+    precisions = [0, 1, 2, 7, 19, 160] if field.k == 1 else EXTENSION_SPLIT_PRECISIONS[n]
+    rng = SplitMix64(field.q % 1000 + n)
+    for nb in precisions:
+        ring = SpectralRing(InvariantTuple(tuple(rng.series(field, VAR_DISK, nb) for _ in range(n))))
+        for ne in {nb, max(nb - 1, 0)}:
+            elt = ring.element([rng.series(field, VAR_DISK, ne) for _ in range(n)])
+            for nm in {ne, ne + 1, max(ne - 2, 0)}:
+                m = rng.matrix(field, VAR_DISK, n, nm)
+                got = elt.eval_matrix(m)
+                assert got == eval_matrix_loop(elt, m), (nb, ne, nm)
+                assert got.precision == min(elt.precision, nm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_matrix_refuses_another_field_or_variable(n: int) -> None:
+    """As the Horner loop's products refuse; a rank-1 element, which the loop never multiplied, too."""
+    rng = SplitMix64(7)
+    ring = SpectralRing(InvariantTuple(tuple(rng.series(F5, VAR_DISK, 6) for _ in range(n))))
+    elt = ring.element([rng.series(F5, VAR_DISK, 6) for _ in range(n)])
+    for m, error, message in (
+        (rng.matrix(F7, VAR_DISK, n, 6), FieldMismatch, "operands live over different coefficient fields"),
+        (rng.matrix(F5, VAR_TWIST, n, 6), VarMismatch, "operands mix z with z'"),
+    ):
+        got = evaluated(elt, m, SpectralElement.eval_matrix)
+        assert (got[0], got[1]["message"]) == (error, message)
+        if n > 1:
+            assert got == evaluated(elt, m, eval_matrix_loop)
+
+
+# ==========================================================================
 # regular_rep
 # ==========================================================================
 
@@ -530,7 +702,7 @@ def test_eigenvalues_at_precision_zero() -> None:
 class TestRegularRep:
     def test_one_is_identity(self) -> None:
         ring = artin_schreier_ring()
-        assert ring.one().rep == SeriesMatrix.identity(F2, VAR_DISK, 2, 9)
+        assert ring_one(ring).rep == SeriesMatrix.identity(F2, VAR_DISK, 2, 9)
 
     def test_taut_is_companion(self) -> None:
         for field, texts in ((F2, ["1", "z^2"]), (F3, ["z", "2 + z^2"]), (F5, ["1", "z", "4"])):
